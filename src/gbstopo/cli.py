@@ -110,7 +110,8 @@ def _fmt(v) -> str:
             return "inf"
         if v == -math.inf:
             return "-inf"
-        return repr(v)
+        # float() strips numpy scalar types, whose repr is not a bare number.
+        return repr(float(v))
     return str(v)
 
 

@@ -8,12 +8,25 @@ The pure-state law for a machine program (U, r_i) with B = U diag(tanh r) U^T:
 where B_p repeats row/column i exactly p_i times. Probabilities of patterns
 with odd photon total vanish (no perfect matching of an odd set).
 
+The whole law comes from one pattern lattice: the admissible patterns in
+lexicographic order plus, per mode j, the index of p - e_j. The set is
+downward closed, so with i the lowest occupied mode of p the repeated-row
+hafnian recursion (Kan 2008; Bjorklund-Gupt-Quesada 2019)
+
+    haf(p) = sum_j (p - e_i)_j * B_ij * haf(p - e_i - e_j)
+
+fills it one even photon total at a time, vectorised over each total.
+Uniform loss on a distribution is n passes of per-mode binomial thinning
+along the same p -> p - e_j chains. `hafnian` and `pattern_probability`
+evaluate single patterns directly and serve as the oracle for the lattice.
+
 All samplers draw per-shot randomness from (seed, backend tag, shot index),
 so batches are bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -129,25 +142,6 @@ def pattern_probability(e: GBSEncoding, p: Iterable[int]) -> float:
     return _pattern_prob(b, _sech_prefactor(e.lambdas), p)
 
 
-def _iter_patterns(
-    n_modes: int, cutoff_total: int, cutoff_per_mode: int
-) -> Iterator[Pattern]:
-    """All patterns with sum <= cutoff_total, entries <= cutoff_per_mode,
-    in lexicographic order."""
-    pattern = [0] * n_modes
-
-    def rec(mode: int, remaining: int) -> Iterator[Pattern]:
-        if mode == n_modes:
-            yield tuple(pattern)
-            return
-        for c in range(min(remaining, cutoff_per_mode) + 1):
-            pattern[mode] = c
-            yield from rec(mode + 1, remaining - c)
-        pattern[mode] = 0
-
-    yield from rec(0, cutoff_total)
-
-
 def count_patterns(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> int:
     """Number of admissible patterns, by dynamic programming."""
     ways = [1] + [0] * cutoff_total
@@ -160,6 +154,120 @@ def count_patterns(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> int
                 nxt[t + c] += ways[t]
         ways = nxt
     return sum(ways)
+
+
+@dataclass(frozen=True)
+class _Lattice:
+    """Index table of all patterns with sum <= cutoff_total and entries <=
+    cutoff_per_mode, in lexicographic order. Arrays are read-only."""
+
+    counts: np.ndarray  # (N, n) photon counts; row 0 is the vacuum
+    patterns: tuple[Pattern, ...]  # the same rows as tuples
+    minus: np.ndarray  # (n, N) int32: index of p - e_j, -1 where p_j = 0
+    lowest: np.ndarray  # (N,) lowest occupied mode (0 for the vacuum)
+    totals: np.ndarray  # (N,) photon total
+    factorials: np.ndarray  # (N,) prod_i p_i!
+
+
+def _pattern_keys(counts: np.ndarray) -> np.ndarray:
+    digits = np.ascontiguousarray(counts, dtype=">u4")
+    return digits.view(f"S{4 * digits.shape[1]}").ravel()
+
+
+@functools.lru_cache(maxsize=4)
+def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
+    top = min(cutoff_total, cutoff_per_mode)
+    # Expand one mode at a time; children of each prefix come in ascending
+    # count, which is lexicographic order. Then read each row's counts back
+    # through its chain of prefixes.
+    levels = []
+    remaining = np.array([cutoff_total], dtype=np.int32)
+    for _ in range(n_modes):
+        width = np.minimum(remaining, top) + 1
+        parent = np.repeat(np.arange(len(remaining), dtype=np.int32), width)
+        start = np.cumsum(width, dtype=np.int32) - width
+        c = np.arange(len(parent), dtype=np.int32) - np.repeat(start, width)
+        levels.append((parent, c))
+        remaining = remaining[parent] - c
+    counts = np.empty((len(remaining), n_modes), dtype=np.int32)
+    row = np.arange(len(remaining))
+    for j in range(n_modes - 1, -1, -1):
+        parent, c = levels[j]
+        counts[:, j] = c[row]
+        row = parent[row]
+
+    # Mixed-radix keys: big-endian 32-bit digits compare bytewise in the
+    # same lexicographic order, so p - e_j is found by binary search.
+    keys = _pattern_keys(counts)
+    minus = np.full((n_modes, len(keys)), -1, dtype=np.int32)
+    for j in range(n_modes):
+        rows = np.flatnonzero(counts[:, j] > 0)
+        lower = counts[rows]
+        lower[:, j] -= 1
+        minus[j, rows] = np.searchsorted(keys, _pattern_keys(lower))
+
+    fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)
+    factorials = np.ones(len(counts))
+    for j in range(n_modes):
+        factorials *= fact[counts[:, j]]
+    lattice = _Lattice(
+        counts=counts,
+        patterns=tuple(zip(*counts.T.tolist())),
+        minus=minus,
+        lowest=np.argmax(counts > 0, axis=1),
+        totals=counts.sum(axis=1),
+        factorials=factorials,
+    )
+    for a in (lattice.counts, lattice.minus, lattice.lowest, lattice.totals,
+              lattice.factorials):
+        a.flags.writeable = False
+    return lattice
+
+
+def _iter_patterns(
+    n_modes: int, cutoff_total: int, cutoff_per_mode: int
+) -> Iterator[Pattern]:
+    """All patterns with sum <= cutoff_total, entries <= cutoff_per_mode,
+    in lexicographic order."""
+    return iter(_lattice(n_modes, cutoff_total, cutoff_per_mode).patterns)
+
+
+def _lattice_law(lat: _Lattice, b: np.ndarray, prefactor: float) -> np.ndarray:
+    """Probabilities of every lattice pattern, one even total at a time."""
+    haf = np.zeros(len(lat.patterns), dtype=complex)
+    haf[0] = 1.0
+    for t in range(2, int(lat.totals.max(initial=0)) + 1, 2):
+        idx = np.flatnonzero(lat.totals == t)
+        low = lat.lowest[idx]
+        q = lat.minus[low, idx]  # p - e_i
+        acc = np.zeros(len(idx), dtype=complex)
+        for j in range(lat.counts.shape[1]):
+            # Where q_j = 0 the child index is -1; the weight q_j kills it.
+            acc += lat.counts[q, j] * b[low, j] * haf[lat.minus[j, q]]
+        haf[idx] = acc
+    return prefactor * np.abs(haf) ** 2 / lat.factorials
+
+
+def _check_total_law(
+    lambdas: np.ndarray, prefactor: float, by_total: np.ndarray, upto: int
+) -> None:
+    """Passive U preserves photon number, so up to `upto` photons the mass
+    per total is the convolution of single-mode squeezed-vacuum laws
+    P(2m) = sech r * tanh^{2m} r * (2m)! / (2^m m!)^2."""
+    m = np.arange(upto // 2 + 1)
+    pair_weight = np.array([math.comb(2 * k, k) / 4.0**k for k in m])
+    law = np.zeros(upto + 1)
+    law[0] = prefactor
+    for lam in lambdas:
+        single = np.zeros(upto + 1)
+        single[::2] = pair_weight * float(lam) ** (2 * m)
+        law = np.convolve(law, single)[: upto + 1]
+    worst = float(np.max(np.abs(by_total[: upto + 1] - law)))
+    if worst > 1e-9:
+        raise InvariantError(
+            f"mass per photon total departs from the squeezed-vacuum law "
+            f"by {worst:.3e}"
+        )
 
 
 def enumerate_distribution(
@@ -178,18 +286,18 @@ def enumerate_distribution(
             required=required,
             budget=budget,
         )
-    b = reconstruct(e.u, e.lambdas)
+    lat = _lattice(e.n, cutoff_total, cutoff_per_mode)
     prefactor = _sech_prefactor(e.lambdas)
-    entries: dict[Pattern, float] = {}
-    mass = 0.0
-    for p in _iter_patterns(e.n, cutoff_total, cutoff_per_mode):
-        prob = _pattern_prob(b, prefactor, p)
-        entries[p] = prob
-        mass += prob
+    probs = _lattice_law(lat, reconstruct(e.u, e.lambdas), prefactor)
+    by_total = np.bincount(lat.totals, weights=probs, minlength=cutoff_total + 1)
+    _check_total_law(
+        e.lambdas, prefactor, by_total, min(cutoff_total, cutoff_per_mode)
+    )
+    mass = float(np.cumsum(probs)[-1])  # sequential, in lexicographic order
     if mass > 1.0 + 1e-9:
         raise InvariantError(f"enumerated mass {mass} exceeds 1")
     return PatternDistribution(
-        entries=entries,
+        entries=dict(zip(lat.patterns, probs.tolist())),
         cutoff_total=cutoff_total,
         cutoff_per_mode=cutoff_per_mode,
         mass=mass,
@@ -265,21 +373,29 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
     return SampleBatch(patterns=tuple(out), seed=seed, backend="squashed")
 
 
-def _thin_pattern_exact(p: Pattern, eta: float) -> dict[Pattern, float]:
-    """Distribution of a pattern after independent per-photon survival."""
-    results: dict[Pattern, float] = {(): 1.0}
-    for c in p:
-        probs = [
-            math.comb(c, k) * eta**k * (1 - eta) ** (c - k) for k in range(c + 1)
-        ]
-        nxt: dict[Pattern, float] = {}
-        for prefix, w in results.items():
-            for k, pk in enumerate(probs):
-                if pk == 0.0:
-                    continue
-                nxt[prefix + (k,)] = nxt.get(prefix + (k,), 0.0) + w * pk
-        results = nxt
-    return results
+def _thin_lattice(lat: _Lattice, w: np.ndarray, eta: float) -> np.ndarray:
+    """Per-photon survival applied to lattice weights, one mode per pass:
+    the weight at p moves to p - k e_j with probability
+    C(p_j, k) (1 - eta)^k eta^(p_j - k)."""
+    top = int(lat.counts.max(initial=0))
+    lost = np.zeros((top + 1, top + 1))  # lost[c, k]: k of c photons lost
+    for c in range(top + 1):
+        for k in range(c + 1):
+            lost[c, k] = math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
+    everything = np.arange(len(w))
+    for j in range(lat.counts.shape[1]):
+        count = lat.counts[:, j]
+        out = np.zeros_like(w)
+        src = dst = everything
+        for k in range(top + 1):
+            # dst is p - k e_j for every source p with p_j >= k; distinct
+            # sources give distinct targets, so the fancy add is safe.
+            out[dst] += w[src] * lost[count[src], k]
+            nxt = lat.minus[j, dst]
+            keep = nxt >= 0
+            src, dst = src[keep], nxt[keep]
+        w = out
+    return w
 
 
 def apply_loss(x, eta: float, seed: int = 0):
@@ -304,17 +420,19 @@ def apply_loss(x, eta: float, seed: int = 0):
             cutoff_per_mode=x.cutoff_per_mode,
         )
     if isinstance(x, PatternDistribution):
-        # Thinned patterns are componentwise <= their source, so the
-        # original key set (all patterns within cutoffs) still covers them.
-        acc: dict[Pattern, float] = {p: 0.0 for p in x.entries}
-        for p, w in x.entries.items():
-            if w == 0.0:
-                continue
-            for q, t in _thin_pattern_exact(p, eta).items():
-                acc[q] = acc.get(q, 0.0) + w * t
-        entries = {p: acc[p] for p in sorted(acc)}
+        # Thinned patterns are componentwise <= their source, so the full
+        # lattice for the cutoffs is closed under loss; anything else is not.
+        not_lattice = "distribution keys are not the full pattern lattice"
+        n = len(next(iter(x.entries), ()))
+        if len(x.entries) != count_patterns(n, x.cutoff_total, x.cutoff_per_mode):
+            raise ValueError(not_lattice)
+        lat = _lattice(n, x.cutoff_total, x.cutoff_per_mode)
+        try:
+            w = np.array([x.entries[p] for p in lat.patterns], dtype=float)
+        except KeyError:
+            raise ValueError(not_lattice) from None
         return PatternDistribution(
-            entries=entries,
+            entries=dict(zip(lat.patterns, _thin_lattice(lat, w, eta).tolist())),
             cutoff_total=x.cutoff_total,
             cutoff_per_mode=x.cutoff_per_mode,
             mass=x.mass,

@@ -3,9 +3,11 @@
 These deliberately avoid the production code paths: the hafnian oracle
 enumerates perfect matchings directly, the clique oracle scans all vertex
 subsets, the homology oracle does dense GF(2) elimination on numpy
-arrays, and components come from a hand-rolled union-find.
+arrays, components come from a hand-rolled union-find, and the loss
+oracle expands every pattern into its thinned patterns one by one.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -30,6 +32,33 @@ def matching_sum_hafnian(m) -> complex:
         return total
 
     return complex(rec(idx))
+
+
+def thinned_pattern_law(p, eta) -> dict:
+    """Law of one pattern after independent per-photon survival, built one
+    mode at a time as a dict over thinned patterns."""
+    results = {(): 1.0}
+    for c in p:
+        probs = [
+            math.comb(c, k) * eta**k * (1 - eta) ** (c - k) for k in range(c + 1)
+        ]
+        nxt = {}
+        for prefix, w in results.items():
+            for k, pk in enumerate(probs):
+                if pk == 0.0:
+                    continue
+                nxt[prefix + (k,)] = nxt.get(prefix + (k,), 0.0) + w * pk
+        results = nxt
+    return results
+
+
+def lossy_entries(entries, eta) -> dict:
+    """Distribution entries after uniform loss, pattern by pattern."""
+    acc = {p: 0.0 for p in entries}
+    for p, w in entries.items():
+        for q, t in thinned_pattern_law(p, eta).items():
+            acc[q] += w * t
+    return acc
 
 
 def brute_force_cliques(g, k_max):

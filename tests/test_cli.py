@@ -160,6 +160,21 @@ class TestSurfaceCmd:
         assert "# front:" in out.read_text()
 
 
+class TestPersistenceCmd:
+    def test_death_column_is_plain_numbers(self, tmp_path, graph_file):
+        out = tmp_path / "pers.txt"
+        argv = ["persistence", "--graph", str(graph_file), "--k", "3",
+                "--out", str(out)]
+        run_twice_identical(argv, out)
+        rows = [l.split("\t") for l in out.read_text().splitlines()
+                if l and not l.startswith("#")]
+        header, body = rows[0], rows[1:]
+        assert body
+        death = header.index("death")
+        for row in body:
+            assert row[death] == "inf" or float(row[death]) > 0
+
+
 class TestPercolationCmd:
     def test_report(self, tmp_path, graph_file):
         out = tmp_path / "p.json"

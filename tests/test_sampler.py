@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -7,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gbstopo.encoding import encode
-from gbstopo.errors import BudgetError, EmptyConditionError, FormatError
+from gbstopo.errors import (
+    BudgetError,
+    EmptyConditionError,
+    FormatError,
+    InvariantError,
+)
 from gbstopo.graph import ComplexGraph, graph_from_edges
 from gbstopo.sampler import (
+    PatternDistribution,
     SampleBatch,
+    _lattice,
     apply_loss,
     conditional_from_distribution,
     conditional_pattern_histogram,
@@ -26,7 +34,7 @@ from gbstopo.sampler import (
     save_batch,
     save_distribution,
 )
-from helpers import matching_sum_hafnian
+from helpers import lossy_entries, matching_sum_hafnian
 
 
 def single_mode_encoding(lam):
@@ -351,3 +359,93 @@ class TestBatchIO:
         d2 = load_distribution(save_distribution(d))
         assert d2.entries == d.entries
         assert d2.mass == d.mass
+
+
+def random_encoding(n, seed):
+    a = random_symmetric(n, seed)
+    np.fill_diagonal(a, 0)
+    return encode(ComplexGraph(n, a), 0.8, d=0.3)
+
+
+# (modes, cutoff_total, cutoff_per_mode), with and without a binding
+# per-mode cutoff.
+LATTICE_CASES = [(1, 5, 5), (2, 6, 3), (3, 4, 2), (4, 5, 5), (5, 6, 2), (4, 6, 1)]
+
+
+class TestPatternLattice:
+    @pytest.mark.parametrize("n,total,per_mode", LATTICE_CASES)
+    def test_order_and_minus_tables(self, n, total, per_mode):
+        lat = _lattice(n, total, per_mode)
+        want = [
+            p for p in product(range(per_mode + 1), repeat=n) if sum(p) <= total
+        ]
+        assert list(lat.patterns) == want
+        index = {p: i for i, p in enumerate(want)}
+        for j in range(n):
+            for i, p in enumerate(want):
+                q = p[:j] + (p[j] - 1,) + p[j + 1 :]
+                assert lat.minus[j, i] == index.get(q, -1)
+
+    @pytest.mark.parametrize("n,total,per_mode", LATTICE_CASES)
+    def test_law_matches_single_pattern_oracle(self, n, total, per_mode):
+        e = random_encoding(n, seed=100 + n + total + per_mode)
+        d = enumerate_distribution(e, total, per_mode)
+        assert len(d.entries) == count_patterns(n, total, per_mode)
+        for p, w in d.entries.items():
+            assert w == pytest.approx(pattern_probability(e, p), rel=1e-10, abs=0)
+
+    def test_odd_totals_are_exactly_zero(self):
+        d = enumerate_distribution(random_encoding(4, seed=3), 5, 3)
+        assert all(w == 0.0 for p, w in d.entries.items() if sum(p) % 2)
+
+    def test_corrupted_b_violates_total_law(self, monkeypatch):
+        import gbstopo.sampler as smp
+
+        e = random_encoding(4, seed=5)
+        enumerate_distribution(e, 4, 4)
+        real = smp.reconstruct
+        monkeypatch.setattr(smp, "reconstruct", lambda u, lam: 1.1 * real(u, lam))
+        with pytest.raises(InvariantError, match="squeezed-vacuum"):
+            enumerate_distribution(e, 4, 4)
+
+
+class TestDistributionLoss:
+    @pytest.mark.parametrize("n,total,per_mode", LATTICE_CASES)
+    @pytest.mark.parametrize("eta", [0.0, 0.35, 0.8, 1.0])
+    def test_matches_per_pattern_thinning(self, n, total, per_mode, eta):
+        d = enumerate_distribution(random_encoding(n, seed=7 * n), total, per_mode)
+        lossy = apply_loss(d, eta)
+        want = lossy_entries(d.entries, eta)
+        assert list(lossy.entries) == list(d.entries)
+        for p, w in lossy.entries.items():
+            assert w == pytest.approx(want[p], rel=1e-10, abs=1e-15)
+        assert lossy.mass == d.mass
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(min_value=0.0, max_value=1.0),
+        b=st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_losses_compose(self, a, b):
+        d = enumerate_distribution(random_encoding(3, seed=11), 6, 4)
+        twice = apply_loss(apply_loss(d, a), b)
+        once = apply_loss(d, a * b)
+        for p, w in once.entries.items():
+            assert twice.entries[p] == pytest.approx(w, rel=1e-9, abs=1e-15)
+        assert sum(once.entries.values()) == pytest.approx(d.mass, abs=1e-12)
+        assert twice.mass == once.mass == d.mass
+
+    def test_rejects_keys_other_than_the_full_lattice(self):
+        d = enumerate_distribution(tmsv_encoding(0.5), 4, 4)
+        missing = dict(d.entries)
+        del missing[(1, 1)]
+        extra = {**d.entries, (5, 0): 0.0}
+        swapped = {**missing, (5, 0): 0.0}
+        cases = [(missing, 4), (extra, 4), (swapped, 4), (d.entries, 3), ({}, 4)]
+        for entries, total in cases:
+            bad = PatternDistribution(
+                entries=entries, cutoff_total=total, cutoff_per_mode=4,
+                mass=d.mass,
+            )
+            with pytest.raises(ValueError):
+                apply_loss(bad, 0.5)
