@@ -260,7 +260,7 @@ def _check_total_law(
     law[0] = prefactor
     for lam in lambdas:
         single = np.zeros(upto + 1)
-        single[::2] = pair_weight * float(lam) ** (2 * m)
+        single[::2] = pair_weight * lam ** (2 * m)
         law = np.convolve(law, single)[: upto + 1]
     worst = float(np.max(np.abs(by_total[: upto + 1] - law)))
     if worst > 1e-9:
@@ -382,11 +382,10 @@ def _thin_lattice(lat: _Lattice, w: np.ndarray, eta: float) -> np.ndarray:
     for c in range(top + 1):
         for k in range(c + 1):
             lost[c, k] = math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
-    everything = np.arange(len(w))
     for j in range(lat.counts.shape[1]):
         count = lat.counts[:, j]
         out = np.zeros_like(w)
-        src = dst = everything
+        src = dst = np.arange(len(w))
         for k in range(top + 1):
             # dst is p - k e_j for every source p with p_j >= k; distinct
             # sources give distinct targets, so the fancy add is safe.
