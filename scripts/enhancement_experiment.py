@@ -1,16 +1,18 @@
 """Clique-search success rates: simulated GBS vs uniform vs squashed.
 
-Runs the planted-clique benchmark instance through all three samplers at
-an identical shot budget, then through the shared search pipeline, and
-reports success rates with Wilson intervals and enhancement ratios.
+Writes the planted-clique benchmark instance to the output directory and
+runs `gbstopo compare` on it: all three samplers at an identical shot
+budget, the shared search pipeline, success rates with Wilson intervals
+and enhancement ratios. The compare report is the output file.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
-import gbstopo as gt
-from gbstopo.cliques import binomial_interval, find_cliques
+from gbstopo.cli import main as cli_main
+from gbstopo.graph import save_graph
 from gbstopo.instances import planted_clique_graph
 
 
@@ -23,34 +25,32 @@ def main():
     ap.add_argument("--out-dir", default="results")
     args = ap.parse_args()
 
-    g = planted_clique_graph()
-    target_k = 5
-    enc = gt.encode(g, args.target_spectral)
-    batches = {
-        "gbs": gt.sample_gbs(enc, args.shots, 6, 6, seed=args.seed),
-        "uniform": gt.sample_uniform(g.n, target_k, args.shots, seed=args.seed + 1),
-        "squashed": gt.sample_squashed(enc, args.shots, seed=args.seed + 2),
-    }
-    stats = {}
-    for name, batch in batches.items():
-        rep = find_cliques(g, batch, target_k, args.max_iters)
-        lo, hi = binomial_interval(len(rep.cliques_found), rep.shots_in)
-        stats[name] = {
-            "success_rate": rep.success_rate,
-            "successes": len(rep.cliques_found),
-            "interval_95": [lo, hi],
-        }
-        print(f"{name:>9}: rate {rep.success_rate:.4f}  CI [{lo:.4f}, {hi:.4f}]")
-    for base in ("uniform", "squashed"):
-        num, den = stats["gbs"]["success_rate"], stats[base]["success_rate"]
-        ratio = num / den if den else float("inf")
-        print(f"enhancement over {base}: {ratio:.2f}")
-        stats[f"enhancement_over_{base}"] = ratio
-
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "enhancement.json").write_text(json.dumps(stats, indent=1))
-    print(f"wrote {out / 'enhancement.json'}")
+    graph, report = out / "planted.json", out / "enhancement.json"
+    graph.write_bytes(save_graph(planted_clique_graph()))
+    code = cli_main([
+        "compare", "--graph", str(graph), "--k", "5",
+        "--shots", str(args.shots), "--seed", str(args.seed),
+        "--target-spectral", str(args.target_spectral),
+        "--max-iters", str(args.max_iters),
+        "--cutoff-total", "6", "--cutoff-per-mode", "6",
+        "--out", str(report),
+    ])
+    if code:
+        sys.exit(code)
+
+    doc = json.loads(report.read_text())
+    for name, stats in doc["backends"].items():
+        lo, hi = stats["interval_95"]
+        print(f"{name:>9}: rate {stats['success_rate']:.4f}  "
+              f"CI [{lo:.4f}, {hi:.4f}]  "
+              f"({stats['successes']} of {stats['shots']})")
+    for key, ratio in doc["enhancement"].items():
+        base = key.removeprefix("gbs_over_")
+        shown = "undefined" if ratio is None else f"{ratio:.2f}"
+        print(f"enhancement over {base}: {shown}")
+    print(f"wrote {report}")
 
 
 if __name__ == "__main__":

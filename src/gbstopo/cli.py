@@ -54,15 +54,6 @@ def _provenance(args: argparse.Namespace) -> dict:
     return {"command": args.command, "params": params}
 
 
-def _dry_run(args: argparse.Namespace) -> bool:
-    if not args.dry_run:
-        return False
-    doc = _provenance(args)
-    for key, val in doc["params"].items():
-        print(f"{key} = {val}")
-    return True
-
-
 def _write(path: str, data: bytes) -> None:
     Path(path).write_bytes(data)
 
@@ -85,9 +76,8 @@ def _get_encoding(args) -> enc_mod.GBSEncoding:
 
 
 def _json_report(payload: dict, args: argparse.Namespace) -> bytes:
-    doc = {"provenance": _provenance(args)}
-    doc.update(payload)
-    return (json.dumps(doc, indent=1, sort_keys=False) + "\n").encode()
+    doc = {"provenance": _provenance(args), **payload}
+    return (json.dumps(doc, indent=1) + "\n").encode()
 
 
 def _table(
@@ -115,91 +105,67 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def cmd_gen(args) -> int:
-    if _dry_run(args):
-        return 0
+# Each command handler returns the bytes of its --out file; main() handles
+# --dry-run, the write and the exit code. JSON documents end in a newline.
+
+
+def cmd_gen(args) -> bytes:
     law = (tuple(args.alpha_range), tuple(args.beta_range))
     g = gr.random_dual_layer(args.n, args.p, law, args.seed)
-    doc = json.loads(gr.save_graph(g).decode())
-    doc["provenance"] = _provenance(args)
-    _write(args.out, (json.dumps(doc, indent=1) + "\n").encode())
-    return 0
+    return gr.save_graph(g, provenance=_provenance(args)) + b"\n"
 
 
-def cmd_encode(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_encode(args) -> bytes:
     g = _read_graph(args.graph)
     e = enc_mod.encode(g, args.target_spectral, args.d)
-    doc = json.loads(enc_mod.save_encoding(e).decode())
-    doc["provenance"] = _provenance(args)
-    _write(args.out, (json.dumps(doc, indent=1) + "\n").encode())
-    return 0
+    return enc_mod.save_encoding(e, provenance=_provenance(args)) + b"\n"
 
 
-def cmd_sample(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_sample(args) -> bytes:
     if args.backend == "uniform":
         if args.k is None:
             raise FormatError("--k is required for the uniform backend")
         if args.graph:
-            n_modes = _read_graph(args.graph).n
+            source = _read_graph(args.graph).n
         elif args.n_modes:
-            n_modes = args.n_modes
+            source = args.n_modes
         else:
             raise FormatError("uniform backend needs --graph or --n-modes")
-        batch = smp.sample_uniform(n_modes, args.k, args.shots, args.seed)
     else:
-        e = _get_encoding(args)
-        if args.backend == "gbs":
-            batch = smp.sample_gbs(
-                e, args.shots, args.cutoff_total, args.cutoff_per_mode, args.seed
-            )
-        elif args.backend == "squashed":
-            batch = smp.sample_squashed(e, args.shots, args.seed)
-        else:
-            raise FormatError(f"unknown backend {args.backend!r}")
+        source = _get_encoding(args)
+    batch = smp.sample(
+        args.backend, source, args.shots, args.seed, k=args.k,
+        cutoff_total=args.cutoff_total, cutoff_per_mode=args.cutoff_per_mode,
+    )
     if args.eta < 1.0:
         batch = smp.apply_loss(batch, args.eta, args.seed)
-    payload = smp.save_batch(batch).decode().splitlines()
-    header = json.loads(payload[0])
-    header["provenance"] = _provenance(args)
-    payload[0] = json.dumps(header)
-    _write(args.out, ("\n".join(payload) + "\n").encode())
-    return 0
+    return smp.save_batch(batch, provenance=_provenance(args))
 
 
-def cmd_dist(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_dist(args) -> bytes:
     e = _get_encoding(args)
     dist = smp.enumerate_distribution(e, args.cutoff_total, args.cutoff_per_mode)
     if args.eta < 1.0:
         dist = smp.apply_loss(dist, args.eta)
-    doc = json.loads(smp.save_distribution(dist).decode())
-    doc["provenance"] = _provenance(args)
-    _write(args.out, (json.dumps(doc, indent=1) + "\n").encode())
-    return 0
+    return smp.save_distribution(dist, provenance=_provenance(args)) + b"\n"
 
 
-def cmd_cliques(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_cliques(args) -> bytes:
     g = _read_graph(args.graph)
     try:
         batch = smp.load_batch(Path(args.samples).read_bytes())
     except FileNotFoundError as exc:
         raise FormatError(f"sample file not found: {args.samples}") from exc
+    for shot, p in enumerate(batch.patterns):
+        if len(p) != g.n:
+            raise FormatError(
+                f"shot {shot} has {len(p)} modes but the graph has {g.n} vertices"
+            )
     report = cl.find_cliques(g, batch, args.k, args.max_iters)
-    doc = json.loads(cl.save_report(report).decode())
-    _write(args.out, _json_report(doc, args))
-    return 0
+    return cl.save_report(report, provenance=_provenance(args)) + b"\n"
 
 
-def cmd_betti(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
     thresholds = _axis(args.delta_axis) if args.delta_axis else [args.delta_t]
     rows = []
@@ -229,13 +195,10 @@ def cmd_betti(args) -> int:
             + list(prof.betti)
             + [chi, tda.euler_entropy(chi)]
         )
-    _write(args.out, _table(header, rows, args))
-    return 0
+    return _table(header, rows, args)
 
 
-def cmd_surface(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_surface(args) -> bytes:
     g = _read_graph(args.graph)
     surf = tda.filtration_surface(
         g, _axis(args.omega_axis), _axis(args.delta_axis), args.k_ref
@@ -267,13 +230,10 @@ def cmd_surface(args) -> int:
         f"# front: ({a[0]},{a[1]})-({b[0]},{b[1]})"
         for a, b in report.sign_fronts
     ]
-    _write(args.out, _table(header, rows, args, footer))
-    return 0
+    return _table(header, rows, args, footer)
 
 
-def cmd_persistence(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_persistence(args) -> bytes:
     g = _read_graph(args.graph)
     pairs = tda.clique_persistence(g, args.k)
     pairs.sort(key=lambda p: (p.birth, p.clique))
@@ -284,15 +244,10 @@ def cmd_persistence(args) -> int:
         "# death convention: threshold at which the clique is absorbed "
         "into a larger clique (loses maximality); inf = never absorbed"
     ]
-    _write(
-        args.out, _table(["vertices", "birth", "death"], rows, args, footer)
-    )
-    return 0
+    return _table(["vertices", "birth", "death"], rows, args, footer)
 
 
-def cmd_percolation(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_percolation(args) -> bytes:
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
@@ -305,13 +260,10 @@ def cmd_percolation(args) -> int:
         "largest_nodes": report.largest_nodes,
         "clusters": [list(c) for c in report.clusters],
     }
-    _write(args.out, _json_report(payload, args))
-    return 0
+    return _json_report(payload, args)
 
 
-def cmd_entropy(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_entropy(args) -> bytes:
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
@@ -347,37 +299,26 @@ def cmd_entropy(args) -> int:
     except ValueError:
         rho_repr = "nan"
     footer = [f"# spearman_phi_entropy = {rho_repr}"]
-    _write(
-        args.out,
-        _table(
-            ["delta_t", "phi", "n_star", "h_alpha", "h_norm", "shots", "backend"],
-            rows,
-            args,
-            footer,
-        ),
+    return _table(
+        ["delta_t", "phi", "n_star", "h_alpha", "h_norm", "shots", "backend"],
+        rows,
+        args,
+        footer,
     )
-    return 0
 
 
-def cmd_compare(args) -> int:
-    if _dry_run(args):
-        return 0
+def cmd_compare(args) -> bytes:
     g = _read_graph(args.graph)
     e = enc_mod.encode(g, args.target_spectral, args.d)
-    batches = {
-        "gbs": smp.sample_gbs(
-            e, args.shots, args.cutoff_total, args.cutoff_per_mode, args.seed
-        ),
-        "uniform": smp.sample_uniform(g.n, args.k, args.shots, args.seed + 1),
-        "squashed": smp.sample_squashed(e, args.shots, args.seed + 2),
-    }
-    if args.eta < 1.0:
-        batches = {
-            name: smp.apply_loss(b, args.eta, args.seed + 3)
-            for name, b in batches.items()
-        }
     stats = {}
-    for name, batch in batches.items():
+    # Backend i of smp.BACKENDS draws with seed + i; loss thins with seed + 3.
+    for offset, name in enumerate(smp.BACKENDS):
+        batch = smp.sample(
+            name, e, args.shots, args.seed + offset, k=args.k,
+            cutoff_total=args.cutoff_total, cutoff_per_mode=args.cutoff_per_mode,
+        )
+        if args.eta < 1.0:
+            batch = smp.apply_loss(batch, args.eta, args.seed + 3)
         rep = cl.find_cliques(g, batch, args.k, args.max_iters)
         lo, hi = cl.binomial_interval(len(rep.cliques_found), rep.shots_in)
         stats[name] = {
@@ -394,17 +335,7 @@ def cmd_compare(args) -> int:
             cl.enhancement(num, den) if den > 0 else None
         )
     payload = {"k": args.k, "backends": stats, "enhancement": ratios}
-    _write(args.out, _json_report(payload, args))
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file with default parameter values")
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the resolved configuration and exit without computing",
-    )
+    return _json_report(payload, args)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
@@ -417,107 +348,89 @@ def _add_cutoffs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cutoff-per-mode", type=int, default=6)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[
+    argparse.ArgumentParser, list[argparse.ArgumentParser]
+]:
+    """The parser, and the subparser of every command in registration order."""
     parser = argparse.ArgumentParser(
         prog="gbstopo",
         description="Topological analysis of complex-weighted networks "
         "through a simulated Gaussian boson sampler.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: list[argparse.ArgumentParser] = []
 
-    p = sub.add_parser("gen", help="generate a random dual-layer network")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=handler)
+        commands.append(p)
+        return p
+
+    p = command("gen", cmd_gen, "generate a random dual-layer network")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--alpha-range", type=float, nargs=2, default=[-1.0, 1.0])
     p.add_argument("--beta-range", type=float, nargs=2, default=[-1.0, 1.0])
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("encode", help="turn a graph into a machine program")
+    p = command("encode", cmd_encode, "turn a graph into a machine program")
     p.add_argument("--graph", required=True)
     _add_encoding_opts(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("sample", help="draw photon patterns from a backend")
+    p = command("sample", cmd_sample, "draw photon patterns from a backend")
     p.add_argument("--graph")
     p.add_argument("--encoding")
     p.add_argument("--n-modes", type=int)
-    p.add_argument(
-        "--backend", choices=("gbs", "uniform", "squashed"), default="gbs"
-    )
+    p.add_argument("--backend", choices=smp.BACKENDS, default="gbs")
     p.add_argument("--shots", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--k", type=int, help="subset size for the uniform backend")
     p.add_argument("--eta", type=float, default=1.0)
     _add_encoding_opts(p)
     _add_cutoffs(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("dist", help="enumerate the exact pattern distribution")
+    p = command("dist", cmd_dist, "enumerate the exact pattern distribution")
     p.add_argument("--graph")
     p.add_argument("--encoding")
     p.add_argument("--eta", type=float, default=1.0)
     _add_encoding_opts(p)
     _add_cutoffs(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_dist)
 
-    p = sub.add_parser("cliques", help="search samples for weighted k-cliques")
+    p = command("cliques", cmd_cliques, "search samples for weighted k-cliques")
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_cliques)
 
-    p = sub.add_parser("betti", help="Betti numbers, optionally under a "
-                       "clique-density filtration")
+    p = command("betti", cmd_betti, "Betti numbers, optionally under a "
+                "clique-density filtration")
     p.add_argument("--graph", required=True)
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--k-ref", type=int)
     p.add_argument("--delta-t", type=float, default=0.0)
     p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_betti)
 
-    p = sub.add_parser("surface", help="two-dimensional filtration surface")
+    p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)
     p.add_argument("--omega-axis", required=True)
     p.add_argument("--delta-axis", required=True)
     p.add_argument("--k-ref", type=int, default=2)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_surface)
 
-    p = sub.add_parser("persistence", help="clique birth/death thresholds")
+    p = command("persistence", cmd_persistence, "clique birth/death thresholds")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_persistence)
 
-    p = sub.add_parser("percolation", help="k-clique percolation clusters")
+    p = command("percolation", cmd_percolation, "k-clique percolation clusters")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--k-ref", type=int)
     p.add_argument("--delta-t", type=float, default=0.0)
     p.add_argument("--damage-node", type=int)
     p.add_argument("--damage-k", type=int, default=4)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_percolation)
 
-    p = sub.add_parser(
-        "entropy", help="percolation order parameter vs sampling entropy sweep"
+    p = command(
+        "entropy", cmd_entropy,
+        "percolation order parameter vs sampling entropy sweep",
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--k-ref", type=int, required=True)
@@ -531,20 +444,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--collision-policy",
-        choices=("threshold_collapse", "collision_free_only"),
+        choices=smp.COLLISION_POLICIES,
         default="threshold_collapse",
     )
     p.add_argument("--damage-node", type=int)
     p.add_argument("--damage-k", type=int, default=4)
     _add_encoding_opts(p)
     _add_cutoffs(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_entropy)
 
-    p = sub.add_parser(
-        "compare", help="GBS vs uniform vs squashed clique search"
-    )
+    p = command("compare", cmd_compare, "GBS vs uniform vs squashed clique search")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--shots", type=int, default=3000)
@@ -553,16 +461,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1.0)
     _add_encoding_opts(p)
     _add_cutoffs(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_compare)
 
-    return parser
+    # Flags every command shares go last, after the command's own, which is
+    # where --help and usage errors have always listed them.
+    for p in commands:
+        p.add_argument("--out", required=True)
+        p.add_argument("--config", help="JSON file with default parameter values")
+        p.add_argument(
+            "--dry-run",
+            action="store_true",
+            help="print the resolved configuration and exit without computing",
+        )
+    return parser, commands
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
 
     # Resolve --config before the real parse so flags override file values.
     pre = argparse.ArgumentParser(add_help=False)
@@ -578,7 +493,7 @@ def main(argv=None) -> int:
         if not isinstance(cfg, dict):
             print("error: config must be a flat JSON object", file=sys.stderr)
             return EXIT_FORMAT
-        for sp in parser._subparsers._group_actions[0].choices.values():
+        for sp in commands:
             dests = {a.dest for a in sp._actions}
             sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
             for action in sp._actions:
@@ -586,8 +501,13 @@ def main(argv=None) -> int:
                     action.required = False
 
     args = parser.parse_args(argv)
+    if args.dry_run:
+        for key, val in _provenance(args)["params"].items():
+            print(f"{key} = {val}")
+        return 0
     try:
-        return args.func(args)
+        _write(args.out, args.func(args))
+        return 0
     except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -289,7 +289,7 @@ def enumerate_cliques(
     return CliqueComplex(by_size=by_size, k_max=k_max)
 
 
-def save_report(r: SearchReport) -> bytes:
+def save_report(r: SearchReport, *, provenance: dict | None = None) -> bytes:
     cliques = sorted(
         r.cliques_found, key=lambda c: (-c.density, c.vertices)
     )
@@ -305,4 +305,6 @@ def save_report(r: SearchReport) -> bytes:
             for c in cliques
         ],
     }
+    if provenance is not None:
+        doc = {"provenance": provenance, **doc}
     return json.dumps(doc, indent=1).encode("utf-8")

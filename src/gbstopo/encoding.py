@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import FormatError, InvariantError
-from .graph import ComplexGraph
+from .graph import ComplexGraph, source_text
 
 RECON_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -154,7 +154,7 @@ def mean_photon_number(e: GBSEncoding) -> float:
     return float(np.sum(lam2 / (1.0 - lam2)))
 
 
-def save_encoding(e: GBSEncoding) -> bytes:
+def save_encoding(e: GBSEncoding, *, provenance: dict | None = None) -> bytes:
     u_flat = [
         {"re": z.real, "im": z.imag} for z in e.u.reshape(-1)
     ]
@@ -166,14 +166,13 @@ def save_encoding(e: GBSEncoding) -> bytes:
         "squeezings": [float(x) for x in e.squeezings],
         "u": u_flat,
     }
+    if provenance is not None:
+        doc["provenance"] = provenance
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
 def load_encoding(source) -> GBSEncoding:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    source = source_text(source)
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:

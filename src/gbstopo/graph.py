@@ -7,6 +7,7 @@ stored as exactly 0, so "edge present" and "weight nonzero" coincide.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -83,6 +84,13 @@ def graph_from_edges(
     return ComplexGraph(n, w)
 
 
+def source_text(source) -> str:
+    """The text of a loader's `source`: bytes, str or a readable file."""
+    if hasattr(source, "read"):
+        source = source.read()
+    return source.decode("utf-8") if isinstance(source, bytes) else source
+
+
 def load_graph(source) -> ComplexGraph:
     """Parse the canonical edge-list format.
 
@@ -90,10 +98,7 @@ def load_graph(source) -> ComplexGraph:
     a JSON object {"n": int, "edges": [{"i","j","re","im"}, ...]} with
     i < j and no duplicates; unlisted pairs have weight 0.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    source = source_text(source)
     try:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
@@ -119,6 +124,8 @@ def load_graph(source) -> ComplexGraph:
             raise FormatError(f"edge ({i},{j}) violates i < j ordering")
         if (i, j) in seen:
             raise FormatError(f"duplicate edge ({i},{j})")
+        if not cmath.isfinite(wij):
+            raise FormatError(f"edge ({i},{j}) has a non-finite weight {wij!r}")
         if wij == 0:
             raise FormatError(
                 f"edge ({i},{j}) has zero weight; omit absent edges instead"
@@ -129,15 +136,19 @@ def load_graph(source) -> ComplexGraph:
     return ComplexGraph(n, w)
 
 
-def save_graph(g: ComplexGraph) -> bytes:
+def save_graph(g: ComplexGraph, *, provenance: dict | None = None) -> bytes:
     """Serialize to the canonical edge-list format; inverse of load_graph.
 
     Floats are emitted with repr precision so the round trip is bit exact.
+    A `provenance` mapping, if given, is written as the last key.
     """
     edges = [
         {"i": i, "j": j, "re": w.real, "im": w.imag} for i, j, w in g.edges()
     ]
-    return json.dumps({"n": g.n, "edges": edges}, indent=1).encode("utf-8")
+    doc = {"n": g.n, "edges": edges}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return json.dumps(doc, indent=1).encode("utf-8")
 
 
 WeightLaw = tuple[tuple[float, float], tuple[float, float]]

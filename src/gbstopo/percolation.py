@@ -16,6 +16,8 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import spearmanr
 
 from . import sampler as smp
@@ -52,30 +54,6 @@ class EntropyCurve:
     shots: int = 0
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.rank[ra] < self.rank[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
-
-
 def clique_adjacency(cliques: Sequence[VertexSet]) -> list[list[int]]:
     """Adjacency lists over clique indices; cliques are adjacent iff they
     share exactly k-1 nodes.
@@ -102,20 +80,22 @@ def clique_adjacency(cliques: Sequence[VertexSet]) -> list[list[int]]:
 
 
 def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
-    """Union-find over clique adjacency; clusters report node unions."""
+    """Connected components of the clique adjacency; clusters report node
+    unions."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cliques = enumerate_cliques(g, k).by_size.get(k, [])
     if not cliques:
         return PercolationReport(k=k, clusters=(), phi=0.0, largest_nodes=0)
     adj = clique_adjacency(cliques)
-    uf = _UnionFind(len(cliques))
-    for a, nbrs in enumerate(adj):
-        for b in nbrs:
-            uf.union(a, b)
+    # The adjacency lists are the rows of a CSR matrix.
+    indptr = np.cumsum([0] + [len(nbrs) for nbrs in adj])
+    indices = [b for nbrs in adj for b in nbrs]
+    pairs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(adj),) * 2)
+    _, labels = connected_components(pairs, directed=False)
     groups: dict[int, set[int]] = {}
-    for idx, c in enumerate(cliques):
-        groups.setdefault(uf.find(idx), set()).update(c)
+    for label, c in zip(labels.tolist(), cliques):
+        groups.setdefault(label, set()).update(c)
     clusters = sorted(
         (tuple(sorted(nodes)) for nodes in groups.values()),
         key=lambda t: (-len(t), t),
@@ -212,26 +192,17 @@ def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> tuple[float, float]:
     if g.num_edges() == 0:
         return 0.0, 0.0
     enc = encode(g, cfg.target_spectral, cfg.d)
+    if cfg.backend == "exact":
+        law = smp.enumerate_distribution(enc, cfg.cutoff_total, cfg.cutoff_per_mode)
+    else:
+        law = smp.sample(
+            cfg.backend, enc, cfg.shots, cfg.seed,
+            cutoff_total=cfg.cutoff_total, cutoff_per_mode=cfg.cutoff_per_mode,
+        )
     try:
-        if cfg.backend == "exact":
-            dist = smp.enumerate_distribution(
-                enc, cfg.cutoff_total, cfg.cutoff_per_mode
-            )
-            hist = smp.conditional_from_distribution(
-                dist, cfg.photon_total, cfg.collision_policy
-            )
-        else:
-            if cfg.backend == "gbs":
-                batch = smp.sample_gbs(
-                    enc, cfg.shots, cfg.cutoff_total, cfg.cutoff_per_mode, cfg.seed
-                )
-            elif cfg.backend == "squashed":
-                batch = smp.sample_squashed(enc, cfg.shots, cfg.seed)
-            else:
-                raise ValueError(f"unknown sweep backend {cfg.backend!r}")
-            hist = smp.conditional_pattern_histogram(
-                batch, cfg.photon_total, cfg.collision_policy
-            )
+        hist = smp.conditional_from_distribution(
+            law, cfg.photon_total, cfg.collision_policy
+        )
     except EmptyConditionError:
         return 0.0, 0.0
     h = renyi_entropy(hist, cfg.alpha)

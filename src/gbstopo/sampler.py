@@ -29,17 +29,22 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .encoding import GBSEncoding, reconstruct
 from .errors import BudgetError, EmptyConditionError, FormatError, InvariantError
+from .graph import source_text
 
 Pattern = tuple[int, ...]
 
 PATTERN_BUDGET = 5_000_000
+
+BACKENDS = ("gbs", "uniform", "squashed")
+COLLISION_POLICIES = ("threshold_collapse", "collision_free_only")
 
 # Stream tags keep the per-shot RNG streams of different consumers disjoint.
 _TAG_GBS = 0
@@ -373,6 +378,27 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
     return SampleBatch(patterns=tuple(out), seed=seed, backend="squashed")
 
 
+def sample(
+    backend: str, source: GBSEncoding | int, shots: int, seed: int, *,
+    k: int | None = None, cutoff_total: int = 6, cutoff_per_mode: int = 6,
+) -> SampleBatch:
+    """Draw `shots` patterns from one of BACKENDS.
+
+    `source` is the encoding, or for uniform just the mode count; `k` is
+    the uniform subset size and the cutoffs truncate the gbs law.
+    """
+    if backend == "gbs":
+        return sample_gbs(source, shots, cutoff_total, cutoff_per_mode, seed)
+    if backend == "squashed":
+        return sample_squashed(source, shots, seed)
+    if backend != "uniform":
+        raise ValueError(f"unknown backend {backend!r}")
+    if k is None:
+        raise ValueError("the uniform backend needs a subset size k")
+    n_modes = source if isinstance(source, int) else source.n
+    return sample_uniform(n_modes, k, shots, seed)
+
+
 def _thin_lattice(lat: _Lattice, w: np.ndarray, eta: float) -> np.ndarray:
     """Per-photon survival applied to lattice weights, one mode per pass:
     the weight at p moves to p - k e_j with probability
@@ -410,14 +436,7 @@ def apply_loss(x, eta: float, seed: int = 0):
         for i, p in enumerate(x.patterns):
             rng = _shot_rng(seed, _TAG_LOSS, i)
             out.append(tuple(int(rng.binomial(c, eta)) for c in p))
-        return SampleBatch(
-            patterns=tuple(out),
-            seed=x.seed,
-            backend=x.backend,
-            loss_eta=x.loss_eta * eta,
-            cutoff_total=x.cutoff_total,
-            cutoff_per_mode=x.cutoff_per_mode,
-        )
+        return replace(x, patterns=tuple(out), loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):
         # Thinned patterns are componentwise <= their source, so the full
         # lattice for the cutoffs is closed under loss; anything else is not.
@@ -430,12 +449,8 @@ def apply_loss(x, eta: float, seed: int = 0):
             w = np.array([x.entries[p] for p in lat.patterns], dtype=float)
         except KeyError:
             raise ValueError(not_lattice) from None
-        return PatternDistribution(
-            entries=dict(zip(lat.patterns, _thin_lattice(lat, w, eta).tolist())),
-            cutoff_total=x.cutoff_total,
-            cutoff_per_mode=x.cutoff_per_mode,
-            mass=x.mass,
-        )
+        thinned = _thin_lattice(lat, w, eta).tolist()
+        return replace(x, entries=dict(zip(lat.patterns, thinned)))
     raise TypeError(f"cannot apply loss to {type(x).__name__}")
 
 
@@ -444,65 +459,46 @@ def collapse_threshold(p: Pattern) -> Pattern:
     return tuple(1 if c > 0 else 0 for c in p)
 
 
-def conditional_pattern_histogram(
-    b: SampleBatch, total: int, collision_policy: str
-) -> dict[Pattern, float]:
-    """Empirical distribution of the patterns of shots carrying `total`
-    photons.
-
-    collision_free_only keeps only shots that are already 0/1 patterns;
-    threshold_collapse keeps every qualifying shot and collapses counts to
-    clicks afterwards.
-    """
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    if collision_policy == "collision_free_only":
-        selected = [
-            p for p in b.patterns if sum(p) == total and all(c <= 1 for c in p)
-        ]
-    elif collision_policy == "threshold_collapse":
-        selected = [collapse_threshold(p) for p in b.patterns if sum(p) == total]
-    else:
-        raise ValueError(f"unknown collision policy {collision_policy!r}")
-    if not selected:
-        raise EmptyConditionError(
-            f"no shots with photon total {total} under {collision_policy}"
-        )
-    hist: dict[Pattern, float] = {}
-    for p in selected:
-        hist[p] = hist.get(p, 0.0) + 1.0
-    norm = float(len(selected))
-    return {p: hist[p] / norm for p in sorted(hist)}
-
-
 def conditional_from_distribution(
-    d: PatternDistribution, total: int, collision_policy: str
+    d: PatternDistribution | SampleBatch, total: int, collision_policy: str
 ) -> dict[Pattern, float]:
-    """Exact analogue of conditional_pattern_histogram on a distribution."""
+    """Law of the patterns carrying `total` photons, renormalised.
+
+    A distribution weighs each pattern by its probability; a batch weighs
+    it by its whole shot count, so each value is count / selected shots.
+    collision_free_only keeps only 0/1 patterns; threshold_collapse keeps
+    every pattern at the total and collapses counts to clicks afterwards.
+    """
+    if collision_policy not in COLLISION_POLICIES:
+        raise ValueError(f"unknown collision policy {collision_policy!r}")
     if total < 0:
         raise ValueError("total must be nonnegative")
+    if isinstance(d, SampleBatch):
+        weighted = Counter(d.patterns).items()
+    else:
+        weighted = d.entries.items()
     acc: dict[Pattern, float] = {}
-    for p, w in d.entries.items():
+    for p, w in weighted:
         if w == 0.0 or sum(p) != total:
             continue
-        if collision_policy == "collision_free_only":
-            if any(c > 1 for c in p):
-                continue
-            key = p
-        elif collision_policy == "threshold_collapse":
-            key = collapse_threshold(p)
-        else:
-            raise ValueError(f"unknown collision policy {collision_policy!r}")
-        acc[key] = acc.get(key, 0.0) + w
+        if collision_policy == "threshold_collapse":
+            p = collapse_threshold(p)
+        elif any(c > 1 for c in p):
+            continue
+        acc[p] = acc.get(p, 0.0) + w
     norm = sum(acc.values())
     if norm <= 0.0:
         raise EmptyConditionError(
-            f"no probability mass at photon total {total} under {collision_policy}"
+            f"no weight at photon total {total} under {collision_policy}"
         )
     return {p: acc[p] / norm for p in sorted(acc)}
 
 
-def save_batch(b: SampleBatch) -> bytes:
+# The batch spelling of the same conditioning.
+conditional_pattern_histogram = conditional_from_distribution
+
+
+def save_batch(b: SampleBatch, *, provenance: dict | None = None) -> bytes:
     header = {
         "backend": b.backend,
         "seed": b.seed,
@@ -511,6 +507,8 @@ def save_batch(b: SampleBatch) -> bytes:
         "cutoff_per_mode": b.cutoff_per_mode,
         "shots": len(b.patterns),
     }
+    if provenance is not None:
+        header["provenance"] = provenance
     lines = [json.dumps(header)]
     for p in b.patterns:
         lines.append(json.dumps({"pattern": list(p), "total": sum(p)}))
@@ -518,10 +516,7 @@ def save_batch(b: SampleBatch) -> bytes:
 
 
 def load_batch(source) -> SampleBatch:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    source = source_text(source)
     lines = [ln for ln in source.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty sample file")
@@ -551,7 +546,9 @@ def load_batch(source) -> SampleBatch:
     )
 
 
-def save_distribution(d: PatternDistribution) -> bytes:
+def save_distribution(
+    d: PatternDistribution, *, provenance: dict | None = None
+) -> bytes:
     doc = {
         "cutoff_total": d.cutoff_total,
         "cutoff_per_mode": d.cutoff_per_mode,
@@ -560,14 +557,13 @@ def save_distribution(d: PatternDistribution) -> bytes:
             {"pattern": list(p), "probability": w} for p, w in d.entries.items()
         ],
     }
+    if provenance is not None:
+        doc["provenance"] = provenance
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
 def load_distribution(source) -> PatternDistribution:
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
+    source = source_text(source)
     try:
         doc = json.loads(source)
         entries = {

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gbstopo.cli import main
+from gbstopo.cli import build_parser, main
 from gbstopo.graph import load_graph, save_graph
 from gbstopo.instances import planted_clique_graph, two_community_graph
 
@@ -304,3 +304,153 @@ class TestDryRunAndConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1,2,3]")
         assert main(["gen", "--config", str(cfg), "--out", "x"]) == 3
+
+
+# The smallest argv of every command. The input files are never created:
+# --dry-run must not read them.
+DRY_RUN_ARGV = {
+    "gen": ["--n", "5", "--p", "0.5", "--seed", "1"],
+    "encode": ["--graph", "{missing}"],
+    "sample": ["--graph", "{missing}", "--shots", "3", "--seed", "1"],
+    "dist": ["--graph", "{missing}"],
+    "cliques": ["--graph", "{missing}", "--samples", "{missing}", "--k", "3"],
+    "betti": ["--graph", "{missing}"],
+    "surface": ["--graph", "{missing}", "--omega-axis", "0.5",
+                "--delta-axis", "0"],
+    "persistence": ["--graph", "{missing}", "--k", "3"],
+    "percolation": ["--graph", "{missing}", "--k", "3"],
+    "entropy": ["--graph", "{missing}", "--k-ref", "3", "--delta-axis", "0",
+                "--photon-total", "2"],
+    "compare": ["--graph", "{missing}", "--k", "3", "--seed", "1"],
+}
+
+
+class TestSingleReportPath:
+    def test_every_command_is_covered(self):
+        _, commands = build_parser()
+        assert [p.prog.split()[-1] for p in commands] == list(DRY_RUN_ARGV)
+
+    @pytest.mark.parametrize("command", list(DRY_RUN_ARGV))
+    def test_dry_run_reads_and_writes_nothing(self, command, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        argv = [a.format(missing=missing) for a in DRY_RUN_ARGV[command]]
+        assert main([command, *argv, "--out", str(out), "--dry-run"]) == 0
+        assert not out.exists()
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(" = " in line for line in lines)
+        assert f"out = {out}" in lines
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("inputs")
+        graph, chain = work / "g.json", work / "chain.json"
+        assert main(["gen", "--n", "8", "--p", "0.6", "--seed", "3",
+                     "--out", str(graph)]) == 0
+        from gbstopo.instances import graded_triangle_chain
+
+        chain.write_bytes(save_graph(graded_triangle_chain()))
+        samples = work / "s.jsonl"
+        assert main(["sample", "--graph", str(graph), "--backend", "uniform",
+                     "--k", "4", "--shots", "20", "--seed", "1",
+                     "--out", str(samples)]) == 0
+        return {"graph": str(graph), "chain": str(chain),
+                "samples": str(samples)}
+
+    RUNS = {
+        "gen": ["--n", "5", "--p", "0.5", "--seed", "1"],
+        "encode": ["--graph", "{graph}"],
+        "sample": ["--graph", "{graph}", "--shots", "10", "--seed", "1"],
+        "dist": ["--graph", "{graph}", "--cutoff-total", "2",
+                 "--cutoff-per-mode", "2"],
+        "cliques": ["--graph", "{graph}", "--samples", "{samples}", "--k", "3"],
+        "betti": ["--graph", "{graph}", "--dmax", "1"],
+        "surface": ["--graph", "{chain}", "--omega-axis", "0.5",
+                    "--delta-axis", "0,0.5"],
+        "persistence": ["--graph", "{graph}", "--k", "3"],
+        "percolation": ["--graph", "{graph}", "--k", "3"],
+        "entropy": ["--graph", "{chain}", "--k-ref", "3", "--delta-axis",
+                    "0.4,0.6,0.8", "--photon-total", "2", "--cutoff-total",
+                    "2", "--cutoff-per-mode", "2"],
+        "compare": ["--graph", "{chain}", "--k", "3", "--shots", "20",
+                    "--seed", "1"],
+    }
+    # Where each command puts its provenance.
+    PLACES = {
+        "gen": "last", "encode": "last", "dist": "last",
+        "sample": "header_last",
+        "cliques": "first", "percolation": "first", "compare": "first",
+        "betti": "table", "surface": "table", "persistence": "table",
+        "entropy": "table",
+    }
+
+    def test_places_cover_every_command(self):
+        assert set(self.RUNS) == set(self.PLACES) == set(DRY_RUN_ARGV)
+
+    @pytest.mark.parametrize("command", list(DRY_RUN_ARGV))
+    def test_provenance_position(self, command, inputs, tmp_path):
+        out = tmp_path / "out"
+        argv = [a.format(**inputs) for a in self.RUNS[command]]
+        assert main([command, *argv, "--out", str(out)]) == 0
+        text = out.read_text()
+        place = self.PLACES[command]
+        if place == "table":
+            lines = text.splitlines()
+            assert lines[0] == f"# {command}"
+            assert f"# out = {out}" in lines
+            return
+        if place == "header_last":
+            doc = json.loads(text.splitlines()[0])
+        else:
+            assert text.endswith("}\n") and not text.endswith("\n\n")
+            doc = json.loads(text)
+        keys = list(doc)
+        assert keys[0 if place == "first" else -1] == "provenance"
+        assert doc["provenance"]["command"] == command
+        assert doc["provenance"]["params"]["out"] == str(out)
+
+    def test_config_supplies_required_flag_of_cliques(self, inputs, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3, "max_iters": 7}))
+        out = tmp_path / "r.json"
+        assert main(["cliques", "--config", str(cfg), "--graph",
+                     inputs["graph"], "--samples", inputs["samples"],
+                     "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["provenance"]["params"]
+        assert (params["k"], params["max_iters"]) == (3, 7)
+
+
+class TestInputContract:
+    def graph(self, tmp_path, n):
+        path = tmp_path / f"g{n}.json"
+        assert main(["gen", "--n", str(n), "--p", "0.9", "--seed", "1",
+                     "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("modes, vertices", [(10, 6), (6, 10)])
+    def test_cliques_rejects_pattern_of_other_length(
+        self, tmp_path, capsys, modes, vertices
+    ):
+        samples = tmp_path / "s.jsonl"
+        assert main(["sample", "--n-modes", str(modes), "--backend",
+                     "uniform", "--k", "3", "--shots", "5", "--seed", "1",
+                     "--out", str(samples)]) == 0
+        out = tmp_path / "r.json"
+        code = main(["cliques", "--graph", self.graph(tmp_path, vertices),
+                     "--samples", str(samples), "--k", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"{modes} modes" in err and f"{vertices} vertices" in err
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_exit_3(self, tmp_path, capsys, weight):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps({"n": 3, "edges": [
+            {"i": 0, "j": 1, "re": 1.0, "im": 0.0},
+            {"i": 1, "j": 2, "re": weight, "im": 0.0},
+        ]}))
+        code = main(["encode", "--graph", str(gpath),
+                     "--out", str(tmp_path / "e.json")])
+        assert code == 3
+        assert "edge (1,2)" in capsys.readouterr().err

@@ -60,6 +60,18 @@ class TestLoadGraph:
         with pytest.raises(FormatError):
             load_graph(b"not json {")
 
+    @pytest.mark.parametrize("re_, im", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("-inf")),
+        ("nan", 0.0),
+    ], ids=["nan", "inf", "minus-inf-imag", "nan-string"])
+    def test_non_finite_weight_rejected(self, re_, im):
+        d = json.dumps({"n": 3, "edges": [
+            {"i": 0, "j": 2, "re": 0.5, "im": 0},
+            {"i": 1, "j": 2, "re": re_, "im": im},
+        ]}).encode()
+        with pytest.raises(FormatError, match=r"edge \(1,2\).*non-finite"):
+            load_graph(d)
+
 
 class TestSaveGraph:
     def test_round_trip_simple(self):

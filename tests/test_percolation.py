@@ -275,3 +275,15 @@ class TestSweep:
         dent = np.array(ent_d.values) - np.array(ent.values)
         agree = sum(np.sign(a) == np.sign(b) for a, b in zip(dphi, dent))
         assert agree >= 0.8 * len(thresholds)
+
+
+class TestSweepCollisionPolicy:
+    def test_unknown_policy_raises_instead_of_flooring(self):
+        # An odd total carries no mass, so only a policy check made before
+        # conditioning tells a bad policy apart from the floor value 0.
+        cfg = SweepConfig(
+            k_ref=3, alpha=2.0, photon_total=3, backend="exact",
+            cutoff_total=4, cutoff_per_mode=4, collision_policy="bogus",
+        )
+        with pytest.raises(ValueError, match="collision policy"):
+            percolation_entropy_sweep(graded_triangle_chain(), [0.4], cfg)

@@ -28,6 +28,7 @@ from gbstopo.sampler import (
     load_batch,
     load_distribution,
     pattern_probability,
+    sample,
     sample_gbs,
     sample_squashed,
     sample_uniform,
@@ -339,6 +340,52 @@ class TestConditionalHistogram:
         hist2 = conditional_from_distribution(d, 2, "threshold_collapse")
         # (1,1) vs collapsed (2,0) and (0,2); P(2,0)=P(0,2)=0 for TMSV
         assert hist2[(1, 1)] == pytest.approx(1.0)
+
+
+class TestOneConditioning:
+    def test_batch_values_are_whole_counts_over_selected(self):
+        b = SampleBatch(
+            patterns=((1, 1, 0),) * 3 + ((2, 0, 0),) * 4 + ((0, 1, 0),),
+            seed=0, backend="x",
+        )
+        hist = conditional_pattern_histogram(b, 2, "threshold_collapse")
+        assert hist == {(1, 0, 0): 4 / 7, (1, 1, 0): 3 / 7}
+
+    def test_batch_and_distribution_share_one_function(self):
+        assert conditional_pattern_histogram is conditional_from_distribution
+
+    def test_policy_checked_before_the_condition(self):
+        d = enumerate_distribution(tmsv_encoding(0.5), 4, 4)
+        with pytest.raises(ValueError, match="collision policy") as err:
+            conditional_from_distribution(d, 3, "bogus")
+        assert not isinstance(err.value, EmptyConditionError)
+        b = SampleBatch(patterns=(), seed=0, backend="x")
+        with pytest.raises(ValueError, match="collision policy"):
+            conditional_pattern_histogram(b, 2, "bogus")
+
+    def test_distribution_without_mass_at_total_is_empty(self):
+        d = enumerate_distribution(tmsv_encoding(0.5), 4, 4)
+        with pytest.raises(EmptyConditionError):
+            conditional_from_distribution(d, 3, "threshold_collapse")
+
+
+class TestSampleDispatch:
+    def test_each_backend_matches_its_sampler(self):
+        e = tmsv_encoding(0.6)
+        assert sample("gbs", e, 40, 3, cutoff_total=4, cutoff_per_mode=3) == (
+            sample_gbs(e, 40, 4, 3, 3)
+        )
+        assert sample("squashed", e, 40, 3) == sample_squashed(e, 40, 3)
+        assert sample("uniform", e, 40, 3, k=1) == sample_uniform(2, 1, 40, 3)
+        assert sample("uniform", 5, 40, 3, k=2) == sample_uniform(5, 2, 40, 3)
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            sample("exact", tmsv_encoding(0.6), 5, 0)
+
+    def test_uniform_needs_k(self):
+        with pytest.raises(ValueError, match="subset size"):
+            sample("uniform", 4, 5, 0)
 
 
 class TestBatchIO:
