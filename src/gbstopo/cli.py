@@ -71,6 +71,8 @@ def _get_encoding(args) -> enc_mod.GBSEncoding:
             return enc_mod.load_encoding(Path(args.encoding).read_bytes())
         except FileNotFoundError as exc:
             raise FormatError(f"encoding file not found: {args.encoding}") from exc
+    if not args.graph:
+        raise FormatError("one of --graph or --encoding is required")
     g = _read_graph(args.graph)
     return enc_mod.encode(g, args.target_spectral, args.d)
 
@@ -150,7 +152,15 @@ def cmd_dist(args) -> bytes:
     return smp.save_distribution(dist, provenance=_provenance(args)) + b"\n"
 
 
+def _check_search_flags(args) -> None:
+    if args.k < 1:
+        raise FormatError(f"--k must be at least 1, got {args.k}")
+    if args.max_iters < 0:
+        raise FormatError(f"--max-iters must be at least 0, got {args.max_iters}")
+
+
 def cmd_cliques(args) -> bytes:
+    _check_search_flags(args)
     g = _read_graph(args.graph)
     try:
         batch = smp.load_batch(Path(args.samples).read_bytes())
@@ -308,6 +318,7 @@ def cmd_entropy(args) -> bytes:
 
 
 def cmd_compare(args) -> bytes:
+    _check_search_flags(args)
     g = _read_graph(args.graph)
     e = enc_mod.encode(g, args.target_spectral, args.d)
     stats = {}

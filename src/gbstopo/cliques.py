@@ -1,16 +1,18 @@
 """Weighted clique search seeded by sampler output, plus exact clique
 enumeration for oracles and downstream topology.
 
-The search pipeline per shot is: pattern -> vertex subset -> greedy
-shrinking to a clique -> local search toward the target size. Both the
-shrinking and the expansion score candidate sets by the weighted density
-|sum w_ij| / (k(k-1)), which keeps complex phase cancellation first class.
+The search pipeline per distinct photon subset is: pattern -> vertex subset
+-> greedy shrinking to a clique -> local search toward the target size, with
+set tests as bit operations on the graph's neighbor_masks; shots repeating a
+subset reuse its result. Both stages score candidate sets by the weighted
+density |sum w_ij| / (k(k-1)), which keeps complex phase cancellation central.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -83,6 +85,20 @@ def pattern_to_subset(p: Pattern) -> VertexSet:
     return tuple(i for i, c in enumerate(p) if c >= 1)
 
 
+def _peel(g: ComplexGraph, cur: list[int], done) -> list[int]:
+    """Until done(cur), drop the vertex leaving the densest rest; first wins."""
+    while not done(cur):
+        best_v = None
+        best_score = -1.0
+        for v in cur:
+            score = _density_or_zero(g, tuple(u for u in cur if u != v))
+            if score > best_score:
+                best_score = score
+                best_v = v
+        cur.remove(best_v)
+    return cur
+
+
 def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     """Peel vertices until the set is a clique.
 
@@ -92,28 +108,22 @@ def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     cur = list(vertex_set(s))
     if not cur:
         raise ValueError("cannot shrink an empty set")
-    while not is_clique(g, cur):
-        best_v = None
-        best_score = -1.0
-        for v in cur:
-            rest = tuple(u for u in cur if u != v)
-            score = _density_or_zero(g, rest)
-            if score > best_score:
-                best_score = score
-                best_v = v
-        cur.remove(best_v)
-    return make_clique(g, cur)
+    return make_clique(g, _peel(g, cur, lambda kept: is_clique(g, kept)))
 
 
 def _common_neighbors(g: ComplexGraph, s: Sequence[int]) -> list[int]:
-    members = set(s)
-    out = []
-    for v in range(g.n):
-        if v in members:
-            continue
-        if all(g.weights[v, u] != 0 for u in s):
-            out.append(v)
-    return out
+    """Vertices outside s adjacent to every member of s, ascending."""
+    common = (1 << g.n) - 1
+    for u in s:
+        common &= g.neighbor_masks[u]
+    return [v for v in range(g.n) if common >> v & 1]
+
+
+def _check_search_params(target_k: int, max_iters: int) -> None:
+    if target_k < 1 or max_iters < 0:
+        raise ValueError(
+            f"need target_k >= 1 and max_iters >= 0, got {target_k}, {max_iters}"
+        )
 
 
 def local_search(
@@ -129,17 +139,8 @@ def local_search(
     subset of a clique is a clique). Returns None when the target stays
     unreachable.
     """
-    cur = list(c.vertices)
-    while len(cur) > target_k:
-        best_v = None
-        best_score = -1.0
-        for v in cur:
-            rest = tuple(u for u in cur if u != v)
-            score = _density_or_zero(g, rest)
-            if score > best_score:
-                best_score = score
-                best_v = v
-        cur.remove(best_v)
+    _check_search_params(target_k, max_iters)
+    cur = _peel(g, list(c.vertices), lambda kept: len(kept) <= target_k)
 
     def expand() -> None:
         while len(cur) < target_k:
@@ -195,22 +196,20 @@ def find_cliques(
 ) -> SearchReport:
     """Run the full per-shot search pipeline and tally the success rate.
 
-    Empty subsets (vacuum shots) count as failures in the denominator.
+    Empty subsets (vacuum shots) count as failures in the denominator. Each
+    distinct subset is searched once, in order of first appearance.
     """
-    found: list[Clique] = []
-    for p in b.patterns:
-        subset = pattern_to_subset(p)
-        if not subset:
-            continue
-        seed_clique = greedy_shrink(g, subset)
-        result = local_search(g, seed_clique, target_k, max_iters)
-        if result is not None:
-            found.append(result)
+    _check_search_params(target_k, max_iters)
+    subsets = [pattern_to_subset(p) for p in b.patterns]
+    searched = {
+        s: local_search(g, greedy_shrink(g, s), target_k, max_iters)
+        for s in dict.fromkeys(subsets)
+        if s
+    }
+    found = [searched[s] for s in subsets if s and searched[s] is not None]
     shots = len(b.patterns)
     rate = len(found) / shots if shots else 0.0
-    hist: dict[float, int] = {}
-    for c in found:
-        hist[c.density] = hist.get(c.density, 0) + 1
+    hist = Counter(c.density for c in found)
     return SearchReport(
         shots_in=shots,
         cliques_found=tuple(found),

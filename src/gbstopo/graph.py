@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,8 +22,8 @@ VertexSet = tuple[int, ...]
 
 def vertex_set(vertices: Iterable[int]) -> VertexSet:
     """Canonicalize an iterable of vertex indices into a sorted tuple."""
-    vs = tuple(sorted(int(v) for v in vertices))
-    if any(a == b for a, b in zip(vs, vs[1:])):
+    vs = tuple(sorted(map(int, vertices)))
+    if len(set(vs)) != len(vs):
         raise ValueError(f"duplicate vertex in {vs}")
     return vs
 
@@ -33,11 +33,12 @@ class ComplexGraph:
     """Immutable n-vertex network with a complex symmetric adjacency matrix.
 
     Invariants enforced at construction: weights is n x n, symmetric,
-    zero on the diagonal.
+    zero on the diagonal. neighbor_masks[v] has bit u set iff uv is an edge.
     """
 
     n: int
     weights: np.ndarray
+    neighbor_masks: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -51,6 +52,9 @@ class ComplexGraph:
             raise ValueError("diagonal must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        bits = np.packbits(w != 0, axis=1, bitorder="little")
+        masks = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
+        object.__setattr__(self, "neighbor_masks", masks)
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.weights)
@@ -193,7 +197,7 @@ def clique_density(g: ComplexGraph, s: Sequence[int]) -> float:
     k = len(s)
     if k < 2:
         raise ValueError("density requires at least 2 vertices")
-    sub = g.weights[np.ix_(s, s)]
+    sub = g.weights.take(s, 0).take(s, 1)
     return float(abs(sub.sum())) / (k * (k - 1))
 
 
@@ -218,11 +222,8 @@ def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
 def is_clique(g: ComplexGraph, s: Sequence[int]) -> bool:
     """True iff every pair in s is an edge; empty and singleton sets pass."""
     s = vertex_set(s)
-    if len(s) <= 1:
-        return True
-    sub = g.weights[np.ix_(s, s)]
-    off_diag = sub[~np.eye(len(s), dtype=bool)]
-    return bool(np.all(off_diag != 0))
+    members = sum(1 << v for v in s)
+    return all(members & ~g.neighbor_masks[v] == 1 << v for v in s)
 
 
 def relabel(g: ComplexGraph, perm: Sequence[int]) -> ComplexGraph:

@@ -3,14 +3,18 @@
 These deliberately avoid the production code paths: the hafnian oracle
 enumerates perfect matchings directly, the clique oracle scans all vertex
 subsets, the homology oracle does dense GF(2) elimination on numpy
-arrays, components come from a hand-rolled union-find, and the loss
-oracle expands every pattern into its thinned patterns one by one.
+arrays, components come from a hand-rolled union-find, the loss
+oracle expands every pattern into its thinned patterns one by one, and
+the clique-search oracle runs every shot's search anew on np.ix_
+submatrices.
 """
 
 import math
 from itertools import combinations
 
 import numpy as np
+
+from gbstopo.cliques import Clique, SearchReport
 
 
 def matching_sum_hafnian(m) -> complex:
@@ -137,3 +141,130 @@ def betti_via_dense_ranks(by_size):
     while betti and betti[-1] == 0:
         betti.pop()
     return tuple(betti)
+
+
+def reference_clique_density(g, s) -> float:
+    """Weighted density from an np.ix_ submatrix (the original layout)."""
+    s = tuple(sorted(s))
+    k = len(s)
+    if k < 2:
+        return 0.0
+    sub = g.weights[np.ix_(s, s)]
+    return float(abs(sub.sum())) / (k * (k - 1))
+
+
+def reference_is_clique(g, s) -> bool:
+    """Every off-diagonal entry of the np.ix_ submatrix is nonzero."""
+    s = tuple(sorted(s))
+    if len(s) <= 1:
+        return True
+    sub = g.weights[np.ix_(s, s)]
+    off_diag = sub[~np.eye(len(s), dtype=bool)]
+    return bool(np.all(off_diag != 0))
+
+
+def _reference_common_neighbors(g, s):
+    members = set(s)
+    out = []
+    for v in range(g.n):
+        if v in members:
+            continue
+        if all(g.weights[v, u] != 0 for u in s):
+            out.append(v)
+    return out
+
+
+def _reference_shot(g, subset, target_k, max_iters):
+    """Greedy shrink, trim, expand and swap for one shot, as first written:
+    one loop per stage, numpy densities and adjacency, no memo."""
+    dens = reference_clique_density
+    cur = list(subset)
+    while not reference_is_clique(g, cur):
+        best_v = None
+        best_score = -1.0
+        for v in cur:
+            rest = tuple(u for u in cur if u != v)
+            score = dens(g, rest)
+            if score > best_score:
+                best_score = score
+                best_v = v
+        cur.remove(best_v)
+    while len(cur) > target_k:
+        best_v = None
+        best_score = -1.0
+        for v in cur:
+            rest = tuple(u for u in cur if u != v)
+            score = dens(g, rest)
+            if score > best_score:
+                best_score = score
+                best_v = v
+        cur.remove(best_v)
+
+    def expand():
+        while len(cur) < target_k:
+            cands = _reference_common_neighbors(g, cur)
+            if not cands:
+                return
+            best_v = None
+            best_score = -1.0
+            for v in cands:
+                score = dens(g, cur + [v])
+                if score > best_score:
+                    best_score = score
+                    best_v = v
+            cur.append(best_v)
+
+    expand()
+    iters = 0
+    while len(cur) < target_k and iters < max_iters:
+        growth_swap = None
+        density_swap = None
+        base_density = dens(g, cur)
+        for u in sorted(cur):
+            rest = [w for w in cur if w != u]
+            for v in _reference_common_neighbors(g, rest):
+                if v == u:
+                    continue
+                swapped = tuple(sorted(rest + [v]))
+                if growth_swap is None and _reference_common_neighbors(
+                    g, swapped
+                ):
+                    growth_swap = (u, v)
+                    break
+                if density_swap is None and dens(g, swapped) > base_density:
+                    density_swap = (u, v)
+            if growth_swap:
+                break
+        chosen = growth_swap or density_swap
+        if chosen is None:
+            return None
+        u, v = chosen
+        cur.remove(u)
+        cur.append(v)
+        iters += 1
+        expand()
+    if len(cur) == target_k:
+        return tuple(sorted(cur))
+    return None
+
+
+def reference_find_cliques(g, batch, target_k, max_iters=50):
+    """The clique search run shot by shot with no memo, as a SearchReport."""
+    found = []
+    for p in batch.patterns:
+        subset = tuple(i for i, c in enumerate(p) if c >= 1)
+        if not subset:
+            continue
+        vs = _reference_shot(g, subset, target_k, max_iters)
+        if vs is not None:
+            found.append(Clique(vs, len(vs), reference_clique_density(g, vs)))
+    shots = len(batch.patterns)
+    hist = {}
+    for c in found:
+        hist[c.density] = hist.get(c.density, 0) + 1
+    return SearchReport(
+        shots_in=shots,
+        cliques_found=tuple(found),
+        success_rate=len(found) / shots if shots else 0.0,
+        density_histogram=dict(sorted(hist.items())),
+    )

@@ -454,3 +454,39 @@ class TestInputContract:
                      "--out", str(tmp_path / "e.json")])
         assert code == 3
         assert "edge (1,2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["dist"],
+        ["sample", "--backend", "gbs", "--shots", "5", "--seed", "1"],
+        ["sample", "--backend", "squashed", "--shots", "5", "--seed", "1"],
+    ])
+    def test_encoding_source_required(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--graph" in err and "--encoding" in err
+
+    @pytest.mark.parametrize("command", ["cliques", "compare"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--k", "0"], "--k"),
+        (["--k", "-1"], "--k"),
+        (["--k", "3", "--max-iters", "-3"], "--max-iters"),
+    ])
+    def test_search_flags_rejected(
+        self, tmp_path, capsys, command, flags, named
+    ):
+        graph = self.graph(tmp_path, 6)
+        samples = tmp_path / "s.jsonl"
+        assert main(["sample", "--graph", graph, "--backend", "gbs",
+                     "--shots", "20", "--seed", "1",
+                     "--out", str(samples)]) == 0
+        inputs = {
+            "cliques": ["--samples", str(samples)],
+            "compare": ["--shots", "20", "--seed", "1"],
+        }[command]
+        out = tmp_path / "r.json"
+        argv = [command, "--graph", graph, *inputs, *flags, "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err

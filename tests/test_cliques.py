@@ -14,10 +14,22 @@ from gbstopo.cliques import (
     maximal_cliques,
     pattern_to_subset,
 )
+import gbstopo.cliques as cliques_mod
 from gbstopo.errors import BudgetError, UndefinedRatioError
-from gbstopo.graph import graph_from_edges, is_clique, random_dual_layer, relabel
+from gbstopo.graph import (
+    clique_density,
+    graph_from_edges,
+    is_clique,
+    random_dual_layer,
+    relabel,
+)
 from gbstopo.sampler import SampleBatch
-from helpers import brute_force_cliques
+from helpers import (
+    brute_force_cliques,
+    reference_clique_density,
+    reference_find_cliques,
+    reference_is_clique,
+)
 
 
 def complete(n):
@@ -92,6 +104,20 @@ class TestLocalSearch:
         out = local_search(g, start, 4, max_iters=1)
         assert out is not None and out.vertices == (1, 2, 3, 4)
 
+    def test_oversized_clique_is_trimmed(self):
+        g = complete(6)
+        out = local_search(g, make_clique(g, range(6)), 4)
+        # Every density ties on unit weights, so the lowest indices go first.
+        assert out is not None and out.vertices == (2, 3, 4, 5)
+
+    def test_trim_drops_the_vertex_that_lowers_density(self):
+        w = {(i, j): 1.0 for i in range(4) for j in range(i + 1, 4)}
+        w[(0, 3)] = w[(1, 3)] = w[(2, 3)] = -1.0
+        g = graph_from_edges(4, [(i, j, x) for (i, j), x in w.items()])
+        out = local_search(g, make_clique(g, range(4)), 3)
+        assert out.vertices == (0, 1, 2)
+        assert out.density == pytest.approx(1.0)
+
     def test_unreachable_target_fails(self):
         g = complete(4)
         start = make_clique(g, (0, 1))
@@ -140,6 +166,102 @@ class TestFindCliques:
         b = SampleBatch(patterns=((1, 1, 1, 0, 0),) * 4, seed=0, backend="x")
         rep = find_cliques(g, b, 3)
         assert sum(rep.density_histogram.values()) == 4
+
+
+class TestSearchParameters:
+    @pytest.mark.parametrize("k, iters", [(0, 50), (-1, 50), (3, -3)])
+    def test_find_cliques_rejects(self, k, iters):
+        vacuum = SampleBatch(patterns=((0,) * 5,) * 3, seed=0, backend="x")
+        with pytest.raises(ValueError):
+            find_cliques(complete(5), vacuum, k, iters)
+
+    @pytest.mark.parametrize("k, iters", [(0, 50), (-1, 50), (3, -3)])
+    def test_local_search_rejects(self, k, iters):
+        g = complete(5)
+        with pytest.raises(ValueError):
+            local_search(g, make_clique(g, (0, 1, 2)), k, iters)
+
+
+class TestSearchAgainstReference:
+    """The memoised bitmask search against the shot-by-shot numpy one."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_report_equal_to_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 15))
+        g = random_dual_layer(n, float(rng.uniform(0.3, 0.9)), seed=seed)
+        target_k = int(rng.integers(2, 7))
+        max_iters = int(rng.choice([0, 1, 50]))
+        distinct = [
+            tuple(int(x) for x in rng.integers(0, 3, n) * (rng.random(n) < 0.6))
+            for _ in range(6)
+        ]
+        picks = rng.integers(0, len(distinct) + 1, 14)
+        pats = tuple(
+            distinct[i] if i < len(distinct) else (0,) * n for i in picks
+        )
+        b = SampleBatch(patterns=pats, seed=0, backend="x")
+        got = find_cliques(g, b, target_k, max_iters)
+        want = reference_find_cliques(g, b, target_k, max_iters)
+        assert got == want
+        assert list(got.density_histogram.items()) == list(
+            want.density_histogram.items()
+        )
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_masks_clique_test_and_density(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 70))
+        g = random_dual_layer(n, float(rng.uniform(0.0, 1.0)), seed=seed)
+        for v, mask in enumerate(g.neighbor_masks):
+            row = [mask >> u & 1 == 1 for u in range(n)]
+            assert row == (g.weights[v] != 0).tolist()
+            assert mask >> n == 0
+        for _ in range(20):
+            k = int(rng.integers(0, min(n, 6) + 1))
+            s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            assert is_clique(g, s) == reference_is_clique(g, s)
+            if k >= 2:
+                assert clique_density(g, s) == reference_clique_density(g, s)
+
+
+class TestSearchOncePerSubset:
+    def counting(self, monkeypatch, name):
+        calls = []
+        fn = getattr(cliques_mod, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(args[1])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cliques_mod, name, wrapped)
+        return calls
+
+    def test_repeated_pattern_searched_once(self, monkeypatch):
+        g = random_dual_layer(8, 0.8, seed=2)
+        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        searches = self.counting(monkeypatch, "local_search")
+        pat = (1, 0, 2, 1, 1, 0, 1, 1)
+        vac = (0,) * 8
+        b = SampleBatch(
+            patterns=(vac, pat, pat, vac, pat, pat, pat), seed=0, backend="x"
+        )
+        rep = find_cliques(g, b, 3)
+        assert rep.shots_in == 7
+        assert len(rep.cliques_found) == 5
+        assert len(set(rep.cliques_found)) == 1
+        assert rep.success_rate == 5 / 7
+        assert shrinks == [(0, 2, 3, 4, 6, 7)]
+        assert len(searches) == 1
+
+    def test_distinct_subsets_in_first_appearance_order(self, monkeypatch):
+        g = complete(6)
+        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        pats = ((0, 1, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1), (0, 2, 1, 0, 3, 0))
+        find_cliques(g, SampleBatch(patterns=pats, seed=0, backend="x"), 3)
+        assert shrinks == [(1, 2, 4), (0, 1, 5)]
 
 
 class TestEnhancement:
