@@ -6,6 +6,10 @@ The search pipeline per distinct photon subset is: pattern -> vertex subset
 set tests as bit operations on the graph's neighbor_masks; shots repeating a
 subset reuse its result. Both stages score candidate sets by the weighted
 density |sum w_ij| / (k(k-1)), which keeps complex phase cancellation central.
+
+Enumeration grows cliques on the same neighbor_masks: a clique extends only
+by its common neighbours above its largest vertex, so each clique is built
+once and each size comes out in lexicographic order without a sort.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .errors import BudgetError, UndefinedRatioError
@@ -111,14 +114,6 @@ def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     return make_clique(g, _peel(g, cur, lambda kept: is_clique(g, kept)))
 
 
-def _common_neighbors(g: ComplexGraph, s: Sequence[int]) -> list[int]:
-    """Vertices outside s adjacent to every member of s, ascending."""
-    common = (1 << g.n) - 1
-    for u in s:
-        common &= g.neighbor_masks[u]
-    return [v for v in range(g.n) if common >> v & 1]
-
-
 def _check_search_params(target_k: int, max_iters: int) -> None:
     if target_k < 1 or max_iters < 0:
         raise ValueError(
@@ -144,7 +139,7 @@ def local_search(
 
     def expand() -> None:
         while len(cur) < target_k:
-            cands = _common_neighbors(g, cur)
+            cands = g.common_neighbors(cur)
             if not cands:
                 return
             best_v = None
@@ -164,11 +159,11 @@ def local_search(
         base_density = _density_or_zero(g, vertex_set(cur))
         for u in sorted(cur):
             rest = [w for w in cur if w != u]
-            for v in _common_neighbors(g, rest):
+            for v in g.common_neighbors(rest):
                 if v == u:
                     continue
                 swapped = vertex_set(rest + [v])
-                if growth_swap is None and _common_neighbors(g, swapped):
+                if growth_swap is None and g.common_neighbors(swapped):
                     growth_swap = (u, v)
                     break
                 if (
@@ -238,53 +233,39 @@ def binomial_interval(
     return centre - half, centre + half
 
 
-def _bron_kerbosch_pivot(
-    r: list[int],
-    p: set[int],
-    x: set[int],
-    nbrs: list[set[int]],
-    out: list[VertexSet],
-) -> None:
-    if not p and not x:
-        out.append(tuple(sorted(r)))
-        return
-    # Pivot with the most candidates swallowed; smallest index on ties.
-    pivot = max(sorted(p | x), key=lambda u: len(p & nbrs[u]))
-    for v in sorted(p - nbrs[pivot]):
-        _bron_kerbosch_pivot(r + [v], p & nbrs[v], x & nbrs[v], nbrs, out)
-        p.remove(v)
-        x.add(v)
-
-
-def maximal_cliques(g: ComplexGraph) -> list[VertexSet]:
-    """All maximal cliques, via Bron-Kerbosch with pivoting."""
-    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
-    out: list[VertexSet] = []
-    _bron_kerbosch_pivot([], set(range(g.n)), set(), nbrs, out)
-    return sorted(out)
-
-
 def enumerate_cliques(
     g: ComplexGraph, k_max: int, budget: int = CLIQUE_BUDGET
 ) -> CliqueComplex:
-    """Every clique of size 1..k_max, via maximal cliques plus downward
-    closure. Complete and duplicate free."""
+    """Every clique of size 1..k_max, grown on the graph's neighbor_masks.
+
+    Each clique carries the mask of its common neighbours above its largest
+    vertex and is extended by those vertices in ascending order, so every
+    clique appears once and each size comes out in lexicographic order.
+    """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    collected: set[VertexSet] = set()
-    for m in maximal_cliques(g):
-        for k in range(1, min(len(m), k_max) + 1):
-            for sub in combinations(m, k):
-                collected.add(sub)
-                if len(collected) > budget:
+    masks = g.neighbor_masks
+    by_size: dict[int, list[VertexSet]] = {}
+    # The empty clique, with every vertex as a candidate.
+    level: list[tuple[VertexSet, int]] = [((), (1 << g.n) - 1)]
+    count = 0
+    for k in range(1, k_max + 1):
+        grown = []
+        for s, cands in level:
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                v = low.bit_length() - 1
+                count += 1
+                if count > budget:
                     raise BudgetError(
                         f"clique count exceeds budget {budget}",
-                        required=len(collected),
+                        required=count,
                         budget=budget,
                     )
-    by_size: dict[int, list[VertexSet]] = {k: [] for k in range(1, k_max + 1)}
-    for s in sorted(collected, key=lambda t: (len(t), t)):
-        by_size[len(s)].append(s)
+                grown.append((s + (v,), cands & masks[v]))
+        by_size[k] = [s for s, _ in grown]
+        level = grown
     return CliqueComplex(by_size=by_size, k_max=k_max)
 
 

@@ -73,8 +73,12 @@ class ComplexGraph:
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.weights)) // 2
 
-    def neighbors(self, v: int) -> VertexSet:
-        return tuple(int(u) for u in np.nonzero(self.weights[v])[0])
+    def common_neighbors(self, s: Sequence[int]) -> list[int]:
+        """Vertices outside s adjacent to every member of s, ascending."""
+        common = (1 << self.n) - 1
+        for u in s:
+            common &= self.neighbor_masks[u]
+        return [v for v in range(self.n) if common >> v & 1]
 
 
 def graph_from_edges(
@@ -110,8 +114,10 @@ def load_graph(source) -> ComplexGraph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise FormatError("graph document must have fields 'n' and 'edges'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise FormatError(f"invalid vertex count: {n!r}")
+    if not isinstance(doc["edges"], list):
+        raise FormatError(f"'edges' must be a list, got {doc['edges']!r}")
     w = np.zeros((n, n), dtype=complex)
     seen: set[tuple[int, int]] = set()
     for rec in doc["edges"]:
@@ -188,12 +194,21 @@ def random_dual_layer(
     return ComplexGraph(n, w)
 
 
+def _vertices_of(g: ComplexGraph, s: Sequence[int]) -> VertexSet:
+    """vertex_set(s), after checking that every vertex lies in 0..n-1."""
+    s = vertex_set(s)
+    if s and (s[0] < 0 or s[-1] >= g.n):
+        bad = s[0] if s[0] < 0 else s[-1]
+        raise ValueError(f"vertex {bad} out of range for n={g.n}")
+    return s
+
+
 def clique_density(g: ComplexGraph, s: Sequence[int]) -> float:
     """Weighted density |sum over ordered pairs of w_ij| / (k(k-1)).
 
     Defined for any vertex set of size k >= 2; s need not be a clique.
     """
-    s = vertex_set(s)
+    s = _vertices_of(g, s)
     k = len(s)
     if k < 2:
         raise ValueError("density requires at least 2 vertices")
@@ -221,7 +236,7 @@ def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
 
 def is_clique(g: ComplexGraph, s: Sequence[int]) -> bool:
     """True iff every pair in s is an edge; empty and singleton sets pass."""
-    s = vertex_set(s)
+    s = _vertices_of(g, s)
     members = sum(1 << v for v in s)
     return all(members & ~g.neighbor_masks[v] == 1 << v for v in s)
 

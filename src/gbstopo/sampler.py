@@ -515,6 +515,16 @@ def save_batch(b: SampleBatch, *, provenance: dict | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _record_pattern(rec) -> Pattern:
+    """The record's "pattern", which must list non-negative integer counts."""
+    p = rec["pattern"]
+    if not isinstance(p, list) or any(type(c) is not int or c < 0 for c in p):
+        raise FormatError(
+            f"pattern counts must be non-negative integers in record {rec!r}"
+        )
+    return tuple(p)
+
+
 def load_batch(source) -> SampleBatch:
     source = source_text(source)
     lines = [ln for ln in source.splitlines() if ln.strip()]
@@ -528,7 +538,7 @@ def load_batch(source) -> SampleBatch:
         patterns = []
         for ln in lines[1:]:
             rec = json.loads(ln)
-            p = tuple(int(c) for c in rec["pattern"])
+            p = _record_pattern(rec)
             if "total" in rec and rec["total"] != sum(p):
                 raise FormatError(f"inconsistent total in record {rec!r}")
             patterns.append(p)
@@ -567,7 +577,7 @@ def load_distribution(source) -> PatternDistribution:
     try:
         doc = json.loads(source)
         entries = {
-            tuple(int(c) for c in rec["pattern"]): float(rec["probability"])
+            _record_pattern(rec): float(rec["probability"])
             for rec in doc["entries"]
         }
         return PatternDistribution(

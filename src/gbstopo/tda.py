@@ -176,12 +176,19 @@ def density_filtered_graph(
                 raise ValueError(f"{s} is not a {k_ref}-set")
             if not is_clique(g, s):
                 raise ValueError(f"{s} is not a clique in the host graph")
+    kept = [s for s in source if clique_density(g, s) >= delta_t]
+    return _edges_inside(g, kept)
+
+
+def _edges_inside(
+    g: ComplexGraph, cliques: Iterable[VertexSet]
+) -> ComplexGraph:
+    """g restricted to the edges inside these cliques, on all n vertices."""
     w = np.zeros((g.n, g.n), dtype=complex)
-    for s in source:
-        if clique_density(g, s) >= delta_t:
-            for i, j in combinations(s, 2):
-                w[i, j] = g.weights[i, j]
-                w[j, i] = g.weights[j, i]
+    for s in cliques:
+        for i, j in combinations(s, 2):
+            w[i, j] = g.weights[i, j]
+            w[j, i] = g.weights[j, i]
     return ComplexGraph(g.n, w)
 
 
@@ -237,6 +244,8 @@ def filtration_surface(
         delta_axis
     ):
         raise ValueError("axes must be ascending")
+    if k_ref < 2:
+        raise ValueError("k_ref must be >= 2")
     rows = []
     for omega_t in omega_axis:
         filtered = edge_filter(g, omega_t, "keep_leq")
@@ -246,7 +255,8 @@ def filtration_surface(
         row = []
         for delta_t in delta_axis:
             keep = [s for d, s in with_density if d >= delta_t]
-            complex_ = density_filter_complex(filtered, k_ref, delta_t, keep)
+            rebuilt = _edges_inside(filtered, keep)
+            complex_ = enumerate_cliques(rebuilt, rebuilt.n)
             chi = euler_characteristic(complex_)
             row.append(
                 SurfaceCell(m=complex_.counts, chi=chi, s_chi=euler_entropy(chi))
@@ -326,13 +336,8 @@ def clique_persistence(g: ComplexGraph, k: int) -> list[PersistencePair]:
         internal = [mags[i, j] for i, j in combinations(s, 2)]
         birth = max(internal)
         death = math.inf
-        for v in range(g.n):
-            if v in s:
-                continue
-            spokes = [mags[v, u] for u in s]
-            if any(x == 0 for x in spokes):
-                continue
-            absorbed_at = max(birth, max(spokes))
+        for v in g.common_neighbors(s):
+            absorbed_at = max(birth, max(mags[v, u] for u in s))
             death = min(death, absorbed_at)
         pairs.append(PersistencePair(clique=s, birth=float(birth), death=death))
     return pairs

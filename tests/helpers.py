@@ -1,12 +1,13 @@
 """Independent oracle implementations used only to check the library.
 
 These deliberately avoid the production code paths: the hafnian oracle
-enumerates perfect matchings directly, the clique oracle scans all vertex
-subsets, the homology oracle does dense GF(2) elimination on numpy
-arrays, components come from a hand-rolled union-find, the loss
-oracle expands every pattern into its thinned patterns one by one, and
-the clique-search oracle runs every shot's search anew on np.ix_
-submatrices.
+enumerates perfect matchings directly, the clique oracles scan all vertex
+subsets or close Bron-Kerbosch maximal cliques downward, the persistence
+oracle scans every outside vertex for absorbers, the homology oracle does
+dense GF(2) elimination on numpy arrays, components come from a
+hand-rolled union-find, the loss oracle expands every pattern into its
+thinned patterns one by one, and the clique-search oracle runs every
+shot's search anew on np.ix_ submatrices.
 """
 
 import math
@@ -15,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from gbstopo.cliques import Clique, SearchReport
+from gbstopo.graph import ComplexGraph, VertexSet
 
 
 def matching_sum_hafnian(m) -> complex:
@@ -74,6 +76,66 @@ def brute_force_cliques(g, k_max):
             if ok:
                 out[k].append(s)
     return out
+
+
+def _bron_kerbosch_pivot(
+    r: list[int],
+    p: set[int],
+    x: set[int],
+    nbrs: list[set[int]],
+    out: list[VertexSet],
+) -> None:
+    if not p and not x:
+        out.append(tuple(sorted(r)))
+        return
+    # Pivot with the most candidates swallowed; smallest index on ties.
+    pivot = max(sorted(p | x), key=lambda u: len(p & nbrs[u]))
+    for v in sorted(p - nbrs[pivot]):
+        _bron_kerbosch_pivot(r + [v], p & nbrs[v], x & nbrs[v], nbrs, out)
+        p.remove(v)
+        x.add(v)
+
+
+def maximal_cliques(g: ComplexGraph) -> list[VertexSet]:
+    """All maximal cliques, via Bron-Kerbosch with pivoting."""
+    nbrs = [set(np.nonzero(g.weights[v])[0].tolist()) for v in range(g.n)]
+    out: list[VertexSet] = []
+    _bron_kerbosch_pivot([], set(range(g.n)), set(), nbrs, out)
+    return sorted(out)
+
+
+def closure_of_maximal_cliques(g, k_max) -> dict:
+    """Cliques of size 1..k_max as every sub-clique of every maximal
+    clique, collected in a set and sorted."""
+    collected = set()
+    for m in maximal_cliques(g):
+        for k in range(1, min(len(m), k_max) + 1):
+            collected.update(combinations(m, k))
+    by_size = {k: [] for k in range(1, k_max + 1)}
+    for s in sorted(collected, key=lambda t: (len(t), t)):
+        by_size[len(s)].append(s)
+    return by_size
+
+
+def reference_clique_persistence(g, k) -> list:
+    """(clique, birth, death) per k-clique, scanning every outside vertex
+    for zero spokes; cliques come from closure_of_maximal_cliques."""
+    mags = g.magnitudes()
+    pairs = []
+    for s in closure_of_maximal_cliques(g, k)[k]:
+        internal = [mags[i, j] for i, j in combinations(s, 2)]
+        birth = max(internal)
+        death = math.inf
+        for v in range(g.n):
+            if v in s:
+                continue
+            spokes = [mags[v, u] for u in s]
+            if any(x == 0 for x in spokes):
+                continue
+            absorbed_at = max(birth, max(spokes))
+            death = min(death, absorbed_at)
+        pairs.append((s, float(birth), death))
+    return pairs
 
 
 def dense_gf2_rank(mat) -> int:

@@ -455,6 +455,42 @@ class TestInputContract:
         assert code == 3
         assert "edge (1,2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"n": 3, "edges": 5}, "'edges' must be a list"),
+        ({"n": True, "edges": []}, "invalid vertex count: True"),
+    ])
+    def test_bad_graph_fields_exit_3(self, tmp_path, capsys, doc, named):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(json.dumps(doc))
+        code = main(["encode", "--graph", str(gpath),
+                     "--out", str(tmp_path / "e.json")])
+        assert code == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pattern", [
+        [1, 0, -1, 0, 0, 0], [1.7, 0, 0, 0, 0, 0],
+    ])
+    def test_bad_sample_counts_exit_3(self, tmp_path, capsys, pattern):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(
+            json.dumps({"backend": "gbs", "seed": 0, "eta": 1.0}) + "\n"
+            + json.dumps({"pattern": pattern}) + "\n"
+        )
+        out = tmp_path / "r.json"
+        code = main(["cliques", "--graph", self.graph(tmp_path, 6),
+                     "--samples", str(samples), "--k", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert str(pattern) in capsys.readouterr().err
+
+    def test_surface_k_ref_below_two_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "surf.txt"
+        code = main(["surface", "--graph", self.graph(tmp_path, 6),
+                     "--omega-axis", "0.5", "--delta-axis", "0",
+                     "--k-ref", "1", "--out", str(out)])
+        assert code == 3
+        assert "k_ref must be >= 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["dist"],
         ["sample", "--backend", "gbs", "--shots", "5", "--seed", "1"],

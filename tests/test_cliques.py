@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbstopo.cliques import (
@@ -11,7 +11,6 @@ from gbstopo.cliques import (
     greedy_shrink,
     local_search,
     make_clique,
-    maximal_cliques,
     pattern_to_subset,
 )
 import gbstopo.cliques as cliques_mod
@@ -26,10 +25,16 @@ from gbstopo.graph import (
 from gbstopo.sampler import SampleBatch
 from helpers import (
     brute_force_cliques,
+    closure_of_maximal_cliques,
+    maximal_cliques,
     reference_clique_density,
     reference_find_cliques,
     reference_is_clique,
 )
+
+
+# Edgeless, sparse, dense and complete random_dual_layer graphs.
+EDGE_PROBS = (0.0, 0.3, 0.6, 0.9, 1.0)
 
 
 def complete(n):
@@ -334,6 +339,37 @@ class TestEnumerateCliques:
                 tuple(sorted(perm[v] for v in s)) for s in cc_g.by_size[k]
             )
             assert mapped == cc_h.by_size[k]
+
+    @given(n=st.integers(1, 16), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000))
+    @example(n=16, p=0.0, seed=0)
+    @example(n=16, p=1.0, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_equals_closure_of_maximal_cliques(self, n, p, seed):
+        g = random_dual_layer(n, p, seed=seed)
+        reference = closure_of_maximal_cliques(g, n + 1)
+        for k_max in range(1, n + 2):
+            cc = enumerate_cliques(g, k_max)
+            assert cc.by_size == {k: reference[k] for k in range(1, k_max + 1)}
+
+    @given(n=st.integers(1, 16), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_budget_raises_iff_reference_count_exceeds(self, n, p, seed, data):
+        g = random_dual_layer(n, p, seed=seed)
+        k_max = data.draw(st.integers(1, n + 1))
+        total = sum(map(len, closure_of_maximal_cliques(g, k_max).values()))
+        budget = data.draw(
+            st.sampled_from(sorted({0, total // 2, total - 1, total, total + 1}))
+        )
+        if total > budget:
+            with pytest.raises(BudgetError) as err:
+                enumerate_cliques(g, k_max, budget=budget)
+            assert str(err.value) == f"clique count exceeds budget {budget}"
+            assert err.value.required == budget + 1
+            assert err.value.budget == budget
+        else:
+            assert enumerate_cliques(g, k_max, budget=budget).k_max == k_max
 
     def test_maximal_cliques_are_maximal(self):
         g = random_dual_layer(9, 0.6, seed=5)

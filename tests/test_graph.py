@@ -60,6 +60,13 @@ class TestLoadGraph:
         with pytest.raises(FormatError):
             load_graph(b"not json {")
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, 5), (3, {"i": 0, "j": 1}), (True, []), (2.0, []),
+    ], ids=["edges-int", "edges-dict", "n-bool", "n-float"])
+    def test_bad_field_types_rejected(self, n, edges):
+        with pytest.raises(FormatError):
+            load_graph(doc(n, edges))
+
     @pytest.mark.parametrize("re_, im", [
         (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("-inf")),
         ("nan", 0.0),
@@ -202,6 +209,14 @@ class TestIsClique:
         g = graph_from_edges(4, [(0, 1, 1)])
         assert is_clique(g, (3,))
         assert is_clique(g, ())
+
+    @pytest.mark.parametrize("s, bad", [((-1, 0), -1), ((0, 7), 7), ((5,), 5)])
+    def test_out_of_range_vertex_rejected(self, s, bad):
+        g = graph_from_edges(5, [(0, 1, 1), (0, 4, 1)])
+        msg = f"vertex {bad} out of range for n=5"
+        for fn in (is_clique, clique_density):
+            with pytest.raises(ValueError, match=msg):
+                fn(g, s)
 
 
 class TestRelabel:

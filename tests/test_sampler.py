@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from itertools import product
@@ -400,6 +401,20 @@ class TestBatchIO:
             load_batch(b"")
         with pytest.raises(FormatError):
             load_batch(b'{"backend": "x"}\nnot json')
+
+    @pytest.mark.parametrize("pattern", [
+        [1, 0, -1], [1.7, 0, 0], [True, 0, 0], "101", 5,
+    ], ids=["negative", "fraction", "bool", "string", "int"])
+    def test_bad_counts_rejected(self, pattern):
+        rec = {"pattern": pattern}
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0}
+        batch = f"{json.dumps(header)}\n{json.dumps(rec)}\n"
+        with pytest.raises(FormatError, match="non-negative integers"):
+            load_batch(batch.encode())
+        dist = {"cutoff_total": 2, "cutoff_per_mode": 2, "mass": 1.0,
+                "entries": [{**rec, "probability": 1.0}]}
+        with pytest.raises(FormatError, match="non-negative integers"):
+            load_distribution(json.dumps(dist).encode())
 
     def test_distribution_round_trip(self):
         d = enumerate_distribution(tmsv_encoding(0.5), 6, 6)

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbstopo.cliques import CliqueComplex, enumerate_cliques
 from gbstopo.errors import InvariantError
-from gbstopo.graph import graph_from_edges, random_dual_layer, relabel
+from gbstopo.graph import (
+    clique_density,
+    edge_filter,
+    graph_from_edges,
+    random_dual_layer,
+    relabel,
+)
 from gbstopo.instances import surface_axes, two_community_graph
 from gbstopo.tda import (
     betti_numbers,
@@ -24,9 +30,14 @@ from gbstopo.tda import (
 )
 from helpers import (
     betti_via_dense_ranks,
+    closure_of_maximal_cliques,
     connected_components,
     dense_gf2_rank,
+    reference_clique_persistence,
 )
+
+# Edgeless, sparse, dense and complete random_dual_layer graphs.
+EDGE_PROBS = (0.0, 0.3, 0.6, 0.9, 1.0)
 
 
 def cycle(n):
@@ -307,6 +318,38 @@ class TestFiltrationSurface:
                     assert cell.m.get(k, 0) == m
 
 
+    def test_k_ref_below_two_rejected(self):
+        with pytest.raises(ValueError, match="k_ref must be >= 2"):
+            filtration_surface(two_community_graph(), [0.5], [0.0], 1)
+
+    @given(n=st.integers(1, 16), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k_ref=st.integers(2, 4))
+    @example(n=16, p=0.0, seed=0, k_ref=2)
+    @example(n=16, p=1.0, seed=0, k_ref=2)
+    @settings(max_examples=40, deadline=None)
+    def test_cells_equal_per_cell_density_filter_complex(
+        self, n, p, seed, k_ref
+    ):
+        g = random_dual_layer(n, p, seed=seed)
+        present = g.magnitudes()[g.weights != 0]
+        mid = float(np.median(present)) if present.size else 0.0
+        omega = [0.0, mid, float(g.magnitudes().max())]
+        # Thresholds equal to clique densities probe the >= boundary.
+        refs = closure_of_maximal_cliques(g, k_ref)[k_ref]
+        dens = sorted(clique_density(g, s) for s in refs)
+        delta = sorted({0.0, 0.3, *dens[len(dens) // 2:][:1], *dens[-1:]})
+        surf = filtration_surface(g, omega, delta, k_ref)
+        for i, wt in enumerate(omega):
+            for j, dt in enumerate(delta):
+                filtered = edge_filter(g, wt, "keep_leq")
+                c = density_filter_complex(filtered, k_ref, dt)
+                chi = euler_characteristic(c)
+                cell = surf.cell(i, j)
+                assert cell.m == c.counts
+                assert cell.chi == chi
+                assert cell.s_chi == euler_entropy(chi)
+
+
 class TestTptDetection:
     def test_constant_surface_has_no_points(self):
         g = complete(4)
@@ -366,6 +409,16 @@ class TestCliquePersistence:
         g = random_dual_layer(8, 0.5, seed=seed)
         for p in clique_persistence(g, 3):
             assert p.birth <= p.death
+
+    @given(n=st.integers(1, 16), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k=st.integers(2, 4))
+    @example(n=16, p=0.0, seed=0, k=3)
+    @example(n=16, p=1.0, seed=0, k=3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference_loop(self, n, p, seed, k):
+        g = random_dual_layer(n, p, seed=seed)
+        got = [(q.clique, q.birth, q.death) for q in clique_persistence(g, k)]
+        assert got == reference_clique_persistence(g, k)
 
     def test_relabel_consistency(self):
         g = random_dual_layer(7, 0.6, seed=17)
