@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 input format, 4 enumeration budget,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -274,6 +275,12 @@ def cmd_percolation(args) -> bytes:
 
 
 def cmd_entropy(args) -> bytes:
+    # exact and gbs drop every pattern above the cutoff; squashed draws do not.
+    if args.backend != "squashed" and args.photon_total > args.cutoff_total:
+        raise FormatError(
+            f"--photon-total {args.photon_total} exceeds --cutoff-total "
+            f"{args.cutoff_total} of the {args.backend} backend"
+        )
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
@@ -486,14 +493,19 @@ def build_parser() -> tuple[
     return parser, commands
 
 
+# One parser per process. A --config call mutates its subparsers' defaults,
+# so it builds a fresh parser instead.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, commands = build_parser()
 
     # Resolve --config before the real parse so flags override file values.
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
+    parser, commands = build_parser() if known.config else _shared_parser()
     if known.config:
         try:
             cfg = json.loads(Path(known.config).read_text())
@@ -517,6 +529,11 @@ def main(argv=None) -> int:
             print(f"{key} = {val}")
         return 0
     try:
+        seed = getattr(args, "seed", 0)  # a --config file may hold any type
+        if type(seed) is not int or seed < 0:
+            raise FormatError(
+                f"--seed must be a non-negative integer, got {seed!r}"
+            )
         _write(args.out, args.func(args))
         return 0
     except FormatError as exc:

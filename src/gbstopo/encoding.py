@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import FormatError, InvariantError
 from .graph import ComplexGraph, source_text
@@ -89,6 +88,8 @@ def takagi(a_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     computed blockwise does the job. Zero singular values get an identity
     block (their columns never touch the reconstruction).
     """
+    import scipy.linalg  # deferred: only commands that encode pay for it
+
     a_prime = np.asarray(a_prime, dtype=complex)
     if a_prime.ndim != 2 or a_prime.shape[0] != a_prime.shape[1]:
         raise ValueError("input must be a square matrix")

@@ -122,10 +122,12 @@ def load_graph(source) -> ComplexGraph:
     seen: set[tuple[int, int]] = set()
     for rec in doc["edges"]:
         try:
-            i, j = int(rec["i"]), int(rec["j"])
+            i, j = rec["i"], rec["j"]
             wij = complex(float(rec["re"]), float(rec["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad edge record {rec!r}") from exc
+        if type(i) is not int or type(j) is not int:
+            raise FormatError(f"edge indices must be integers in record {rec!r}")
         if i == j:
             raise FormatError(f"self-loop at vertex {i} is not allowed")
         if not (0 <= i < n and 0 <= j < n):

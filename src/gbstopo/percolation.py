@@ -16,9 +16,6 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.stats import spearmanr
 
 from . import sampler as smp
 from .cliques import enumerate_cliques
@@ -82,6 +79,10 @@ def clique_adjacency(cliques: Sequence[VertexSet]) -> list[list[int]]:
 def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
     """Connected components of the clique adjacency; clusters report node
     unions."""
+    # Deferred: only commands that percolate load scipy.sparse.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if k < 2:
         raise ValueError("k must be >= 2")
     cliques = enumerate_cliques(g, k).by_size.get(k, [])
@@ -157,13 +158,24 @@ def normalized_renyi(
 
 
 def curve_correlation(a: Sequence[float], b: Sequence[float]) -> float:
-    """Spearman rank correlation with mid-rank ties."""
+    """Spearman rank correlation with mid-rank ties.
+
+    nan when a curve is constant or holds a nan, as scipy.stats.spearmanr
+    reports (without its warning); otherwise bit-equal to its statistic.
+    """
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
     if len(a) < 3:
         raise ValueError("need at least 3 points")
-    rho = spearmanr(list(a), list(b)).statistic
-    return float(rho)
+    x = np.column_stack((a, b))
+    if np.isnan(x).any() or (x == x[0]).all(axis=0).any():
+        return math.nan
+    # A value v ties over ranks #{< v} + 1 .. #{<= v}; it takes their mean.
+    ranks = [
+        (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1) / 2
+        for s, v in zip(np.sort(x, axis=0).T, x.T)
+    ]
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)

@@ -533,7 +533,9 @@ def load_batch(source) -> SampleBatch:
     try:
         header = json.loads(lines[0])
         backend = header["backend"]
-        seed = int(header["seed"])
+        seed = header["seed"]
+        if type(seed) is not int:
+            raise FormatError(f"seed must be an integer in header {header!r}")
         eta = float(header["eta"])
         patterns = []
         for ln in lines[1:]:

@@ -6,14 +6,17 @@ subsets or close Bron-Kerbosch maximal cliques downward, the persistence
 oracle scans every outside vertex for absorbers, the homology oracle does
 dense GF(2) elimination on numpy arrays, components come from a
 hand-rolled union-find, the loss oracle expands every pattern into its
-thinned patterns one by one, and the clique-search oracle runs every
-shot's search anew on np.ix_ submatrices.
+thinned patterns one by one, the clique-search oracle runs every shot's
+search anew on np.ix_ submatrices, and the rank-correlation oracle is
+scipy.stats.spearmanr.
 """
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
+from scipy.stats import ConstantInputWarning, spearmanr
 
 from gbstopo.cliques import Clique, SearchReport
 from gbstopo.graph import ComplexGraph, VertexSet
@@ -330,3 +333,10 @@ def reference_find_cliques(g, batch, target_k, max_iters=50):
         success_rate=len(found) / shots if shots else 0.0,
         density_histogram=dict(sorted(hist.items())),
     )
+
+
+def scipy_spearman(a, b) -> float:
+    """scipy's Spearman statistic; nan, without a warning, on constant input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstantInputWarning)
+        return float(spearmanr(list(a), list(b)).statistic)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gbstopo
 from gbstopo.cli import build_parser, main
 from gbstopo.graph import load_graph, save_graph
 from gbstopo.instances import planted_clique_graph, two_community_graph
@@ -419,6 +424,16 @@ class TestSingleReportPath:
         params = json.loads(out.read_text())["provenance"]["params"]
         assert (params["k"], params["max_iters"]) == (3, 7)
 
+    def test_config_does_not_leak_into_later_calls(self, inputs, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3}))
+        argv = ["cliques", "--graph", inputs["graph"], "--samples",
+                inputs["samples"], "--out", str(tmp_path / "r.json")]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
 
 class TestInputContract:
     def graph(self, tmp_path, n):
@@ -458,6 +473,10 @@ class TestInputContract:
     @pytest.mark.parametrize("doc, named", [
         ({"n": 3, "edges": 5}, "'edges' must be a list"),
         ({"n": True, "edges": []}, "invalid vertex count: True"),
+        ({"n": 3, "edges": [{"i": 0.9, "j": 1.7, "re": 1.0, "im": 0.0}]},
+         "edge indices must be integers in record {'i': 0.9, 'j': 1.7"),
+        ({"n": 3, "edges": [{"i": False, "j": True, "re": 1.0, "im": 0.0}]},
+         "edge indices must be integers in record {'i': False, 'j': True"),
     ])
     def test_bad_graph_fields_exit_3(self, tmp_path, capsys, doc, named):
         gpath = tmp_path / "bad.json"
@@ -482,6 +501,67 @@ class TestInputContract:
         assert code == 3
         assert not out.exists()
         assert str(pattern) in capsys.readouterr().err
+
+    def test_non_integer_sample_seed_exit_3(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(
+            json.dumps({"backend": "gbs", "seed": 1.9, "eta": 1.0}) + "\n"
+            + json.dumps({"pattern": [1, 1, 1, 0, 0, 0]}) + "\n"
+        )
+        out = tmp_path / "r.json"
+        code = main(["cliques", "--graph", self.graph(tmp_path, 6),
+                     "--samples", str(samples), "--k", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "seed must be an integer in header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["exact", "gbs"])
+    def test_photon_total_above_cutoff_exit_3(self, tmp_path, capsys, backend):
+        out = tmp_path / "ent.txt"
+        code = main(["entropy", "--graph", self.graph(tmp_path, 6),
+                     "--k-ref", "3", "--delta-axis", "0,0.5,0.9",
+                     "--photon-total", "8", "--cutoff-total", "6",
+                     "--backend", backend, "--shots", "20", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--photon-total 8" in err and "--cutoff-total 6" in err
+
+    def test_squashed_photon_total_is_not_capped(self, tmp_path):
+        # Squashed draws are not truncated, so any total can be conditioned.
+        out = tmp_path / "ent.txt"
+        assert main(["entropy", "--graph", self.graph(tmp_path, 8),
+                     "--k-ref", "3", "--delta-axis", "0,0.5,0.9",
+                     "--photon-total", "3", "--cutoff-total", "2",
+                     "--backend", "squashed", "--shots", "20",
+                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("command", ["gen", "sample", "compare", "entropy"])
+    def test_negative_seed_names_flag(self, tmp_path, capsys, command):
+        graph = self.graph(tmp_path, 6)
+        flags = {
+            "gen": ["--n", "5", "--p", "0.5"],
+            "sample": ["--graph", graph, "--shots", "5"],
+            "compare": ["--graph", graph, "--k", "3", "--shots", "5"],
+            "entropy": ["--graph", graph, "--k-ref", "3", "--delta-axis",
+                        "0,0.5,0.9", "--photon-total", "2"],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *flags, "--seed", "-1", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "--seed must be a non-negative integer, got -1" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize("seed", [[1], 1.5])
+    def test_config_seed_must_be_an_integer(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 5, "p": 0.5, "seed": seed}))
+        out = tmp_path / "g.json"
+        assert main(["gen", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"--seed must be a non-negative integer, got {seed!r}" in (
+            capsys.readouterr().err
+        )
 
     def test_surface_k_ref_below_two_exit_3(self, tmp_path, capsys):
         out = tmp_path / "surf.txt"
@@ -526,3 +606,75 @@ class TestInputContract:
         assert main(argv) == 3
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+
+def _fresh_process(runs, cwd):
+    """Run each argv through main() in a new interpreter; return the exit
+    codes and the scipy modules loaded by the end."""
+    code = (
+        "import sys\n"
+        "from gbstopo.cli import main\n"
+        f"print(*[main(argv) for argv in {runs!r}])\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, modules = proc.stdout.split("\n")[:2]
+    return [int(c) for c in codes.split()], set(modules.split())
+
+
+class TestStartupImports:
+    """scipy is imported inside the functions that use it, so a command
+    loads only the scipy modules its own work needs."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("startup")
+        graph, chain = work / "g.json", work / "chain.json"
+        from gbstopo.instances import graded_triangle_chain
+
+        chain.write_bytes(save_graph(graded_triangle_chain()))
+        assert main(["gen", "--n", "8", "--p", "0.6", "--seed", "3",
+                     "--out", str(graph)]) == 0
+        samples = work / "s.jsonl"
+        assert main(["sample", "--graph", str(graph), "--backend", "uniform",
+                     "--k", "4", "--shots", "20", "--seed", "1",
+                     "--out", str(samples)]) == 0
+        return work, str(graph), str(chain), str(samples)
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        assert _fresh_process([], tmp_path) == ([], set())
+
+    def test_topology_commands_load_no_scipy(self, inputs):
+        work, graph, chain, samples = inputs
+        out = ["--out", str(work / "out")]
+        runs = [
+            ["gen", "--n", "8", "--p", "0.6", "--seed", "3", *out],
+            ["cliques", "--graph", graph, "--samples", samples, "--k", "3",
+             *out],
+            ["betti", "--graph", graph, "--k-ref", "3", "--delta-axis",
+             "0,0.5", *out],
+            ["surface", "--graph", chain, "--omega-axis", "0.5",
+             "--delta-axis", "0,0.5", *out],
+            ["persistence", "--graph", graph, "--k", "3", *out],
+        ]
+        assert _fresh_process(runs, work) == ([0] * len(runs), set())
+
+    def test_no_command_loads_scipy_stats(self, inputs):
+        work, graph, chain, _ = inputs
+        out = ["--out", str(work / "out")]
+        runs = [
+            ["encode", "--graph", graph, *out],
+            ["percolation", "--graph", graph, "--k", "3", *out],
+            ["entropy", "--graph", chain, "--k-ref", "3", "--delta-axis",
+             "0.4,0.6,0.8", "--photon-total", "2", "--cutoff-total", "2",
+             "--cutoff-per-mode", "2", *out],
+        ]
+        codes, modules = _fresh_process(runs, work)
+        assert codes == [0] * len(runs)
+        assert {"scipy.linalg", "scipy.sparse"} <= modules
+        assert not any(m.startswith("scipy.stats") for m in modules)

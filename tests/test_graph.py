@@ -67,6 +67,13 @@ class TestLoadGraph:
         with pytest.raises(FormatError):
             load_graph(doc(n, edges))
 
+    @pytest.mark.parametrize("i, j", [
+        (0.9, 1.7), (0, 1.0), (False, True), (0, "1"),
+    ], ids=["fractions", "integral-float", "bools", "string"])
+    def test_non_integer_edge_indices_rejected(self, i, j):
+        with pytest.raises(FormatError, match="edge indices must be integers"):
+            load_graph(doc(3, [{"i": i, "j": j, "re": 1, "im": 0}]))
+
     @pytest.mark.parametrize("re_, im", [
         (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("-inf")),
         ("nan", 0.0),

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbstopo.cliques import enumerate_cliques
@@ -25,7 +26,7 @@ from gbstopo.sampler import (
     enumerate_distribution,
     sample_gbs,
 )
-from helpers import brute_force_cliques
+from helpers import brute_force_cliques, scipy_spearman
 
 
 class TestCliqueAdjacency:
@@ -209,6 +210,16 @@ class TestNormalizedRenyi:
             normalized_renyi({(1,): 1.0}, 2.0, 1, 1)
 
 
+# Few distinct values force ties; free floats add nan, inf and wide ranges.
+CURVE_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]), st.floats()
+)
+CURVE_PAIRS = st.integers(3, 30).flatmap(lambda n: st.tuples(
+    st.lists(CURVE_VALUES, min_size=n, max_size=n),
+    st.lists(CURVE_VALUES, min_size=n, max_size=n),
+))
+
+
 class TestCurveCorrelation:
     def test_identical(self):
         assert curve_correlation([1, 2, 3, 4], [1, 2, 3, 4]) == pytest.approx(1.0)
@@ -226,6 +237,20 @@ class TestCurveCorrelation:
     def test_too_short(self):
         with pytest.raises(ValueError):
             curve_correlation([1, 2], [1, 2])
+
+    @given(CURVE_PAIRS)
+    @example(([0.5, 0.5, 0.5], [1.0, 2.0, 3.0]))
+    @example(([3.0, 1.0, 2.0], [0.0, 0.0, 0.0]))
+    @example(([1.0, 2.0, math.nan], [1.0, 2.0, 3.0]))
+    @example(([1.0, 1.0, 2.0, 2.0, 0.0], [4.0, 3.0, 3.0, 1.0, 3.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_spearman(self, curves):
+        a, b = curves
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # constant curves warn in scipy
+            got = curve_correlation(a, b)
+        want = scipy_spearman(a, b)
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 class TestEntropyConvergence:

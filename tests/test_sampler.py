@@ -416,6 +416,13 @@ class TestBatchIO:
         with pytest.raises(FormatError, match="non-negative integers"):
             load_distribution(json.dumps(dist).encode())
 
+    @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1"])
+    def test_non_integer_seed_rejected(self, seed):
+        header = {"backend": "gbs", "seed": seed, "eta": 1.0}
+        batch = f"{json.dumps(header)}\n{json.dumps({'pattern': [1, 0]})}\n"
+        with pytest.raises(FormatError, match="seed must be an integer"):
+            load_batch(batch.encode())
+
     def test_distribution_round_trip(self):
         d = enumerate_distribution(tmsv_encoding(0.5), 6, 6)
         d2 = load_distribution(save_distribution(d))
