@@ -153,15 +153,7 @@ def cmd_dist(args) -> bytes:
     return smp.save_distribution(dist, provenance=_provenance(args)) + b"\n"
 
 
-def _check_search_flags(args) -> None:
-    if args.k < 1:
-        raise FormatError(f"--k must be at least 1, got {args.k}")
-    if args.max_iters < 0:
-        raise FormatError(f"--max-iters must be at least 0, got {args.max_iters}")
-
-
 def cmd_cliques(args) -> bytes:
-    _check_search_flags(args)
     g = _read_graph(args.graph)
     try:
         batch = smp.load_batch(Path(args.samples).read_bytes())
@@ -325,7 +317,6 @@ def cmd_entropy(args) -> bytes:
 
 
 def cmd_compare(args) -> bytes:
-    _check_search_flags(args)
     g = _read_graph(args.graph)
     e = enc_mod.encode(g, args.target_spectral, args.d)
     stats = {}
@@ -354,6 +345,36 @@ def cmd_compare(args) -> bytes:
         )
     payload = {"k": args.k, "backends": stats, "enhancement": ratios}
     return _json_report(payload, args)
+
+
+class _Bounded(argparse.Action):
+    """Stores a flag value that must pass `ok`. An out-of-range value is
+    stored as the FormatError main raises before the command runs, so a
+    bad value is named by its flag, on the command line or in --config.
+    """
+
+    def __init__(self, *args, want: str, ok, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.want = want
+        self.ok = ok
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if not self.ok(value):
+            value = FormatError(
+                f"{self.option_strings[0]} must be {self.want}, got {value!r}"
+            )
+        setattr(namespace, self.dest, value)
+
+
+_NONNEGATIVE = dict(
+    action=_Bounded, want="a non-negative integer", ok=lambda v: v >= 0
+)
+_POSITIVE = dict(
+    action=_Bounded, want="a positive integer", ok=lambda v: v >= 1
+)
+_FRACTION = dict(
+    action=_Bounded, want="a number in [0, 1]", ok=lambda v: 0.0 <= v <= 1.0
+)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
@@ -387,7 +408,7 @@ def build_parser() -> tuple[
     p = command("gen", cmd_gen, "generate a random dual-layer network")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
     p.add_argument("--alpha-range", type=float, nargs=2, default=[-1.0, 1.0])
     p.add_argument("--beta-range", type=float, nargs=2, default=[-1.0, 1.0])
 
@@ -400,25 +421,25 @@ def build_parser() -> tuple[
     p.add_argument("--encoding")
     p.add_argument("--n-modes", type=int)
     p.add_argument("--backend", choices=smp.BACKENDS, default="gbs")
-    p.add_argument("--shots", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--shots", type=int, required=True, **_NONNEGATIVE)
+    p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
     p.add_argument("--k", type=int, help="subset size for the uniform backend")
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=1.0, **_FRACTION)
     _add_encoding_opts(p)
     _add_cutoffs(p)
 
     p = command("dist", cmd_dist, "enumerate the exact pattern distribution")
     p.add_argument("--graph")
     p.add_argument("--encoding")
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--eta", type=float, default=1.0, **_FRACTION)
     _add_encoding_opts(p)
     _add_cutoffs(p)
 
     p = command("cliques", cmd_cliques, "search samples for weighted k-cliques")
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--k", type=int, required=True, **_POSITIVE)
+    p.add_argument("--max-iters", type=int, default=50, **_NONNEGATIVE)
 
     p = command("betti", cmd_betti, "Betti numbers, optionally under a "
                 "clique-density filtration")
@@ -458,8 +479,8 @@ def build_parser() -> tuple[
     p.add_argument(
         "--backend", choices=("exact", "gbs", "squashed"), default="exact"
     )
-    p.add_argument("--shots", type=int, default=3000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", type=int, default=3000, **_NONNEGATIVE)
+    p.add_argument("--seed", type=int, default=0, **_NONNEGATIVE)
     p.add_argument(
         "--collision-policy",
         choices=smp.COLLISION_POLICIES,
@@ -472,11 +493,11 @@ def build_parser() -> tuple[
 
     p = command("compare", cmd_compare, "GBS vs uniform vs squashed clique search")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--shots", type=int, default=3000)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-iters", type=int, default=50)
-    p.add_argument("--eta", type=float, default=1.0)
+    p.add_argument("--k", type=int, required=True, **_POSITIVE)
+    p.add_argument("--shots", type=int, default=3000, **_POSITIVE)
+    p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
+    p.add_argument("--max-iters", type=int, default=50, **_NONNEGATIVE)
+    p.add_argument("--eta", type=float, default=1.0, **_FRACTION)
     _add_encoding_opts(p)
     _add_cutoffs(p)
 
@@ -496,6 +517,64 @@ def build_parser() -> tuple[
 # One parser per process. A --config call mutates its subparsers' defaults,
 # so it builds a fresh parser instead.
 _shared_parser = functools.cache(build_parser)
+
+_TYPE_NAMES = {int: "an integer", float: "a number", None: "a string"}
+
+
+def _config_value(action: argparse.Action, value):
+    """A --config value parsed as its flag parses command-line words.
+
+    A value the flag rejects becomes a FormatError, which main raises only
+    if the command runs with it, so a flag can still override it.
+    """
+
+    def word(v):
+        if type(v) not in (str, int, float):
+            raise ValueError(v)
+        v = (action.type or str)(str(v))
+        if action.choices is not None and v not in action.choices:
+            raise ValueError(v)
+        if isinstance(action, _Bounded) and not action.ok(v):
+            raise ValueError(v)
+        return v
+
+    try:
+        if action.nargs == 0:
+            if type(value) is not bool:
+                raise ValueError(value)
+            return value
+        if isinstance(action.nargs, int):
+            if type(value) is not list or len(value) != action.nargs:
+                raise ValueError(value)
+            return [word(v) for v in value]
+        return word(value)
+    except (TypeError, ValueError):
+        return FormatError(
+            f"{action.option_strings[0]} must be {_wanted(action)}, "
+            f"got {value!r} (config key {action.dest!r})"
+        )
+
+
+def _wanted(action: argparse.Action) -> str:
+    """What the flag accepts, in words."""
+    if action.nargs == 0:
+        return "true or false"
+    if action.choices is not None:
+        want = "one of " + ", ".join(map(str, action.choices))
+    elif isinstance(action, _Bounded):
+        want = action.want
+    else:
+        want = _TYPE_NAMES.get(action.type, "a valid value")
+    if isinstance(action.nargs, int):
+        return f"a list of {action.nargs} values, each {want}"
+    return want
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Raise the FormatError stored for a rejected flag or config value."""
+    for value in vars(args).values():
+        if isinstance(value, FormatError):
+            raise value
 
 
 def main(argv=None) -> int:
@@ -517,23 +596,19 @@ def main(argv=None) -> int:
             print("error: config must be a flat JSON object", file=sys.stderr)
             return EXIT_FORMAT
         for sp in commands:
-            dests = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in cfg.items() if k in dests})
             for action in sp._actions:
                 if action.dest in cfg:
+                    value = _config_value(action, cfg[action.dest])
+                    sp.set_defaults(**{action.dest: value})
                     action.required = False
 
     args = parser.parse_args(argv)
-    if args.dry_run:
-        for key, val in _provenance(args)["params"].items():
-            print(f"{key} = {val}")
-        return 0
     try:
-        seed = getattr(args, "seed", 0)  # a --config file may hold any type
-        if type(seed) is not int or seed < 0:
-            raise FormatError(
-                f"--seed must be a non-negative integer, got {seed!r}"
-            )
+        _check_flags(args)
+        if args.dry_run:
+            for key, val in _provenance(args)["params"].items():
+                print(f"{key} = {val}")
+            return 0
         _write(args.out, args.func(args))
         return 0
     except FormatError as exc:

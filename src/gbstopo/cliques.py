@@ -2,10 +2,14 @@
 enumeration for oracles and downstream topology.
 
 The search pipeline per distinct photon subset is: pattern -> vertex subset
--> greedy shrinking to a clique -> local search toward the target size, with
-set tests as bit operations on the graph's neighbor_masks; shots repeating a
-subset reuse its result. Both stages score candidate sets by the weighted
-density |sum w_ij| / (k(k-1)), which keeps complex phase cancellation central.
+-> greedy shrinking to a clique -> local search toward the target size; shots
+repeating a subset reuse its result. Both stages carry the working set as an
+int bitmask (bit v for vertex v), so clique tests and common neighbours are
+ANDs of the graph's neighbor_masks. They score candidate sets by the weighted
+density |sum w_ij| / (k(k-1)), which keeps complex phase cancellation
+central. Densities are memoised per graph on the bitmask
+(ComplexGraph._mask_density), so a set scored again, for another subset or
+in another find_cliques call on the same graph, is a dict lookup.
 
 Enumeration grows cliques on the same neighbor_masks: a clique extends only
 by its common neighbours above its largest vertex, so each clique is built
@@ -21,13 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, UndefinedRatioError
-from .graph import (
-    ComplexGraph,
-    VertexSet,
-    clique_density,
-    is_clique,
-    vertex_set,
-)
+from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
 from .sampler import Pattern, SampleBatch
 
 CLIQUE_BUDGET = 5_000_000
@@ -72,15 +70,20 @@ class SearchReport:
     density_histogram: dict[float, int]
 
 
-def _density_or_zero(g: ComplexGraph, s: VertexSet) -> float:
-    return clique_density(g, s) if len(s) >= 2 else 0.0
+def _clique(g: ComplexGraph, mask: int) -> Clique:
+    vertices = tuple(_mask_vertices(mask))
+    return Clique(vertices, len(vertices), g._mask_density(mask))
+
+
+def _checked_clique(g: ComplexGraph, mask: int) -> Clique:
+    """_clique, or ValueError if the mask's vertices are not a clique."""
+    if not g._is_clique_mask(mask):
+        raise ValueError(f"{tuple(_mask_vertices(mask))} is not a clique")
+    return _clique(g, mask)
 
 
 def make_clique(g: ComplexGraph, s: Sequence[int]) -> Clique:
-    s = vertex_set(s)
-    if not is_clique(g, s):
-        raise ValueError(f"{s} is not a clique")
-    return Clique(vertices=s, k=len(s), density=_density_or_zero(g, s))
+    return _checked_clique(g, _vertex_mask(g, s))
 
 
 def pattern_to_subset(p: Pattern) -> VertexSet:
@@ -88,17 +91,25 @@ def pattern_to_subset(p: Pattern) -> VertexSet:
     return tuple(i for i, c in enumerate(p) if c >= 1)
 
 
-def _peel(g: ComplexGraph, cur: list[int], done) -> list[int]:
-    """Until done(cur), drop the vertex leaving the densest rest; first wins."""
+def _densest_toggle(g: ComplexGraph, cur: int, cands: int) -> int:
+    """The bit of cands whose toggling in cur leaves the densest set; the
+    lowest index wins ties."""
+    best = 0
+    best_score = -1.0
+    while cands:
+        low = cands & -cands
+        cands ^= low
+        score = g._mask_density(cur ^ low)
+        if score > best_score:
+            best_score = score
+            best = low
+    return best
+
+
+def _peel(g: ComplexGraph, cur: int, done) -> int:
+    """Until done(cur), drop the vertex leaving the densest rest."""
     while not done(cur):
-        best_v = None
-        best_score = -1.0
-        for v in cur:
-            score = _density_or_zero(g, tuple(u for u in cur if u != v))
-            if score > best_score:
-                best_score = score
-                best_v = v
-        cur.remove(best_v)
+        cur ^= _densest_toggle(g, cur, cur)
     return cur
 
 
@@ -108,10 +119,10 @@ def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     At each step the removed vertex is the one whose removal maximizes the
     residual weighted density; ties remove the smallest index.
     """
-    cur = list(vertex_set(s))
+    cur = _vertex_mask(g, s)
     if not cur:
         raise ValueError("cannot shrink an empty set")
-    return make_clique(g, _peel(g, cur, lambda kept: is_clique(g, kept)))
+    return _clique(g, _peel(g, cur, g._is_clique_mask))
 
 
 def _check_search_params(target_k: int, max_iters: int) -> None:
@@ -135,40 +146,33 @@ def local_search(
     unreachable.
     """
     _check_search_params(target_k, max_iters)
-    cur = _peel(g, list(c.vertices), lambda kept: len(kept) <= target_k)
+    cur = _vertex_mask(g, c.vertices)
+    cur = _peel(g, cur, lambda kept: kept.bit_count() <= target_k)
 
-    def expand() -> None:
-        while len(cur) < target_k:
-            cands = g.common_neighbors(cur)
+    def expand(cur: int) -> int:
+        while cur.bit_count() < target_k:
+            cands = g._common_mask(cur)
             if not cands:
-                return
-            best_v = None
-            best_score = -1.0
-            for v in cands:
-                score = _density_or_zero(g, vertex_set(cur + [v]))
-                if score > best_score:
-                    best_score = score
-                    best_v = v
-            cur.append(best_v)
+                break
+            cur |= _densest_toggle(g, cur, cands)
+        return cur
 
-    expand()
+    cur = expand(cur)
     iters = 0
-    while len(cur) < target_k and iters < max_iters:
+    while cur.bit_count() < target_k and iters < max_iters:
         growth_swap = None
         density_swap = None
-        base_density = _density_or_zero(g, vertex_set(cur))
-        for u in sorted(cur):
-            rest = [w for w in cur if w != u]
-            for v in g.common_neighbors(rest):
-                if v == u:
-                    continue
-                swapped = vertex_set(rest + [v])
-                if growth_swap is None and g.common_neighbors(swapped):
+        base_density = g._mask_density(cur)
+        for u in _mask_vertices(cur):
+            rest = cur & ~(1 << u)
+            for v in _mask_vertices(g._common_mask(rest) & ~cur):
+                swapped = rest | 1 << v
+                if growth_swap is None and g._common_mask(swapped):
                     growth_swap = (u, v)
                     break
                 if (
                     density_swap is None
-                    and _density_or_zero(g, swapped) > base_density
+                    and g._mask_density(swapped) > base_density
                 ):
                     density_swap = (u, v)
             if growth_swap:
@@ -177,12 +181,11 @@ def local_search(
         if chosen is None:
             return None
         u, v = chosen
-        cur.remove(u)
-        cur.append(v)
+        cur = cur & ~(1 << u) | 1 << v
         iters += 1
-        expand()
-    if len(cur) == target_k:
-        return make_clique(g, cur)
+        cur = expand(cur)
+    if cur.bit_count() == target_k:
+        return _checked_clique(g, cur)
     return None
 
 

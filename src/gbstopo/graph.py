@@ -28,17 +28,32 @@ def vertex_set(vertices: Iterable[int]) -> VertexSet:
     return vs
 
 
+def _mask_vertices(mask: int) -> list[int]:
+    """The vertices of a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexGraph:
     """Immutable n-vertex network with a complex symmetric adjacency matrix.
 
     Invariants enforced at construction: weights is n x n, symmetric,
     zero on the diagonal. neighbor_masks[v] has bit u set iff uv is an edge.
+    A vertex set is also written as an int bitmask, bit v for vertex v.
     """
 
     n: int
     weights: np.ndarray
     neighbor_masks: tuple[int, ...] = field(init=False, repr=False)
+    # Densities already computed by _mask_density, keyed on the bitmask.
+    _densities: dict[int, float] = field(
+        init=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -75,10 +90,43 @@ class ComplexGraph:
 
     def common_neighbors(self, s: Sequence[int]) -> list[int]:
         """Vertices outside s adjacent to every member of s, ascending."""
-        common = (1 << self.n) - 1
+        mask = 0
         for u in s:
-            common &= self.neighbor_masks[u]
-        return [v for v in range(self.n) if common >> v & 1]
+            mask |= 1 << u
+        return _mask_vertices(self._common_mask(mask) & ~mask)
+
+    # The mask methods below take a bitmask within range(n); the caller
+    # checks it, as _vertex_mask does.
+
+    def _common_mask(self, mask: int) -> int:
+        """Bitmask of the vertices adjacent to every member of mask."""
+        common = (1 << self.n) - 1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            common &= self.neighbor_masks[low.bit_length() - 1]
+        return common
+
+    def _is_clique_mask(self, mask: int) -> bool:
+        """True iff every pair of the mask's vertices is an edge."""
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if mask & ~self.neighbor_masks[low.bit_length() - 1] != low:
+                return False
+        return True
+
+    def _mask_density(self, mask: int) -> float:
+        """clique_density of the mask's vertices, memoised on the graph;
+        0.0 for fewer than 2 vertices.
+        """
+        d = self._densities.get(mask)
+        if d is None:
+            s = _mask_vertices(mask)
+            d = _density(self, s) if len(s) >= 2 else 0.0
+            self._densities[mask] = d
+        return d
 
 
 def graph_from_edges(
@@ -205,17 +253,27 @@ def _vertices_of(g: ComplexGraph, s: Sequence[int]) -> VertexSet:
     return s
 
 
+def _vertex_mask(g: ComplexGraph, s: Sequence[int]) -> int:
+    """Bitmask of s; ValueError on a duplicate or out-of-range vertex."""
+    return sum(1 << v for v in _vertices_of(g, s))
+
+
+def _density(g: ComplexGraph, s: Sequence[int]) -> float:
+    """clique_density of an ascending vertex list, unchecked."""
+    k = len(s)
+    sub = g.weights.take(s, 0).take(s, 1)
+    return float(abs(sub.sum())) / (k * (k - 1))
+
+
 def clique_density(g: ComplexGraph, s: Sequence[int]) -> float:
     """Weighted density |sum over ordered pairs of w_ij| / (k(k-1)).
 
     Defined for any vertex set of size k >= 2; s need not be a clique.
     """
     s = _vertices_of(g, s)
-    k = len(s)
-    if k < 2:
+    if len(s) < 2:
         raise ValueError("density requires at least 2 vertices")
-    sub = g.weights.take(s, 0).take(s, 1)
-    return float(abs(sub.sum())) / (k * (k - 1))
+    return _density(g, s)
 
 
 def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
@@ -238,9 +296,7 @@ def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
 
 def is_clique(g: ComplexGraph, s: Sequence[int]) -> bool:
     """True iff every pair in s is an edge; empty and singleton sets pass."""
-    s = _vertices_of(g, s)
-    members = sum(1 << v for v in s)
-    return all(members & ~g.neighbor_masks[v] == 1 << v for v in s)
+    return g._is_clique_mask(_vertex_mask(g, s))
 
 
 def relabel(g: ComplexGraph, perm: Sequence[int]) -> ComplexGraph:

@@ -563,6 +563,105 @@ class TestInputContract:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("cfg, named", [
+        ({"n": 5.5}, "--n must be an integer, got 5.5 (config key 'n')"),
+        ({"n": True}, "--n must be an integer, got True (config key 'n')"),
+        ({"n": None}, "--n must be an integer, got None (config key 'n')"),
+        ({"p": "half"}, "--p must be a number, got 'half' (config key 'p')"),
+        ({"alpha_range": [0.2]}, "--alpha-range must be a list of 2 values, "
+         "each a number, got [0.2] (config key 'alpha_range')"),
+        ({"out": ["g.json"]}, "--out must be a string, got ['g.json']"),
+        ({"dry_run": 1}, "--dry-run must be true or false, got 1"),
+    ])
+    def test_config_value_must_parse_as_its_flag(
+        self, tmp_path, capsys, cfg, named
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n": 5, "p": 0.5, "seed": 1, **cfg}))
+        out = tmp_path / "g.json"
+        flags = [] if "out" in cfg else ["--out", str(out)]
+        assert main(["gen", "--config", str(path), *flags]) == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    def test_config_value_is_converted_by_its_flag_type(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"n": "5", "p": 1, "seed": 1, "beta_range": [0, "0"]}
+        ))
+        out = tmp_path / "g.json"
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 0
+        params = json.loads(out.read_text())["provenance"]["params"]
+        assert (params["n"], params["p"], params["beta_range"]) == (
+            5, 1.0, [0.0, 0.0]
+        )
+
+    def test_bad_config_choice_exit_3_unless_overridden(self, tmp_path, capsys):
+        graph = self.graph(tmp_path, 6)
+        path = tmp_path / "cfg.json"
+        # "exact" is an entropy backend, not a sample backend.
+        path.write_text(json.dumps({"backend": "exact"}))
+        argv = ["sample", "--graph", graph, "--shots", "5", "--seed", "1",
+                "--config", str(path), "--out", str(tmp_path / "s.jsonl")]
+        assert main(argv) == 3
+        assert "--backend must be one of gbs, uniform, squashed, got 'exact'" in (
+            capsys.readouterr().err
+        )
+        assert main(argv + ["--backend", "gbs"]) == 0
+
+    @pytest.mark.parametrize("command, flags, named", [
+        ("sample", ["--eta", "1.5"], "--eta must be a number in [0, 1], got 1.5"),
+        ("sample", ["--eta", "-0.1"], "--eta must be a number in [0, 1]"),
+        ("sample", ["--eta", "nan"], "--eta must be a number in [0, 1]"),
+        ("sample", ["--shots", "-1"],
+         "--shots must be a non-negative integer, got -1"),
+        ("dist", ["--eta", "1.5"], "--eta must be a number in [0, 1]"),
+        ("compare", ["--eta", "1.5"], "--eta must be a number in [0, 1]"),
+        ("compare", ["--shots", "0"], "--shots must be a positive integer"),
+        ("entropy", ["--shots", "-1"], "--shots must be a non-negative"),
+    ])
+    def test_eta_and_shots_checked_at_the_flag(
+        self, tmp_path, capsys, command, flags, named
+    ):
+        graph = self.graph(tmp_path, 6)
+        base = {
+            "sample": ["--shots", "5", "--seed", "1"],
+            "dist": ["--cutoff-total", "2"],
+            "compare": ["--k", "3", "--shots", "5", "--seed", "1"],
+            "entropy": ["--k-ref", "3", "--delta-axis", "0,0.5",
+                        "--photon-total", "2", "--backend", "gbs"],
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, "--graph", graph, *base, *flags, "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--k", "0"], "--k must be a positive integer, got 0"),
+        (["--k", "3", "--max-iters", "-1"],
+         "--max-iters must be a non-negative integer, got -1"),
+        (["--k", "3", "--eta", "1.5"], "--eta must be a number in [0, 1]"),
+    ])
+    def test_dry_run_checks_every_bounded_flag(
+        self, tmp_path, capsys, flags, named
+    ):
+        argv = ["compare", "--graph", str(tmp_path / "none.json"),
+                "--seed", "1", *flags, "--out", str(tmp_path / "r.json"),
+                "--dry-run"]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+
+    def test_config_eta_is_range_checked(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"eta": 1.5}))
+        out = tmp_path / "d.json"
+        assert main(["dist", "--graph", self.graph(tmp_path, 6),
+                     "--config", str(path), "--out", str(out)]) == 3
+        assert "--eta must be a number in [0, 1], got 1.5" in (
+            capsys.readouterr().err
+        )
+
     def test_surface_k_ref_below_two_exit_3(self, tmp_path, capsys):
         out = tmp_path / "surf.txt"
         code = main(["surface", "--graph", self.graph(tmp_path, 6),

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbstopo.cliques import (
+    Clique,
     binomial_interval,
     enhancement,
     enumerate_cliques,
@@ -74,6 +75,11 @@ class TestGreedyShrink:
         with pytest.raises(ValueError):
             greedy_shrink(complete(3), ())
 
+    @pytest.mark.parametrize("s", [(3,), (0, 5), (-1, 0, 1), (0, 0, 1)])
+    def test_bad_vertex_rejected(self, s):
+        with pytest.raises(ValueError):
+            greedy_shrink(complete(3), s)
+
     @given(st.integers(0, 2000))
     @settings(max_examples=40, deadline=None)
     def test_output_is_clique_subset(self, seed):
@@ -122,6 +128,24 @@ class TestLocalSearch:
         out = local_search(g, make_clique(g, range(4)), 3)
         assert out.vertices == (0, 1, 2)
         assert out.density == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("vertices", [(0, 7), (-1, 2)])
+    def test_out_of_range_clique_rejected(self, vertices):
+        bad = Clique(vertices, len(vertices), 0.0)
+        with pytest.raises(ValueError):
+            local_search(complete(5), bad, 3)
+
+    @pytest.mark.parametrize("target_k", [3, 4])
+    def test_non_clique_result_rejected(self, target_k):
+        # K4 without edge 0-1: {0,1,2} is not a clique, kept whole at
+        # target 3 and grown by the common neighbour 3 at target 4.
+        g = graph_from_edges(
+            4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)
+                if (i, j) != (0, 1)],
+        )
+        bad = Clique((0, 1, 2), 3, 0.0)
+        with pytest.raises(ValueError, match="is not a clique"):
+            local_search(g, bad, target_k)
 
     def test_unreachable_target_fails(self):
         g = complete(4)
@@ -230,6 +254,50 @@ class TestSearchAgainstReference:
             assert is_clique(g, s) == reference_is_clique(g, s)
             if k >= 2:
                 assert clique_density(g, s) == reference_clique_density(g, s)
+
+
+class TestMaskDensityMemo:
+    """ComplexGraph._mask_density, the memo the search scores sets with."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_to_clique_density(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = random_dual_layer(n, float(rng.uniform(0.0, 1.0)), seed=seed)
+        for _ in range(30):
+            k = int(rng.integers(0, min(n, 8) + 1))
+            s = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            mask = sum(1 << v for v in s)
+            # Twice: once computed, once from the memo.
+            for _ in range(2):
+                got = g._mask_density(mask)
+                if k < 2:
+                    assert got == 0.0
+                else:
+                    assert got == clique_density(g, s)
+                    assert got == reference_clique_density(g, s)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_warm_graph_reports_equal_reference(self, seed):
+        # One graph object, so every call after the first starts from the
+        # memo the earlier calls left behind.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(6, 13))
+        g = random_dual_layer(n, float(rng.uniform(0.3, 0.9)), seed=seed)
+        for call in range(4):
+            target_k = int(rng.integers(2, 7))
+            max_iters = int(rng.choice([0, 1, 50]))
+            pats = tuple(
+                tuple(int(x) for x in rng.integers(0, 2, n) * (rng.random(n) < 0.7))
+                for _ in range(8)
+            )
+            b = SampleBatch(patterns=pats, seed=0, backend="x")
+            got = find_cliques(g, b, target_k, max_iters)
+            assert got == reference_find_cliques(g, b, target_k, max_iters)
+            if call == 0 and any(map(any, pats)):
+                assert g._densities
 
 
 class TestSearchOncePerSubset:
