@@ -479,7 +479,7 @@ def build_parser() -> tuple[
     p.add_argument(
         "--backend", choices=("exact", "gbs", "squashed"), default="exact"
     )
-    p.add_argument("--shots", type=int, default=3000, **_NONNEGATIVE)
+    p.add_argument("--shots", type=int, default=3000, **_POSITIVE)
     p.add_argument("--seed", type=int, default=0, **_NONNEGATIVE)
     p.add_argument(
         "--collision-policy",

@@ -178,8 +178,10 @@ def load_encoding(source) -> GBSEncoding:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise FormatError(f"encoding document is not valid JSON: {exc}") from exc
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is not int or n < 1:
+        raise FormatError(f"encoding n must be a positive integer, got {n!r}")
     try:
-        n = int(doc["n"])
         u = np.array(
             [complex(rec["re"], rec["im"]) for rec in doc["u"]], dtype=complex
         ).reshape(n, n)

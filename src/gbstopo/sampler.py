@@ -16,9 +16,10 @@ hafnian recursion (Kan 2008; Bjorklund-Gupt-Quesada 2019)
     haf(p) = sum_j (p - e_i)_j * B_ij * haf(p - e_i - e_j)
 
 fills it one even photon total at a time, vectorised over each total.
-Uniform loss on a distribution is n passes of per-mode binomial thinning
-along the same p -> p - e_j chains. `hafnian` and `pattern_probability`
-evaluate single patterns directly and serve as the oracle for the lattice.
+A distribution is the lattice plus one probability vector. Uniform loss on
+it is n passes of per-mode binomial thinning along the same p -> p - e_j
+chains. `hafnian` and `pattern_probability` evaluate single patterns
+directly and serve as the oracle for the lattice.
 
 All samplers draw per-shot randomness from (seed, backend tag, shot index),
 so batches are bit-reproducible regardless of execution order.
@@ -27,11 +28,13 @@ so batches are bit-reproducible regardless of execution order.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -51,16 +54,6 @@ _TAG_GBS = 0
 _TAG_UNIFORM = 1
 _TAG_SQUASHED = 2
 _TAG_LOSS = 3
-
-
-@dataclass(frozen=True)
-class PatternDistribution:
-    """Finite truncation of the sampler law, keyed by photon pattern."""
-
-    entries: dict[Pattern, float]
-    cutoff_total: int
-    cutoff_per_mode: int
-    mass: float
 
 
 @dataclass(frozen=True)
@@ -122,20 +115,6 @@ def _sech_prefactor(lambdas: np.ndarray) -> float:
     return float(np.prod(np.sqrt(1.0 - lambdas**2)))
 
 
-def _pattern_prob(b: np.ndarray, prefactor: float, p: Pattern) -> float:
-    total = sum(p)
-    if total % 2 == 1:
-        return 0.0
-    if total == 0:
-        return prefactor
-    rows = np.repeat(np.arange(len(p)), p)
-    h = hafnian(b[np.ix_(rows, rows)])
-    denom = 1.0
-    for c in p:
-        denom *= math.factorial(c)
-    return prefactor * float(abs(h)) ** 2 / denom
-
-
 def pattern_probability(e: GBSEncoding, p: Iterable[int]) -> float:
     """Exact probability of one photon-number pattern under the GBS law."""
     p = tuple(int(x) for x in p)
@@ -143,21 +122,24 @@ def pattern_probability(e: GBSEncoding, p: Iterable[int]) -> float:
         raise ValueError(f"pattern length {len(p)} != mode count {e.n}")
     if any(c < 0 for c in p):
         raise ValueError("photon counts must be nonnegative")
-    b = reconstruct(e.u, e.lambdas)
-    return _pattern_prob(b, _sech_prefactor(e.lambdas), p)
+    # Odd totals give an odd-dimensional matrix, whose hafnian is exactly 0.
+    rows = np.repeat(np.arange(len(p)), p)
+    h = hafnian(reconstruct(e.u, e.lambdas)[np.ix_(rows, rows)])
+    denom = 1.0
+    for c in p:
+        denom *= math.factorial(c)
+    return _sech_prefactor(e.lambdas) * float(abs(h)) ** 2 / denom
 
 
 def count_patterns(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> int:
-    """Number of admissible patterns, by dynamic programming."""
-    ways = [1] + [0] * cutoff_total
+    """Number of admissible patterns, in O(n_modes * cutoff_total) steps."""
+    cutoff_total = min(cutoff_total, n_modes * cutoff_per_mode)  # reachable
+    ways = [1] + [0] * cutoff_total  # ways[t]: patterns so far with total t
     for _ in range(n_modes):
-        nxt = [0] * (cutoff_total + 1)
-        for t in range(cutoff_total + 1):
-            if ways[t] == 0:
-                continue
-            for c in range(min(cutoff_per_mode, cutoff_total - t) + 1):
-                nxt[t + c] += ways[t]
-        ways = nxt
+        # The next mode adds c <= cutoff_per_mode photons: a window sum.
+        run = [0, *itertools.accumulate(ways)]
+        ways = [run[t + 1] - run[max(0, t - cutoff_per_mode)]
+                for t in range(cutoff_total + 1)]
     return sum(ways)
 
 
@@ -166,6 +148,8 @@ class _Lattice:
     """Index table of all patterns with sum <= cutoff_total and entries <=
     cutoff_per_mode, in lexicographic order. Arrays are read-only."""
 
+    cutoff_total: int
+    cutoff_per_mode: int
     counts: np.ndarray  # (N, n) photon counts; row 0 is the vacuum
     patterns: tuple[Pattern, ...]  # the same rows as tuples
     minus: np.ndarray  # (n, N) int32: index of p - e_j, -1 where p_j = 0
@@ -184,9 +168,10 @@ def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
     top = min(cutoff_total, cutoff_per_mode)
     # Expand one mode at a time; children of each prefix come in ascending
     # count, which is lexicographic order. Then read each row's counts back
-    # through its chain of prefixes.
+    # through its chain of prefixes. Totals above n_modes * top are
+    # unreachable, so a larger cutoff_total need not fit int32.
     levels = []
-    remaining = np.array([cutoff_total], dtype=np.int32)
+    remaining = np.array([min(cutoff_total, n_modes * top)], dtype=np.int32)
     for _ in range(n_modes):
         width = np.minimum(remaining, top) + 1
         parent = np.repeat(np.arange(len(remaining), dtype=np.int32), width)
@@ -216,6 +201,8 @@ def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
     for j in range(n_modes):
         factorials *= fact[counts[:, j]]
     lattice = _Lattice(
+        cutoff_total=cutoff_total,
+        cutoff_per_mode=cutoff_per_mode,
         counts=counts,
         patterns=tuple(zip(*counts.T.tolist())),
         minus=minus,
@@ -229,12 +216,19 @@ def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
     return lattice
 
 
-def _iter_patterns(
-    n_modes: int, cutoff_total: int, cutoff_per_mode: int
-) -> Iterator[Pattern]:
-    """All patterns with sum <= cutoff_total, entries <= cutoff_per_mode,
-    in lexicographic order."""
-    return iter(_lattice(n_modes, cutoff_total, cutoff_per_mode).patterns)
+@dataclass(frozen=True, eq=False)  # eq=False: == on an ndarray field is ambiguous
+class PatternDistribution:
+    """Finite truncation of the sampler law: the probability of each pattern
+    of `lattice`, in lattice order, and their sum `mass`."""
+
+    lattice: _Lattice
+    probs: np.ndarray
+    mass: float
+
+    @functools.cached_property
+    def entries(self) -> Mapping[Pattern, float]:
+        """Read-only pattern -> probability view, built on first read."""
+        return MappingProxyType(dict(zip(self.lattice.patterns, self.probs.tolist())))
 
 
 def _lattice_law(lat: _Lattice, b: np.ndarray, prefactor: float) -> np.ndarray:
@@ -294,19 +288,13 @@ def enumerate_distribution(
     lat = _lattice(e.n, cutoff_total, cutoff_per_mode)
     prefactor = _sech_prefactor(e.lambdas)
     probs = _lattice_law(lat, reconstruct(e.u, e.lambdas), prefactor)
-    by_total = np.bincount(lat.totals, weights=probs, minlength=cutoff_total + 1)
-    _check_total_law(
-        e.lambdas, prefactor, by_total, min(cutoff_total, cutoff_per_mode)
-    )
+    upto = min(cutoff_total, cutoff_per_mode)
+    by_total = np.bincount(lat.totals, weights=probs, minlength=upto + 1)
+    _check_total_law(e.lambdas, prefactor, by_total, upto)
     mass = float(np.cumsum(probs)[-1])  # sequential, in lexicographic order
     if mass > 1.0 + 1e-9:
         raise InvariantError(f"enumerated mass {mass} exceeds 1")
-    return PatternDistribution(
-        entries=dict(zip(lat.patterns, probs.tolist())),
-        cutoff_total=cutoff_total,
-        cutoff_per_mode=cutoff_per_mode,
-        mass=mass,
-    )
+    return PatternDistribution(lattice=lat, probs=probs, mass=mass)
 
 
 def _shot_rng(seed: int, tag: int, shot: int) -> np.random.Generator:
@@ -323,16 +311,14 @@ def sample_gbs(
 ) -> SampleBatch:
     """I.i.d. draws from the enumerated law renormalized by its mass."""
     dist = enumerate_distribution(e, cutoff_total, cutoff_per_mode, budget)
-    patterns = list(dist.entries.keys())
-    probs = np.array([dist.entries[p] for p in patterns])
     if dist.mass <= 0:
         raise InvariantError("enumerated distribution has zero mass")
-    cum = np.cumsum(probs / dist.mass)
+    cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
     out = []
     for i in range(shots):
         u = _shot_rng(seed, _TAG_GBS, i).random()
-        out.append(patterns[int(np.searchsorted(cum, u, side="right"))])
+        out.append(dist.lattice.patterns[int(np.searchsorted(cum, u, side="right"))])
     return SampleBatch(
         patterns=tuple(out),
         seed=seed,
@@ -438,19 +424,8 @@ def apply_loss(x, eta: float, seed: int = 0):
             out.append(tuple(int(rng.binomial(c, eta)) for c in p))
         return replace(x, patterns=tuple(out), loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):
-        # Thinned patterns are componentwise <= their source, so the full
-        # lattice for the cutoffs is closed under loss; anything else is not.
-        not_lattice = "distribution keys are not the full pattern lattice"
-        n = len(next(iter(x.entries), ()))
-        if len(x.entries) != count_patterns(n, x.cutoff_total, x.cutoff_per_mode):
-            raise ValueError(not_lattice)
-        lat = _lattice(n, x.cutoff_total, x.cutoff_per_mode)
-        try:
-            w = np.array([x.entries[p] for p in lat.patterns], dtype=float)
-        except KeyError:
-            raise ValueError(not_lattice) from None
-        thinned = _thin_lattice(lat, w, eta).tolist()
-        return replace(x, entries=dict(zip(lat.patterns, thinned)))
+        # Thinned patterns lie below their source, so stay on the lattice.
+        return replace(x, probs=_thin_lattice(x.lattice, x.probs, eta))
     raise TypeError(f"cannot apply loss to {type(x).__name__}")
 
 
@@ -476,10 +451,15 @@ def conditional_from_distribution(
     if isinstance(d, SampleBatch):
         weighted = Counter(d.patterns).items()
     else:
-        weighted = d.entries.items()
+        lat = d.lattice
+        rows = (lat.totals == total) & (d.probs != 0)
+        if collision_policy == "collision_free_only":
+            rows &= lat.counts.max(axis=1) <= 1
+        idx = np.flatnonzero(rows)
+        weighted = zip([lat.patterns[i] for i in idx], d.probs[idx].tolist())
     acc: dict[Pattern, float] = {}
     for p, w in weighted:
-        if w == 0.0 or sum(p) != total:
+        if sum(p) != total:
             continue
         if collision_policy == "threshold_collapse":
             p = collapse_threshold(p)
@@ -525,6 +505,10 @@ def _record_pattern(rec) -> Pattern:
     return tuple(p)
 
 
+def _is_count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
 def load_batch(source) -> SampleBatch:
     source = source_text(source)
     lines = [ln for ln in source.splitlines() if ln.strip()]
@@ -532,11 +516,18 @@ def load_batch(source) -> SampleBatch:
         raise FormatError("empty sample file")
     try:
         header = json.loads(lines[0])
-        backend = header["backend"]
-        seed = header["seed"]
-        if type(seed) is not int:
-            raise FormatError(f"seed must be an integer in header {header!r}")
-        eta = float(header["eta"])
+        backend, seed, eta = header["backend"], header["seed"], header["eta"]
+        cutoffs = header.get("cutoff_total"), header.get("cutoff_per_mode")
+        for ok, want in (
+            (type(backend) is str, "backend must be a string"),
+            (type(seed) is int, "seed must be an integer"),
+            (type(eta) in (int, float) and 0 <= eta <= 1,
+             "eta must be a number in [0, 1]"),
+            (all(c is None or _is_count(c) for c in cutoffs),
+             "cutoffs must be non-negative integers or null"),
+        ):
+            if not ok:
+                raise FormatError(f"{want} in header {header!r}")
         patterns = []
         for ln in lines[1:]:
             rec = json.loads(ln)
@@ -549,12 +540,8 @@ def load_batch(source) -> SampleBatch:
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad sample file: {exc}") from exc
     return SampleBatch(
-        patterns=tuple(patterns),
-        seed=seed,
-        backend=backend,
-        loss_eta=eta,
-        cutoff_total=header.get("cutoff_total"),
-        cutoff_per_mode=header.get("cutoff_per_mode"),
+        patterns=tuple(patterns), seed=seed, backend=backend,
+        loss_eta=float(eta), cutoff_total=cutoffs[0], cutoff_per_mode=cutoffs[1],
     )
 
 
@@ -562,11 +549,12 @@ def save_distribution(
     d: PatternDistribution, *, provenance: dict | None = None
 ) -> bytes:
     doc = {
-        "cutoff_total": d.cutoff_total,
-        "cutoff_per_mode": d.cutoff_per_mode,
+        "cutoff_total": d.lattice.cutoff_total,
+        "cutoff_per_mode": d.lattice.cutoff_per_mode,
         "mass": d.mass,
         "entries": [
-            {"pattern": list(p), "probability": w} for p, w in d.entries.items()
+            {"pattern": list(p), "probability": w}
+            for p, w in zip(d.lattice.patterns, d.probs.tolist())
         ],
     }
     if provenance is not None:
@@ -575,18 +563,28 @@ def save_distribution(
 
 
 def load_distribution(source) -> PatternDistribution:
+    """Parse a distribution file. Its entries must be the full pattern
+    lattice of its cutoffs, in lattice order."""
     source = source_text(source)
     try:
         doc = json.loads(source)
-        entries = {
-            _record_pattern(rec): float(rec["probability"])
-            for rec in doc["entries"]
-        }
-        return PatternDistribution(
-            entries=entries,
-            cutoff_total=int(doc["cutoff_total"]),
-            cutoff_per_mode=int(doc["cutoff_per_mode"]),
-            mass=float(doc["mass"]),
-        )
+        patterns = tuple(_record_pattern(rec) for rec in doc["entries"])
+        probs = np.array([float(rec["probability"]) for rec in doc["entries"]])
+        total, per_mode = doc["cutoff_total"], doc["cutoff_per_mode"]
+        mass = float(doc["mass"])
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad distribution file: {exc}") from exc
+    if not (_is_count(total) and _is_count(per_mode)):
+        raise FormatError(
+            f"cutoffs must be non-negative integers, got {total!r}/{per_mode!r}"
+        )
+    n = len(patterns[0]) if patterns else 0
+    # The lattice has a pattern at every reachable total. That rules out a
+    # shorter file before counting and keeps the count as cheap as the file.
+    if (min(total, n * per_mode) >= len(patterns)
+            or count_patterns(n, total, per_mode) != len(patterns)
+            or _lattice(n, total, per_mode).patterns != patterns):
+        raise FormatError(
+            f"entries are not the full pattern lattice of cutoffs {total}/{per_mode}"
+        )
+    return PatternDistribution(_lattice(n, total, per_mode), probs, mass)

@@ -515,6 +515,42 @@ class TestInputContract:
         assert not out.exists()
         assert "seed must be an integer in header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, named", [
+        ({"backend": 5}, "backend must be a string"),
+        ({"eta": "0.5"}, "eta must be a number in [0, 1]"),
+        ({"eta": True}, "eta must be a number in [0, 1]"),
+        ({"eta": 1.5}, "eta must be a number in [0, 1]"),
+        ({"cutoff_total": "x"}, "cutoffs must be non-negative integers or null"),
+        ({"cutoff_per_mode": -1}, "cutoffs must be non-negative integers"),
+        ({"cutoff_total": True}, "cutoffs must be non-negative integers"),
+    ])
+    def test_bad_sample_header_field_exit_3(self, tmp_path, capsys, field, named):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0, "cutoff_total": None,
+                  **field}
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(json.dumps(header) + "\n"
+                           + json.dumps({"pattern": [1, 1, 1, 0, 0, 0]}) + "\n")
+        out = tmp_path / "r.json"
+        code = main(["cliques", "--graph", self.graph(tmp_path, 6),
+                     "--samples", str(samples), "--k", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["12", 12.9, 12.0, True])
+    def test_encoding_mode_count_must_be_an_integer(self, tmp_path, capsys, n):
+        enc = tmp_path / "e.json"
+        assert main(["encode", "--graph", self.graph(tmp_path, 12),
+                     "--out", str(enc)]) == 0
+        enc.write_text(json.dumps({**json.loads(enc.read_text()), "n": n}))
+        out = tmp_path / "d.json"
+        assert main(["dist", "--encoding", str(enc), "--cutoff-total", "2",
+                     "--cutoff-per-mode", "2", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"n must be a positive integer, got {n!r}" in (
+            capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("backend", ["exact", "gbs"])
     def test_photon_total_above_cutoff_exit_3(self, tmp_path, capsys, backend):
         out = tmp_path / "ent.txt"
@@ -618,7 +654,8 @@ class TestInputContract:
         ("dist", ["--eta", "1.5"], "--eta must be a number in [0, 1]"),
         ("compare", ["--eta", "1.5"], "--eta must be a number in [0, 1]"),
         ("compare", ["--shots", "0"], "--shots must be a positive integer"),
-        ("entropy", ["--shots", "-1"], "--shots must be a non-negative"),
+        ("entropy", ["--shots", "-1"], "--shots must be a positive integer, got -1"),
+        ("entropy", ["--shots", "0"], "--shots must be a positive integer, got 0"),
     ])
     def test_eta_and_shots_checked_at_the_flag(
         self, tmp_path, capsys, command, flags, named
@@ -649,6 +686,24 @@ class TestInputContract:
         argv = ["compare", "--graph", str(tmp_path / "none.json"),
                 "--seed", "1", *flags, "--out", str(tmp_path / "r.json"),
                 "--dry-run"]
+        assert main(argv) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["dry-run", "config"])
+    def test_entropy_zero_shots_rejected_before_running(
+        self, tmp_path, capsys, how
+    ):
+        argv = ["entropy", "--graph", str(tmp_path / "none.json"), "--k-ref",
+                "3", "--delta-axis", "0,0.5", "--photon-total", "2",
+                "--backend", "gbs", "--out", str(tmp_path / "e.tsv")]
+        if how == "dry-run":
+            argv += ["--shots", "0", "--dry-run"]
+            named = "--shots must be a positive integer, got 0"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"shots": 0}))
+            argv += ["--config", str(cfg)]
+            named = "--shots must be a positive integer, got 0 (config key 'shots')"
         assert main(argv) == 3
         assert named in capsys.readouterr().err
 

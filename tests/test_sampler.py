@@ -17,7 +17,6 @@ from gbstopo.errors import (
 )
 from gbstopo.graph import ComplexGraph, graph_from_edges
 from gbstopo.sampler import (
-    PatternDistribution,
     SampleBatch,
     _lattice,
     apply_loss,
@@ -165,11 +164,14 @@ class TestEnumerateDistribution:
         assert exc_info.value.required == count_patterns(2, 10, 10)
 
     def test_count_patterns_matches_enumeration(self):
-        from gbstopo.sampler import _iter_patterns
-
-        listed = list(_iter_patterns(3, 4, 2))
+        listed = _lattice(3, 4, 2).patterns
         assert len(listed) == count_patterns(3, 4, 2) == 23
         assert len(set(listed)) == len(listed)
+
+    def test_unreachable_cutoff_total_changes_nothing(self):
+        # Totals above n_modes * cutoff_per_mode cannot occur.
+        assert count_patterns(2, 10**12, 2) == count_patterns(2, 4, 2) == 9
+        assert _lattice(2, 10**12, 2).patterns == _lattice(2, 4, 2).patterns
 
 
 class TestSampleGbs:
@@ -512,9 +514,76 @@ class TestDistributionLoss:
         swapped = {**missing, (5, 0): 0.0}
         cases = [(missing, 4), (extra, 4), (swapped, 4), (d.entries, 3), ({}, 4)]
         for entries, total in cases:
-            bad = PatternDistribution(
-                entries=entries, cutoff_total=total, cutoff_per_mode=4,
-                mass=d.mass,
-            )
-            with pytest.raises(ValueError):
-                apply_loss(bad, 0.5)
+            doc = {"cutoff_total": total, "cutoff_per_mode": 4, "mass": d.mass,
+                   "entries": [{"pattern": list(p), "probability": w}
+                               for p, w in entries.items()]}
+            with pytest.raises(FormatError, match="pattern lattice"):
+                load_distribution(json.dumps(doc).encode())
+        reordered = json.loads(save_distribution(d))
+        reordered["entries"].reverse()
+        with pytest.raises(FormatError, match="pattern lattice"):
+            load_distribution(json.dumps(reordered).encode())
+
+
+class TestDistributionFile:
+    @pytest.mark.parametrize("n,total,per_mode", LATTICE_CASES)
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_distribution_bytes_round_trip(self, n, total, per_mode, eta):
+        d = enumerate_distribution(random_encoding(n, seed=n), total, per_mode)
+        saved = save_distribution(apply_loss(d, eta), provenance={"eta": eta})
+        loaded = load_distribution(saved)
+        assert save_distribution(loaded, provenance={"eta": eta}) == saved
+        # Loss on the loaded law writes what loss on the enumerated law does.
+        reloaded = load_distribution(save_distribution(d))
+        want = save_distribution(apply_loss(d, 0.3))
+        assert save_distribution(apply_loss(reloaded, 0.3)) == want
+
+    def test_unreachable_cutoff_total_round_trips(self):
+        d = enumerate_distribution(tmsv_encoding(0.5), 10**12, 2)
+        assert d.entries == enumerate_distribution(tmsv_encoding(0.5), 4, 2).entries
+        saved = save_distribution(d)
+        assert json.loads(saved)["cutoff_total"] == 10**12
+        assert save_distribution(load_distribution(saved)) == saved
+
+    def test_entries_are_read_only(self):
+        d = enumerate_distribution(tmsv_encoding(0.5), 4, 4)
+        with pytest.raises(TypeError):
+            d.entries[(0, 0)] = 0.5
+        assert d.entries is d.entries
+
+    @pytest.mark.parametrize("cutoffs", [
+        ("2", 2), (2, 6.5), (True, 2), (2, -1), (None, 2),
+    ])
+    def test_distribution_cutoffs_must_be_counts(self, cutoffs):
+        d = enumerate_distribution(tmsv_encoding(0.5), 2, 2)
+        doc = json.loads(save_distribution(d))
+        doc["cutoff_total"], doc["cutoff_per_mode"] = cutoffs
+        with pytest.raises(FormatError, match="non-negative integers"):
+            load_distribution(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("claim", ["30 modes", "huge total"])
+    def test_huge_claimed_lattice_rejected_from_the_file_length(
+        self, monkeypatch, claim
+    ):
+        import gbstopo.sampler as smp
+
+        if claim == "30 modes":  # that lattice would hold 2**30 patterns
+            doc = {"cutoff_total": 30, "cutoff_per_mode": 1, "mass": 1.0,
+                   "entries": [{"pattern": [c] + [0] * 29, "probability": 0.5}
+                               for c in range(2)]}
+        else:
+            d = enumerate_distribution(tmsv_encoding(0.5), 4, 4)
+            doc = {**json.loads(save_distribution(d)), "cutoff_total": 10**12}
+        count = smp.count_patterns
+
+        def bounded_count(n, total, per_mode):
+            assert min(total, n * per_mode) < len(doc["entries"])
+            return count(n, total, per_mode)
+
+        def refuse(*args):
+            raise AssertionError("built a lattice the entries cannot fill")
+
+        monkeypatch.setattr(smp, "count_patterns", bounded_count)
+        monkeypatch.setattr(smp, "_lattice", refuse)
+        with pytest.raises(FormatError, match="pattern lattice"):
+            load_distribution(json.dumps(doc).encode())
