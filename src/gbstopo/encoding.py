@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .graph import ComplexGraph, source_text
+from .graph import ComplexGraph, is_finite_number, source_text
 
 RECON_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -181,6 +181,13 @@ def load_encoding(source) -> GBSEncoding:
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 1:
         raise FormatError(f"encoding n must be a positive integer, got {n!r}")
+    for key in ("lambdas", "squeezings"):
+        v = doc.get(key)
+        if not (isinstance(v, list) and len(v) == n
+                and all(map(is_finite_number, v))):
+            raise FormatError(f"encoding {key} must be a list of {n} finite numbers")
+    if not all(0 <= lam < 1 for lam in doc["lambdas"]):
+        raise FormatError("encoding lambdas must lie in [0, 1)")
     try:
         u = np.array(
             [complex(rec["re"], rec["im"]) for rec in doc["u"]], dtype=complex

@@ -147,6 +147,15 @@ def source_text(source) -> str:
     return source.decode("utf-8") if isinstance(source, bytes) else source
 
 
+def is_finite_number(v) -> bool:
+    """A loader's test for a JSON number: a finite int or float, not a bool
+    or a string that float() would coerce."""
+    try:
+        return type(v) in (int, float) and cmath.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def load_graph(source) -> ComplexGraph:
     """Parse the canonical edge-list format.
 

@@ -28,7 +28,6 @@ so batches are bit-reproducible regardless of execution order.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import Counter
@@ -40,7 +39,7 @@ import numpy as np
 
 from .encoding import GBSEncoding, reconstruct
 from .errors import BudgetError, EmptyConditionError, FormatError, InvariantError
-from .graph import source_text
+from .graph import is_finite_number, source_text
 
 Pattern = tuple[int, ...]
 
@@ -132,15 +131,21 @@ def pattern_probability(e: GBSEncoding, p: Iterable[int]) -> float:
 
 
 def count_patterns(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> int:
-    """Number of admissible patterns, in O(n_modes * cutoff_total) steps."""
-    cutoff_total = min(cutoff_total, n_modes * cutoff_per_mode)  # reachable
-    ways = [1] + [0] * cutoff_total  # ways[t]: patterns so far with total t
-    for _ in range(n_modes):
-        # The next mode adds c <= cutoff_per_mode photons: a window sum.
-        run = [0, *itertools.accumulate(ways)]
-        ways = [run[t + 1] - run[max(0, t - cutoff_per_mode)]
-                for t in range(cutoff_total + 1)]
-    return sum(ways)
+    """Number of admissible patterns, in O(n_modes) exact integer terms.
+
+    With a slack mode taking the photons below cutoff_total, inclusion-
+    exclusion over the j modes forced above cutoff_per_mode gives
+    sum_j (-1)^j C(n, j) C(T - j (cutoff_per_mode + 1) + n, n), T the
+    reachable total. Nothing is allocated per total, so huge cutoffs
+    count as cheaply as small ones.
+    """
+    total = min(cutoff_total, n_modes * cutoff_per_mode)
+    width = cutoff_per_mode + 1
+    return sum(
+        (-1) ** j * math.comb(n_modes, j)
+        * math.comb(total - j * width + n_modes, n_modes)
+        for j in range(min(n_modes, total // width) + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -166,12 +171,20 @@ def _pattern_keys(counts: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
     top = min(cutoff_total, cutoff_per_mode)
+    reachable = min(cutoff_total, n_modes * top)
+    # prod p_i! <= (sum p_i)!, and 171! is not a finite float64.
+    if reachable > 170:
+        raise FormatError(
+            f"cutoff_total {cutoff_total} and cutoff_per_mode {cutoff_per_mode} "
+            f"reach a photon total of {reachable}; the factorials of totals "
+            f"above 170 overflow float64"
+        )
     # Expand one mode at a time; children of each prefix come in ascending
     # count, which is lexicographic order. Then read each row's counts back
     # through its chain of prefixes. Totals above n_modes * top are
     # unreachable, so a larger cutoff_total need not fit int32.
     levels = []
-    remaining = np.array([min(cutoff_total, n_modes * top)], dtype=np.int32)
+    remaining = np.array([reachable], dtype=np.int32)
     for _ in range(n_modes):
         width = np.minimum(remaining, top) + 1
         parent = np.repeat(np.arange(len(remaining), dtype=np.int32), width)
@@ -262,7 +275,7 @@ def _check_total_law(
         single[::2] = pair_weight * lam ** (2 * m)
         law = np.convolve(law, single)[: upto + 1]
     worst = float(np.max(np.abs(by_total[: upto + 1] - law)))
-    if worst > 1e-9:
+    if not worst <= 1e-9:  # a NaN law fails too
         raise InvariantError(
             f"mass per photon total departs from the squeezed-vacuum law "
             f"by {worst:.3e}"
@@ -292,7 +305,7 @@ def enumerate_distribution(
     by_total = np.bincount(lat.totals, weights=probs, minlength=upto + 1)
     _check_total_law(e.lambdas, prefactor, by_total, upto)
     mass = float(np.cumsum(probs)[-1])  # sequential, in lexicographic order
-    if mass > 1.0 + 1e-9:
+    if not mass <= 1.0 + 1e-9:
         raise InvariantError(f"enumerated mass {mass} exceeds 1")
     return PatternDistribution(lattice=lat, probs=probs, mass=mass)
 
@@ -569,22 +582,26 @@ def load_distribution(source) -> PatternDistribution:
     try:
         doc = json.loads(source)
         patterns = tuple(_record_pattern(rec) for rec in doc["entries"])
-        probs = np.array([float(rec["probability"]) for rec in doc["entries"]])
+        probs = [rec["probability"] for rec in doc["entries"]]
         total, per_mode = doc["cutoff_total"], doc["cutoff_per_mode"]
-        mass = float(doc["mass"])
+        mass = doc["mass"]
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad distribution file: {exc}") from exc
+    if not (is_finite_number(mass) and all(map(is_finite_number, probs))):
+        raise FormatError("probabilities and mass must be finite numbers")
     if not (_is_count(total) and _is_count(per_mode)):
         raise FormatError(
             f"cutoffs must be non-negative integers, got {total!r}/{per_mode!r}"
         )
     n = len(patterns[0]) if patterns else 0
     # The lattice has a pattern at every reachable total. That rules out a
-    # shorter file before counting and keeps the count as cheap as the file.
+    # shorter file before counting or building a lattice.
     if (min(total, n * per_mode) >= len(patterns)
             or count_patterns(n, total, per_mode) != len(patterns)
             or _lattice(n, total, per_mode).patterns != patterns):
         raise FormatError(
             f"entries are not the full pattern lattice of cutoffs {total}/{per_mode}"
         )
-    return PatternDistribution(_lattice(n, total, per_mode), probs, mass)
+    return PatternDistribution(
+        _lattice(n, total, per_mode), np.array(probs, dtype=float), float(mass)
+    )

@@ -338,6 +338,6 @@ def clique_persistence(g: ComplexGraph, k: int) -> list[PersistencePair]:
         death = math.inf
         for v in g.common_neighbors(s):
             absorbed_at = max(birth, max(mags[v, u] for u in s))
-            death = min(death, absorbed_at)
+            death = min(death, float(absorbed_at))
         pairs.append(PersistencePair(clique=s, birth=float(birth), death=death))
     return pairs

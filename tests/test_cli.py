@@ -551,6 +551,42 @@ class TestInputContract:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("argv, field, value, named", [
+        (["dist"], "lambdas", [1.5, 0.2], "lambdas must lie in [0, 1)"),
+        (["dist"], "lambdas", [0.5, -0.1], "lambdas must lie in [0, 1)"),
+        (["dist"], "lambdas", [0.5, "0.2"], "lambdas must be a list of 2"),
+        (["dist"], "lambdas", [0.5, float("nan")], "lambdas must be a list of 2"),
+        (["sample", "--backend", "squashed", "--shots", "5", "--seed", "1"],
+         "squeezings", [0.3], "squeezings must be a list of 2"),
+        (["sample", "--backend", "gbs", "--shots", "5", "--seed", "1"],
+         "squeezings", [0.3, True], "squeezings must be a list of 2"),
+    ])
+    def test_encoding_vectors_checked(
+        self, tmp_path, capsys, argv, field, value, named
+    ):
+        enc = tmp_path / "e.json"
+        assert main(["encode", "--graph", self.graph(tmp_path, 2),
+                     "--out", str(enc)]) == 0
+        enc.write_text(json.dumps({**json.loads(enc.read_text()), field: value}))
+        out = tmp_path / "x.json"
+        assert main([*argv, "--encoding", str(enc), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff, code, named", [
+        # (10**12 + 1)**2 patterns, counted in closed form, exceed the budget.
+        ("1000000000000", 4, "exceed the enumeration budget"),
+        # 171! is not a finite float64.
+        ("200", 3, "cutoff_total 200 and cutoff_per_mode 200"),
+    ])
+    def test_huge_cutoffs_exit_cleanly(self, tmp_path, capsys, cutoff, code, named):
+        out = tmp_path / "d.json"
+        assert main(["dist", "--graph", self.graph(tmp_path, 2),
+                     "--cutoff-total", cutoff, "--cutoff-per-mode", cutoff,
+                     "--out", str(out)]) == code
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("backend", ["exact", "gbs"])
     def test_photon_total_above_cutoff_exit_3(self, tmp_path, capsys, backend):
         out = tmp_path / "ent.txt"

@@ -168,6 +168,14 @@ class TestEnumerateDistribution:
         assert len(listed) == count_patterns(3, 4, 2) == 23
         assert len(set(listed)) == len(listed)
 
+    @given(st.integers(0, 4), st.integers(0, 12), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_count_patterns_matches_brute_force(self, n, total, per_mode):
+        brute = sum(
+            1 for p in product(range(per_mode + 1), repeat=n) if sum(p) <= total
+        )
+        assert count_patterns(n, total, per_mode) == brute
+
     def test_unreachable_cutoff_total_changes_nothing(self):
         # Totals above n_modes * cutoff_per_mode cannot occur.
         assert count_patterns(2, 10**12, 2) == count_patterns(2, 4, 2) == 9
@@ -479,6 +487,16 @@ class TestPatternLattice:
         with pytest.raises(InvariantError, match="squeezed-vacuum"):
             enumerate_distribution(e, 4, 4)
 
+    def test_nan_law_violates_total_law(self, monkeypatch):
+        import gbstopo.sampler as smp
+
+        e = random_encoding(4, seed=5)
+        monkeypatch.setattr(
+            smp, "reconstruct", lambda u, lam: np.full((4, 4), np.nan)
+        )
+        with pytest.raises(InvariantError, match="squeezed-vacuum"):
+            enumerate_distribution(e, 4, 4)
+
 
 class TestDistributionLoss:
     @pytest.mark.parametrize("n,total,per_mode", LATTICE_CASES)
@@ -559,6 +577,22 @@ class TestDistributionFile:
         doc = json.loads(save_distribution(d))
         doc["cutoff_total"], doc["cutoff_per_mode"] = cutoffs
         with pytest.raises(FormatError, match="non-negative integers"):
+            load_distribution(json.dumps(doc).encode())
+
+    @pytest.mark.parametrize("key, value", [
+        ("probability", "0.5"), ("probability", True), ("probability", None),
+        ("probability", float("nan")), ("mass", True), ("mass", "1.0"),
+        ("mass", float("inf")), ("mass", 10**400),
+    ], ids=["str", "bool", "null", "nan", "mass-bool", "mass-str", "mass-inf",
+            "mass-huge-int"])
+    def test_distribution_numbers_must_be_finite(self, key, value):
+        d = enumerate_distribution(tmsv_encoding(0.5), 2, 2)
+        doc = json.loads(save_distribution(d))
+        if key == "mass":
+            doc["mass"] = value
+        else:
+            doc["entries"][1]["probability"] = value
+        with pytest.raises(FormatError, match="must be finite numbers"):
             load_distribution(json.dumps(doc).encode())
 
     @pytest.mark.parametrize("claim", ["30 modes", "huge total"])

@@ -417,8 +417,10 @@ class TestCliquePersistence:
     @settings(max_examples=40, deadline=None)
     def test_matches_reference_loop(self, n, p, seed, k):
         g = random_dual_layer(n, p, seed=seed)
-        got = [(q.clique, q.birth, q.death) for q in clique_persistence(g, k)]
+        pairs = clique_persistence(g, k)
+        got = [(q.clique, q.birth, q.death) for q in pairs]
         assert got == reference_clique_persistence(g, k)
+        assert all(type(q.birth) is type(q.death) is float for q in pairs)
 
     def test_relabel_consistency(self):
         g = random_dual_layer(7, 0.6, seed=17)
