@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 usage, 3 input format, 4 enumeration budget,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -33,18 +34,22 @@ EXIT_BUDGET = 4
 EXIT_INVARIANT = 5
 
 
-def _axis(spec: str) -> list[float]:
-    """Parse an axis flag: either comma-separated values or lin:lo:hi:num."""
-    if spec.startswith("lin:"):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise FormatError(f"bad axis spec {spec!r}; want lin:lo:hi:num")
-        lo, hi, num = float(parts[1]), float(parts[2]), int(parts[3])
-        return [float(x) for x in np.linspace(lo, hi, num)]
+def _axis(spec: str, flag: str) -> list[float]:
+    """Parse an axis flag, comma-separated values or lin:lo:hi:num, into
+    one or more finite values."""
     try:
-        return [float(x) for x in spec.split(",") if x.strip()]
-    except ValueError as exc:
-        raise FormatError(f"bad axis spec {spec!r}") from exc
+        if spec.startswith("lin:"):
+            _, lo, hi, num = spec.split(":")
+            with np.errstate(all="ignore"):  # non-finite values fail below
+                values = np.linspace(float(lo), float(hi), int(num)).tolist()
+        else:
+            values = [float(x) for x in spec.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if values and all(map(math.isfinite, values)):
+        return values
+    raise FormatError(f"{flag} must be finite numbers v1,v2,... or "
+                      f"lin:lo:hi:num with num >= 1, got {spec!r}")
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -56,22 +61,27 @@ def _provenance(args: argparse.Namespace) -> dict:
 
 
 def _write(path: str, data: bytes) -> None:
-    Path(path).write_bytes(data)
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise FormatError(f"cannot write --out {path}: {exc.strerror}") from exc
+
+
+def _read(path: str, flag: str) -> bytes:
+    """The bytes of the file a flag names; FormatError if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise FormatError(f"cannot read {flag} {path}: {exc.strerror}") from exc
 
 
 def _read_graph(path: str) -> gr.ComplexGraph:
-    try:
-        return gr.load_graph(Path(path).read_bytes())
-    except FileNotFoundError as exc:
-        raise FormatError(f"graph file not found: {path}") from exc
+    return gr.load_graph(_read(path, "--graph"))
 
 
 def _get_encoding(args) -> enc_mod.GBSEncoding:
     if getattr(args, "encoding", None):
-        try:
-            return enc_mod.load_encoding(Path(args.encoding).read_bytes())
-        except FileNotFoundError as exc:
-            raise FormatError(f"encoding file not found: {args.encoding}") from exc
+        return enc_mod.load_encoding(_read(args.encoding, "--encoding"))
     if not args.graph:
         raise FormatError("one of --graph or --encoding is required")
     g = _read_graph(args.graph)
@@ -98,14 +108,9 @@ def _table(
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if v == math.inf:
-            return "inf"
-        if v == -math.inf:
-            return "-inf"
-        # float() strips numpy scalar types, whose repr is not a bare number.
-        return repr(float(v))
-    return str(v)
+    # float() strips numpy scalar types, whose repr is not a bare number;
+    # repr spells infinities inf and -inf.
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 # Each command handler returns the bytes of its --out file; main() handles
@@ -155,10 +160,7 @@ def cmd_dist(args) -> bytes:
 
 def cmd_cliques(args) -> bytes:
     g = _read_graph(args.graph)
-    try:
-        batch = smp.load_batch(Path(args.samples).read_bytes())
-    except FileNotFoundError as exc:
-        raise FormatError(f"sample file not found: {args.samples}") from exc
+    batch = smp.load_batch(_read(args.samples, "--samples"))
     for shot, p in enumerate(batch.patterns):
         if len(p) != g.n:
             raise FormatError(
@@ -170,19 +172,21 @@ def cmd_cliques(args) -> bytes:
 
 def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
-    thresholds = _axis(args.delta_axis) if args.delta_axis else [args.delta_t]
-    rows = []
-    kmax_seen = 1
-    profiles = []
-    for dt in thresholds:
-        if args.k_ref:
-            complex_ = tda.density_filter_complex(g, args.k_ref, dt)
-        else:
-            complex_ = cl.enumerate_cliques(g, args.dmax + 2)
-        prof = tda.betti_numbers(complex_, args.dmax)
-        chi = tda.euler_characteristic(complex_)
-        profiles.append((dt, prof, chi))
-        kmax_seen = max(kmax_seen, max(prof.counts))
+    axis = args.delta_axis
+    thresholds = [args.delta_t] if axis is None else _axis(axis, "--delta-axis")
+    if args.k_ref:
+        rebuilt = tda.density_filtration(g, args.k_ref, thresholds)
+        complexes = (cl.enumerate_cliques(r, r.n) for r in rebuilt)
+    else:
+        complexes = [cl.enumerate_cliques(g, args.dmax + 2)]
+    profiles = [
+        (tda.betti_numbers(c, args.dmax), tda.euler_characteristic(c))
+        for c in complexes
+    ]
+    if not args.k_ref:
+        # Unfiltered, every threshold reads the one complex of g.
+        profiles *= len(thresholds)
+    kmax_seen = max(max(prof.counts) for prof, _ in profiles)
     header = (
         ["delta_t"]
         + [f"m{k}" for k in range(1, kmax_seen + 1)]
@@ -190,29 +194,27 @@ def cmd_betti(args) -> bytes:
         + [f"beta{d}" for d in range(args.dmax + 1)]
         + ["chi", "s_chi"]
     )
-    for dt, prof, chi in profiles:
-        rows.append(
-            [dt]
-            + [prof.counts.get(k, 0) for k in range(1, kmax_seen + 1)]
-            + [prof.ranks.get(k, 0) for k in range(2, kmax_seen + 1)]
-            + list(prof.betti)
-            + [chi, tda.euler_entropy(chi)]
-        )
+    rows = [
+        [dt]
+        + [prof.counts.get(k, 0) for k in range(1, kmax_seen + 1)]
+        + [prof.ranks.get(k, 0) for k in range(2, kmax_seen + 1)]
+        + list(prof.betti)
+        + [chi, tda.euler_entropy(chi)]
+        for dt, (prof, chi) in zip(thresholds, profiles)
+    ]
     return _table(header, rows, args)
 
 
 def cmd_surface(args) -> bytes:
     g = _read_graph(args.graph)
     surf = tda.filtration_surface(
-        g, _axis(args.omega_axis), _axis(args.delta_axis), args.k_ref
+        g, _axis(args.omega_axis, "--omega-axis"),
+        _axis(args.delta_axis, "--delta-axis"), args.k_ref,
     )
+    # Every cell counts its n >= 1 vertices, and the axes are not empty.
     kmax = max(
-        (
-            max((k for k, count in cell.m.items() if count), default=1)
-            for row in surf.cells
-            for cell in row
-        ),
-        default=1,
+        max(k for k, count in cell.m.items() if count)
+        for row in surf.cells for cell in row
     )
     header = (
         ["omega_t", "delta_t"]
@@ -276,21 +278,12 @@ def cmd_entropy(args) -> bytes:
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
-    cfg = perc.SweepConfig(
-        k_ref=args.k_ref,
-        alpha=args.alpha,
-        photon_total=args.photon_total,
-        target_spectral=args.target_spectral,
-        d=args.d,
-        backend=args.backend,
-        shots=args.shots,
-        seed=args.seed,
-        cutoff_total=args.cutoff_total,
-        cutoff_per_mode=args.cutoff_per_mode,
-        collision_policy=args.collision_policy,
-    )
+    # Every SweepConfig field is an entropy flag of the same name.
+    cfg = perc.SweepConfig(**{
+        f.name: getattr(args, f.name) for f in dataclasses.fields(perc.SweepConfig)
+    })
     phi_curve, ent_curve = perc.percolation_entropy_sweep(
-        g, _axis(args.delta_axis), cfg
+        g, _axis(args.delta_axis, "--delta-axis"), cfg
     )
     rows = [
         [dt, phi, nstar, h, hn, ent_curve.shots, ent_curve.backend]
@@ -611,21 +604,12 @@ def main(argv=None) -> int:
             return 0
         _write(args.out, args.func(args))
         return 0
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except BudgetError as exc:
-        print(
-            f"error: {exc} (required {exc.required}, budget {exc.budget})",
-            file=sys.stderr,
-        )
-        return EXIT_BUDGET
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except (BudgetError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_FORMAT
 
 
 if __name__ == "__main__":

@@ -139,14 +139,20 @@ def encode(
             f"largest Takagi value {lambdas[0]} >= 1; reduce target or |d|"
         )
     err = float(np.max(np.abs(reconstruct(u, lambdas) - a_prime)))
-    unit = float(np.max(np.abs(u.conj().T @ u - np.eye(a.n))))
-    if err > RECON_TOL or unit > RECON_TOL:
-        raise InvariantError(
-            f"encoding failed validation: reconstruction {err:.2e}, "
-            f"unitarity {unit:.2e}"
-        )
+    _validate(InvariantError, u, reconstruction=err)
     squeezings = np.arctanh(lambdas)
     return GBSEncoding(c=c, d=d, u=u, lambdas=lambdas, squeezings=squeezings)
+
+
+def _validate(error: type[Exception], u: np.ndarray, **deviations) -> None:
+    """Raise `error`, listing every deviation, if one exceeds RECON_TOL.
+    The distance of u from unitarity is always one of them."""
+    unit = u.conj().T @ u - np.eye(len(u))
+    deviations["unitarity"] = float(np.max(np.abs(unit)))
+    if max(deviations.values()) > RECON_TOL:
+        raise error("encoding failed validation: " + ", ".join(
+            f"{name} {value:.2e}" for name, value in deviations.items()
+        ))
 
 
 def mean_photon_number(e: GBSEncoding) -> float:
@@ -188,16 +194,23 @@ def load_encoding(source) -> GBSEncoding:
             raise FormatError(f"encoding {key} must be a list of {n} finite numbers")
     if not all(0 <= lam < 1 for lam in doc["lambdas"]):
         raise FormatError("encoding lambdas must lie in [0, 1)")
-    try:
-        u = np.array(
-            [complex(rec["re"], rec["im"]) for rec in doc["u"]], dtype=complex
-        ).reshape(n, n)
-        return GBSEncoding(
-            c=float(doc["c"]),
-            d=float(doc["d"]),
-            u=u,
-            lambdas=np.array(doc["lambdas"], dtype=float),
-            squeezings=np.array(doc["squeezings"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad encoding document: {exc}") from exc
+    u = doc.get("u")
+    if not (isinstance(u, list) and len(u) == n * n
+            and all(isinstance(rec, dict) for rec in u)):
+        raise FormatError(f"encoding u must be a list of {n * n} {{re, im}} records")
+    numbers = [doc.get("c"), doc.get("d")]
+    numbers += [rec.get(part) for rec in u for part in ("re", "im")]
+    if not all(map(is_finite_number, numbers)):
+        raise FormatError("encoding c, d and each re, im of u must be finite numbers")
+    u = np.array([complex(rec["re"], rec["im"]) for rec in u]).reshape(n, n)
+    lambdas = np.array(doc["lambdas"], dtype=float)
+    squeezings = np.array(doc["squeezings"], dtype=float)
+    # The checks encode runs, less the reconstruction: A' is not stored.
+    _validate(
+        FormatError, u,
+        squeezings=float(np.max(np.abs(squeezings - np.arctanh(lambdas)))),
+    )
+    return GBSEncoding(
+        c=float(doc["c"]), d=float(doc["d"]), u=u, lambdas=lambdas,
+        squeezings=squeezings,
+    )

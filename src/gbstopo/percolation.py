@@ -22,7 +22,7 @@ from .cliques import enumerate_cliques
 from .encoding import encode
 from .errors import EmptyConditionError
 from .graph import ComplexGraph, VertexSet
-from .tda import density_filtered_graph
+from .tda import density_filtration
 
 
 @dataclass(frozen=True)
@@ -230,25 +230,20 @@ def percolation_entropy_sweep(
     normalized Renyi entropy of photon patterns conditioned on the
     configured total."""
     axis = tuple(float(t) for t in thresholds)
-    phis: list[float] = []
-    largest: list[int] = []
-    raw: list[float] = []
-    norm: list[float] = []
-    for delta_t in axis:
-        filtered = density_filtered_graph(g, cfg.k_ref, delta_t)
-        report = percolation_clusters(filtered, cfg.k_ref)
-        phis.append(report.phi)
-        largest.append(report.largest_nodes)
-        h, h_norm = _entropy_at(filtered, cfg)
-        raw.append(h)
-        norm.append(h_norm)
-    phi_curve = PhiCurve(axis=axis, phi=tuple(phis), largest_nodes=tuple(largest))
+    rebuilt = density_filtration(g, cfg.k_ref, axis)
+    reports = [percolation_clusters(f, cfg.k_ref) for f in rebuilt]
+    entropies = [_entropy_at(f, cfg) for f in rebuilt]
+    phi_curve = PhiCurve(
+        axis=axis,
+        phi=tuple(r.phi for r in reports),
+        largest_nodes=tuple(r.largest_nodes for r in reports),
+    )
     entropy_curve = EntropyCurve(
         axis=axis,
-        values=tuple(norm),
+        values=tuple(h_norm for _, h_norm in entropies),
         alpha=cfg.alpha,
         photon_total=cfg.photon_total,
-        raw_values=tuple(raw),
+        raw_values=tuple(h for h, _ in entropies),
         backend=cfg.backend,
         shots=0 if cfg.backend == "exact" else cfg.shots,
     )

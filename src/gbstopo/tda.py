@@ -18,9 +18,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cliques import CliqueComplex, enumerate_cliques
+from .cliques import CliqueComplex, enumerate_cliques, make_clique
 from .errors import InvariantError
-from .graph import ComplexGraph, VertexSet, clique_density, edge_filter, is_clique
+from .graph import ComplexGraph, VertexSet, _density, edge_filter
 
 NEG_INF = float("-inf")
 
@@ -154,30 +154,44 @@ def euler_entropy(chi: int) -> float:
     return math.log(abs(chi))
 
 
+def density_filtration(
+    g: ComplexGraph,
+    k_ref: int,
+    thresholds: Sequence[float],
+    cliques: Iterable[VertexSet] | None = None,
+) -> list[ComplexGraph]:
+    """Per threshold delta_t, the network rebuilt from the k_ref-cliques of
+    density >= delta_t, on all n vertices.
+
+    Cliques come from exhaustive enumeration unless a pre-found list is
+    supplied (e.g. sampler output), which make_clique checks and scores.
+    Each clique is scored once, whatever the number of thresholds.
+    """
+    if k_ref < 2:
+        raise ValueError("k_ref must be >= 2")
+    if cliques is None:
+        found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
+        scored = [(s, _density(g, s)) for s in found]
+    else:
+        scored = []
+        for c in (make_clique(g, s) for s in cliques):
+            if c.k != k_ref:
+                raise ValueError(f"{c.vertices} is not a {k_ref}-set")
+            scored.append((c.vertices, c.density))
+    return [
+        _edges_inside(g, [s for s, d in scored if d >= delta_t])
+        for delta_t in thresholds
+    ]
+
+
 def density_filtered_graph(
     g: ComplexGraph,
     k_ref: int,
     delta_t: float,
     cliques: Iterable[VertexSet] | None = None,
 ) -> ComplexGraph:
-    """Rebuild the network from the k_ref-cliques of density >= delta_t.
-
-    Cliques come from exhaustive enumeration unless a pre-found list is
-    supplied (e.g. sampler output). The result keeps all n vertices.
-    """
-    if k_ref < 2:
-        raise ValueError("k_ref must be >= 2")
-    if cliques is None:
-        source = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
-    else:
-        source = [tuple(sorted(s)) for s in cliques]
-        for s in source:
-            if len(s) != k_ref:
-                raise ValueError(f"{s} is not a {k_ref}-set")
-            if not is_clique(g, s):
-                raise ValueError(f"{s} is not a clique in the host graph")
-    kept = [s for s in source if clique_density(g, s) >= delta_t]
-    return _edges_inside(g, kept)
+    """density_filtration at the one threshold delta_t."""
+    return density_filtration(g, k_ref, [delta_t], cliques)[0]
 
 
 def _edges_inside(
@@ -244,18 +258,11 @@ def filtration_surface(
         delta_axis
     ):
         raise ValueError("axes must be ascending")
-    if k_ref < 2:
-        raise ValueError("k_ref must be >= 2")
     rows = []
     for omega_t in omega_axis:
         filtered = edge_filter(g, omega_t, "keep_leq")
-        # One clique pass per omega row; each delta column just re-thresholds.
-        ref_cliques = enumerate_cliques(filtered, k_ref).by_size.get(k_ref, [])
-        with_density = [(clique_density(filtered, s), s) for s in ref_cliques]
         row = []
-        for delta_t in delta_axis:
-            keep = [s for d, s in with_density if d >= delta_t]
-            rebuilt = _edges_inside(filtered, keep)
+        for rebuilt in density_filtration(filtered, k_ref, delta_axis):
             complex_ = enumerate_cliques(rebuilt, rebuilt.n)
             chi = euler_characteristic(complex_)
             row.append(

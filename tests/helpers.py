@@ -218,6 +218,19 @@ def reference_clique_density(g, s) -> float:
     return float(abs(sub.sum())) / (k * (k - 1))
 
 
+def reference_density_filter(g, k_ref, delta_t, cliques=None):
+    """g restricted to the edges inside its k_ref-cliques of density
+    >= delta_t, on all n vertices; brute-force cliques unless supplied."""
+    if cliques is None:
+        cliques = brute_force_cliques(g, k_ref)[k_ref]
+    w = np.zeros_like(g.weights)
+    for s in cliques:
+        if reference_clique_density(g, s) >= delta_t:
+            block = np.ix_(s, s)
+            w[block] = g.weights[block]
+    return ComplexGraph(g.n, w)
+
+
 def reference_is_clique(g, s) -> bool:
     """Every off-diagonal entry of the np.ix_ submatrix is nonzero."""
     s = tuple(sorted(s))

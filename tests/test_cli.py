@@ -142,6 +142,35 @@ class TestBettiCmd:
         assert vals["beta1"] == "0"
         assert vals["m2"] == "0"
 
+    def test_unfiltered_sweep_repeats_one_row(
+        self, tmp_path, graph_file, monkeypatch
+    ):
+        import gbstopo.cliques as cl
+
+        calls = []
+        enumerate_cliques = cl.enumerate_cliques
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return enumerate_cliques(*args, **kwargs)
+
+        monkeypatch.setattr(cl, "enumerate_cliques", counted)
+        out, single = tmp_path / "b.txt", tmp_path / "one.txt"
+        assert main(["betti", "--graph", str(graph_file), "--dmax", "2",
+                     "--delta-axis", "0,0.4,0.9", "--out", str(out)]) == 0
+        assert len(calls) == 1  # one complex, however many thresholds
+        assert main(["betti", "--graph", str(graph_file), "--dmax", "2",
+                     "--out", str(single)]) == 0
+
+        def body(path):
+            return [l.split("\t") for l in path.read_text().splitlines()
+                    if l and not l.startswith("#")]
+
+        header, *rows = body(out)
+        assert header == body(single)[0]
+        assert [r[0] for r in rows] == ["0.0", "0.4", "0.9"]
+        assert all(r[1:] == body(single)[1][1:] for r in rows)
+
 
 class TestSurfaceCmd:
     def test_surface_contains_tpt_flags(self, tmp_path):
@@ -560,6 +589,13 @@ class TestInputContract:
          "squeezings", [0.3], "squeezings must be a list of 2"),
         (["sample", "--backend", "gbs", "--shots", "5", "--seed", "1"],
          "squeezings", [0.3, True], "squeezings must be a list of 2"),
+        (["dist"], "c", True, "c, d and each re, im of u must be finite"),
+        (["dist"], "d", "0", "c, d and each re, im of u must be finite"),
+        (["dist"], "u", [{"re": True, "im": 0.0}] + [{"re": 0.0, "im": 0.0}] * 3,
+         "c, d and each re, im of u must be finite"),
+        (["dist"], "u", [[0.0, 0.0]] * 4, "u must be a list of 4 {re, im} records"),
+        (["dist"], "u", [{"re": 0.5, "im": 0.0}] * 4, "unitarity 5.00e-01"),
+        (["dist"], "squeezings", [0.1, 0.1], "squeezings 7.67e-01"),
     ])
     def test_encoding_vectors_checked(
         self, tmp_path, capsys, argv, field, value, named
@@ -796,6 +832,86 @@ class TestInputContract:
         assert main(argv) == 3
         assert not out.exists()
         assert named in capsys.readouterr().err
+
+    def test_pattern_budget_states_each_number_once(self, tmp_path, capsys):
+        from gbstopo.sampler import PATTERN_BUDGET, count_patterns
+
+        cutoff = 10**12
+        out = tmp_path / "d.json"
+        assert main(["dist", "--graph", self.graph(tmp_path, 2),
+                     "--cutoff-total", str(cutoff),
+                     "--cutoff-per-mode", str(cutoff), "--out", str(out)]) == 4
+        required = count_patterns(2, cutoff, cutoff)
+        assert capsys.readouterr().err == (
+            f"error: {required} patterns exceed the enumeration budget "
+            f"{PATTERN_BUDGET}\n"
+        )
+
+    def test_clique_budget_states_each_number_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from gbstopo.cliques import enumerate_cliques
+
+        monkeypatch.setattr(enumerate_cliques, "__defaults__", (10,))
+        out = tmp_path / "b.txt"
+        assert main(["betti", "--graph", self.graph(tmp_path, 6),
+                     "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            "error: clique count exceeds budget 10\n"
+        )
+
+    @pytest.mark.parametrize("flag", ["--graph", "--encoding", "--samples"])
+    def test_unreadable_input_names_its_flag(self, tmp_path, capsys, flag):
+        graph = self.graph(tmp_path, 6)
+        samples = tmp_path / "s.jsonl"
+        assert main(["sample", "--graph", graph, "--backend", "gbs",
+                     "--shots", "5", "--seed", "1",
+                     "--out", str(samples)]) == 0
+        argv = {
+            "--graph": ["encode", "--graph", graph],
+            "--encoding": ["dist", "--encoding", graph],
+            "--samples": ["cliques", "--graph", graph, "--samples",
+                          str(samples), "--k", "3"],
+        }[flag]
+        # A directory cannot be read as a file.
+        argv[argv.index(flag) + 1] = str(tmp_path)
+        out = tmp_path / "x"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"cannot read {flag} {tmp_path}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing/x.json", "."])
+    def test_unwritable_out_exit_3(self, tmp_path, capsys, where):
+        out = tmp_path / where
+        assert main(["gen", "--n", "5", "--p", "0.5", "--seed", "1",
+                     "--out", str(out)]) == 3
+        assert f"cannot write --out {out}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("betti", "--delta-axis"), ("surface", "--omega-axis"),
+        ("surface", "--delta-axis"), ("entropy", "--delta-axis"),
+    ])
+    @pytest.mark.parametrize("spec", [
+        ",", "", "lin:0:1:0", "lin:0:1:-2", "nan", "0,inf", "lin:0:inf:3",
+        "lin:0:x:3", "lin:0:1", "lin:0:1:2.5", "0,a",
+    ])
+    def test_bad_axis_names_its_flag(
+        self, tmp_path, capsys, command, flag, spec
+    ):
+        axes = {"--delta-axis": "0,0.5", "--omega-axis": "0.5,1.0"}
+        axes[flag] = spec
+        argv = {
+            "betti": ["--k-ref", "3", "--delta-axis", axes["--delta-axis"]],
+            "surface": ["--k-ref", "3", "--omega-axis", axes["--omega-axis"],
+                        "--delta-axis", axes["--delta-axis"]],
+            "entropy": ["--k-ref", "3", "--photon-total", "2",
+                        "--delta-axis", axes["--delta-axis"]],
+        }[command]
+        out = tmp_path / "t.tsv"
+        assert main([command, "--graph", self.graph(tmp_path, 6), *argv,
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"{flag} must be finite numbers" in capsys.readouterr().err
 
 
 def _fresh_process(runs, cwd):

@@ -21,6 +21,7 @@ from gbstopo.tda import (
     clique_persistence,
     density_filter_complex,
     density_filtered_graph,
+    density_filtration,
     euler_characteristic,
     euler_entropy,
     euler_entropy_path,
@@ -30,10 +31,13 @@ from gbstopo.tda import (
 )
 from helpers import (
     betti_via_dense_ranks,
+    brute_force_cliques,
     closure_of_maximal_cliques,
     connected_components,
     dense_gf2_rank,
+    reference_clique_density,
     reference_clique_persistence,
+    reference_density_filter,
 )
 
 # Edgeless, sparse, dense and complete random_dual_layer graphs.
@@ -258,6 +262,42 @@ class TestDensityFilter:
         with pytest.raises(ValueError):
             density_filter_complex(g, 5, 0.0, cliques=[(0, 1, 2, 3, 5)])
 
+
+    def test_rejects_clique_of_other_size(self):
+        g = self.two_blocks()
+        with pytest.raises(ValueError, match="is not a 5-set"):
+            density_filtration(g, 5, [0.0], cliques=[(0, 1, 2)])
+
+
+class TestDensityFiltration:
+    @given(n=st.integers(1, 10), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k_ref=st.integers(2, 4),
+           supplied=st.booleans(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_filter(self, n, p, seed, k_ref, supplied, data):
+        g = random_dual_layer(n, p, seed=seed)
+        refs = brute_force_cliques(g, k_ref)[k_ref]
+        # Thresholds equal to clique densities probe the >= boundary.
+        dens = sorted({reference_clique_density(g, s) for s in refs})
+        thresholds = [0.0, *dens, 2.0]
+        cliques = None
+        if supplied:
+            keep = data.draw(st.lists(
+                st.booleans(), min_size=len(refs), max_size=len(refs)
+            ))
+            # Supplied cliques need not list their vertices in order.
+            cliques = [s[::-1] for s, k in zip(refs, keep) if k]
+        got = density_filtration(g, k_ref, thresholds, cliques)
+        assert len(got) == len(thresholds)
+        for delta_t, rebuilt in zip(thresholds, got):
+            want = reference_density_filter(g, k_ref, delta_t, cliques)
+            assert np.array_equal(rebuilt.weights, want.weights)
+            one = density_filtered_graph(g, k_ref, delta_t, cliques)
+            assert np.array_equal(one.weights, want.weights)
+
+    def test_k_ref_below_two_rejected(self):
+        with pytest.raises(ValueError, match="k_ref must be >= 2"):
+            density_filtration(complete(4), 1, [0.0])
 
 class TestFiltrationSurface:
     def test_single_cell_equals_direct_analysis(self):
