@@ -30,7 +30,6 @@ from .cliques import (
     Clique,
     CliqueComplex,
     SearchReport,
-    enhancement,
     enumerate_cliques,
     find_cliques,
     greedy_shrink,
@@ -45,7 +44,6 @@ from .tda import (
     betti_numbers,
     boundary_matrix,
     clique_persistence,
-    density_filter_complex,
     euler_characteristic,
     euler_entropy,
     euler_entropy_path,
@@ -57,7 +55,6 @@ from .percolation import (
     EntropyCurve,
     PercolationReport,
     SweepConfig,
-    clique_adjacency,
     curve_correlation,
     damage,
     normalized_renyi,

@@ -174,7 +174,7 @@ def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
     axis = args.delta_axis
     thresholds = [args.delta_t] if axis is None else _axis(axis, "--delta-axis")
-    if args.k_ref:
+    if args.k_ref is not None:
         rebuilt = tda.density_filtration(g, args.k_ref, thresholds)
         complexes = (cl.enumerate_cliques(r, r.n) for r in rebuilt)
     else:
@@ -183,7 +183,7 @@ def cmd_betti(args) -> bytes:
         (tda.betti_numbers(c, args.dmax), tda.euler_characteristic(c))
         for c in complexes
     ]
-    if not args.k_ref:
+    if args.k_ref is None:
         # Unfiltered, every threshold reads the one complex of g.
         profiles *= len(thresholds)
     kmax_seen = max(max(prof.counts) for prof, _ in profiles)
@@ -333,9 +333,7 @@ def cmd_compare(args) -> bytes:
     for base in ("uniform", "squashed"):
         num = stats["gbs"]["success_rate"]
         den = stats[base]["success_rate"]
-        ratios[f"gbs_over_{base}"] = (
-            cl.enhancement(num, den) if den > 0 else None
-        )
+        ratios[f"gbs_over_{base}"] = num / den if den > 0 else None
     payload = {"k": args.k, "backends": stats, "enhancement": ratios}
     return _json_report(payload, args)
 
@@ -352,9 +350,10 @@ class _Bounded(argparse.Action):
         self.ok = ok
 
     def __call__(self, parser, namespace, value, option_string=None):
-        if not self.ok(value):
+        # A flag with nargs passes a list; each of its values must pass.
+        if not all(map(self.ok, value if isinstance(value, list) else [value])):
             value = FormatError(
-                f"{self.option_strings[0]} must be {self.want}, got {value!r}"
+                f"{self.option_strings[0]} must be {_wanted(self)}, got {value!r}"
             )
         setattr(namespace, self.dest, value)
 
@@ -368,16 +367,18 @@ _POSITIVE = dict(
 _FRACTION = dict(
     action=_Bounded, want="a number in [0, 1]", ok=lambda v: 0.0 <= v <= 1.0
 )
+_FINITE = dict(action=_Bounded, want="a finite number", ok=math.isfinite)
+_K_REF = dict(action=_Bounded, want="an integer >= 2", ok=lambda v: v >= 2)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--target-spectral", type=float, default=0.7)
-    p.add_argument("--d", type=float, default=0.0)
+    p.add_argument("--d", type=float, default=0.0, **_FINITE)
 
 
 def _add_cutoffs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cutoff-total", type=int, default=6)
-    p.add_argument("--cutoff-per-mode", type=int, default=6)
+    p.add_argument("--cutoff-total", type=int, default=6, **_NONNEGATIVE)
+    p.add_argument("--cutoff-per-mode", type=int, default=6, **_NONNEGATIVE)
 
 
 def build_parser() -> tuple[
@@ -402,8 +403,8 @@ def build_parser() -> tuple[
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
-    p.add_argument("--alpha-range", type=float, nargs=2, default=[-1.0, 1.0])
-    p.add_argument("--beta-range", type=float, nargs=2, default=[-1.0, 1.0])
+    for flag in ("--alpha-range", "--beta-range"):
+        p.add_argument(flag, type=float, nargs=2, default=[-1.0, 1.0], **_FINITE)
 
     p = command("encode", cmd_encode, "turn a graph into a machine program")
     p.add_argument("--graph", required=True)
@@ -437,16 +438,16 @@ def build_parser() -> tuple[
     p = command("betti", cmd_betti, "Betti numbers, optionally under a "
                 "clique-density filtration")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dmax", type=int, default=3)
-    p.add_argument("--k-ref", type=int)
-    p.add_argument("--delta-t", type=float, default=0.0)
+    p.add_argument("--dmax", type=int, default=3, **_NONNEGATIVE)
+    p.add_argument("--k-ref", type=int, **_K_REF)
+    p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
     p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n")
 
     p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)
     p.add_argument("--omega-axis", required=True)
     p.add_argument("--delta-axis", required=True)
-    p.add_argument("--k-ref", type=int, default=2)
+    p.add_argument("--k-ref", type=int, default=2, **_K_REF)
 
     p = command("persistence", cmd_persistence, "clique birth/death thresholds")
     p.add_argument("--graph", required=True)
@@ -455,8 +456,8 @@ def build_parser() -> tuple[
     p = command("percolation", cmd_percolation, "k-clique percolation clusters")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--k-ref", type=int)
-    p.add_argument("--delta-t", type=float, default=0.0)
+    p.add_argument("--k-ref", type=int, **_K_REF)
+    p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
     p.add_argument("--damage-node", type=int)
     p.add_argument("--damage-k", type=int, default=4)
 
@@ -465,9 +466,11 @@ def build_parser() -> tuple[
         "percolation order parameter vs sampling entropy sweep",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--k-ref", type=int, required=True)
+    p.add_argument("--k-ref", type=int, required=True, **_K_REF)
     p.add_argument("--delta-axis", required=True)
-    p.add_argument("--alpha", type=float, default=2.0)
+    p.add_argument("--alpha", type=float, default=2.0, action=_Bounded,
+                   want="a positive finite number",
+                   ok=lambda v: 0.0 < v < math.inf)
     p.add_argument("--photon-total", type=int, required=True)
     p.add_argument(
         "--backend", choices=("exact", "gbs", "squashed"), default="exact"

@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BudgetError, UndefinedRatioError
+from .errors import BudgetError
 from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
 from .sampler import Pattern, SampleBatch
 
@@ -214,13 +214,6 @@ def find_cliques(
         success_rate=rate,
         density_histogram=dict(sorted(hist.items())),
     )
-
-
-def enhancement(p_num: float, p_den: float) -> float:
-    """Success-rate ratio between two samplers."""
-    if p_den <= 0:
-        raise UndefinedRatioError(p_num, p_den)
-    return p_num / p_den
 
 
 def binomial_interval(

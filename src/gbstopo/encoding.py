@@ -178,7 +178,7 @@ def save_encoding(e: GBSEncoding, *, provenance: dict | None = None) -> bytes:
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
-def load_encoding(source) -> GBSEncoding:
+def load_encoding(source: bytes | str) -> GBSEncoding:
     source = source_text(source)
     try:
         doc = json.loads(source)

@@ -21,16 +21,5 @@ class InvariantError(RuntimeError):
     """An internal consistency check failed (numerical or structural)."""
 
 
-class UndefinedRatioError(ZeroDivisionError):
-    """Enhancement ratio with a zero denominator; carries both rates."""
-
-    def __init__(self, numerator: float, denominator: float):
-        super().__init__(
-            f"undefined ratio: numerator={numerator}, denominator={denominator}"
-        )
-        self.numerator = numerator
-        self.denominator = denominator
-
-
 class EmptyConditionError(ValueError):
     """Conditioning selected no shots / no probability mass."""

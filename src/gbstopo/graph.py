@@ -140,10 +140,8 @@ def graph_from_edges(
     return ComplexGraph(n, w)
 
 
-def source_text(source) -> str:
-    """The text of a loader's `source`: bytes, str or a readable file."""
-    if hasattr(source, "read"):
-        source = source.read()
+def source_text(source: bytes | str) -> str:
+    """The text of a loader's `source`: UTF-8 bytes or str."""
     return source.decode("utf-8") if isinstance(source, bytes) else source
 
 
@@ -156,10 +154,10 @@ def is_finite_number(v) -> bool:
         return False
 
 
-def load_graph(source) -> ComplexGraph:
+def load_graph(source: bytes | str) -> ComplexGraph:
     """Parse the canonical edge-list format.
 
-    `source` may be bytes, str, or a readable file object. The document is
+    `source` is UTF-8 bytes or str. The document is
     a JSON object {"n": int, "edges": [{"i","j","re","im"}, ...]} with
     i < j and no duplicates; unlisted pairs have weight 0.
     """
@@ -306,12 +304,3 @@ def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
 def is_clique(g: ComplexGraph, s: Sequence[int]) -> bool:
     """True iff every pair in s is an edge; empty and singleton sets pass."""
     return g._is_clique_mask(_vertex_mask(g, s))
-
-
-def relabel(g: ComplexGraph, perm: Sequence[int]) -> ComplexGraph:
-    """Apply a vertex permutation: new vertex perm[v] is old vertex v."""
-    perm = list(perm)
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    inv = np.argsort(perm)
-    return ComplexGraph(g.n, g.weights[np.ix_(inv, inv)])

@@ -3,9 +3,10 @@ sampling patterns, and the threshold sweep tying entropy to the
 percolation order parameter.
 
 Two k-cliques are adjacent when they differ by exactly one node, i.e.
-share k-1 nodes. Percolation clusters are the connected components of
-that adjacency; the order parameter Phi = N*/N is the node fraction of
-the largest cluster.
+share a (k-1)-facet. Percolation clusters are the connected components of
+that adjacency, found as the components of the bipartite graph joining
+each clique to its facets; the order parameter Phi = N*/N is the node
+fraction of the largest cluster.
 """
 
 from __future__ import annotations
@@ -46,41 +47,17 @@ class EntropyCurve:
     values: tuple[float, ...]          # normalized entropies in [0, 1]
     alpha: float
     photon_total: int
-    raw_values: tuple[float, ...] = ()
-    backend: str = "exact"
-    shots: int = 0
-
-
-def clique_adjacency(cliques: Sequence[VertexSet]) -> list[list[int]]:
-    """Adjacency lists over clique indices; cliques are adjacent iff they
-    share exactly k-1 nodes.
-
-    Found by bucketing on (k-1)-subsets: two distinct k-cliques share at
-    most one such subset, so each adjacent pair appears in exactly one
-    bucket.
-    """
-    if not cliques:
-        return []
-    k = len(cliques[0])
-    if any(len(c) != k for c in cliques):
-        raise ValueError("cliques must all have the same size")
-    buckets: dict[VertexSet, list[int]] = {}
-    for idx, c in enumerate(cliques):
-        for facet in combinations(c, k - 1):
-            buckets.setdefault(facet, []).append(idx)
-    adj: list[set[int]] = [set() for _ in cliques]
-    for members in buckets.values():
-        for a, b in combinations(members, 2):
-            adj[a].add(b)
-            adj[b].add(a)
-    return [sorted(s) for s in adj]
+    raw_values: tuple[float, ...]
+    backend: str
+    shots: int
 
 
 def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
-    """Connected components of the clique adjacency; clusters report node
-    unions."""
+    """Clusters of k-cliques that chain through shared (k-1)-facets, as
+    connected components of the clique-facet incidence; clusters report
+    node unions."""
     # Deferred: only commands that percolate load scipy.sparse.
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
     if k < 2:
@@ -88,14 +65,22 @@ def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
     cliques = enumerate_cliques(g, k).by_size.get(k, [])
     if not cliques:
         return PercolationReport(k=k, clusters=(), phi=0.0, largest_nodes=0)
-    adj = clique_adjacency(cliques)
-    # The adjacency lists are the rows of a CSR matrix.
-    indptr = np.cumsum([0] + [len(nbrs) for nbrs in adj])
-    indices = [b for nbrs in adj for b in nbrs]
-    pairs = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(adj),) * 2)
-    _, labels = connected_components(pairs, directed=False)
+    # Nodes 0..m-1 are the cliques and m, m+1, ... their distinct facets;
+    # each clique has k facets and an edge to each.
+    m = len(cliques)
+    facets: dict[VertexSet, int] = {}
+    cols = [
+        facets.setdefault(f, m + len(facets))
+        for c in cliques for f in combinations(c, k - 1)
+    ]
+    size = m + len(facets)
+    incidence = coo_matrix(
+        (np.ones(len(cols)), (np.repeat(np.arange(m), k), cols)),
+        shape=(size, size),
+    )
+    _, labels = connected_components(incidence, directed=False)
     groups: dict[int, set[int]] = {}
-    for label, c in zip(labels.tolist(), cliques):
+    for label, c in zip(labels[:m].tolist(), cliques):
         groups.setdefault(label, set()).update(c)
     clusters = sorted(
         (tuple(sorted(nodes)) for nodes in groups.values()),

@@ -64,9 +64,6 @@ class SampleBatch:
     cutoff_total: int | None = None
     cutoff_per_mode: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.patterns)
-
 
 def hafnian(m: np.ndarray) -> complex:
     """Hafnian by recursive expansion with memoization on index subsets.
@@ -522,7 +519,7 @@ def _is_count(v) -> bool:
     return type(v) is int and v >= 0
 
 
-def load_batch(source) -> SampleBatch:
+def load_batch(source: bytes | str) -> SampleBatch:
     source = source_text(source)
     lines = [ln for ln in source.splitlines() if ln.strip()]
     if not lines:
@@ -575,7 +572,7 @@ def save_distribution(
     return json.dumps(doc, indent=1).encode("utf-8")
 
 
-def load_distribution(source) -> PatternDistribution:
+def load_distribution(source: bytes | str) -> PatternDistribution:
     """Parse a distribution file. Its entries must be the full pattern
     lattice of its cutoffs, in lattice order."""
     source = source_text(source)

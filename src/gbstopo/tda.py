@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cliques import CliqueComplex, enumerate_cliques, make_clique
+from .cliques import CliqueComplex, enumerate_cliques
 from .errors import InvariantError
 from .graph import ComplexGraph, VertexSet, _density, edge_filter
 
@@ -155,29 +155,18 @@ def euler_entropy(chi: int) -> float:
 
 
 def density_filtration(
-    g: ComplexGraph,
-    k_ref: int,
-    thresholds: Sequence[float],
-    cliques: Iterable[VertexSet] | None = None,
+    g: ComplexGraph, k_ref: int, thresholds: Sequence[float]
 ) -> list[ComplexGraph]:
     """Per threshold delta_t, the network rebuilt from the k_ref-cliques of
     density >= delta_t, on all n vertices.
 
-    Cliques come from exhaustive enumeration unless a pre-found list is
-    supplied (e.g. sampler output), which make_clique checks and scores.
-    Each clique is scored once, whatever the number of thresholds.
+    The k_ref-cliques come from exhaustive enumeration, and each is scored
+    once, whatever the number of thresholds.
     """
     if k_ref < 2:
         raise ValueError("k_ref must be >= 2")
-    if cliques is None:
-        found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
-        scored = [(s, _density(g, s)) for s in found]
-    else:
-        scored = []
-        for c in (make_clique(g, s) for s in cliques):
-            if c.k != k_ref:
-                raise ValueError(f"{c.vertices} is not a {k_ref}-set")
-            scored.append((c.vertices, c.density))
+    found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
+    scored = [(s, _density(g, s)) for s in found]
     return [
         _edges_inside(g, [s for s, d in scored if d >= delta_t])
         for delta_t in thresholds
@@ -185,13 +174,10 @@ def density_filtration(
 
 
 def density_filtered_graph(
-    g: ComplexGraph,
-    k_ref: int,
-    delta_t: float,
-    cliques: Iterable[VertexSet] | None = None,
+    g: ComplexGraph, k_ref: int, delta_t: float
 ) -> ComplexGraph:
     """density_filtration at the one threshold delta_t."""
-    return density_filtration(g, k_ref, [delta_t], cliques)[0]
+    return density_filtration(g, k_ref, [delta_t])[0]
 
 
 def _edges_inside(
@@ -204,17 +190,6 @@ def _edges_inside(
             w[i, j] = g.weights[i, j]
             w[j, i] = g.weights[j, i]
     return ComplexGraph(g.n, w)
-
-
-def density_filter_complex(
-    g: ComplexGraph,
-    k_ref: int,
-    delta_t: float,
-    cliques: Iterable[VertexSet] | None = None,
-) -> CliqueComplex:
-    """Full clique complex of the density-filtered reconstruction."""
-    rebuilt = density_filtered_graph(g, k_ref, delta_t, cliques)
-    return enumerate_cliques(rebuilt, rebuilt.n)
 
 
 @dataclass(frozen=True)
@@ -284,9 +259,6 @@ class TptReport:
 
     zero_cells: tuple[tuple[int, int], ...]
     sign_fronts: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-    def __bool__(self) -> bool:
-        return bool(self.zero_cells or self.sign_fronts)
 
 
 def tpt_points(s: FiltrationSurface) -> TptReport:

@@ -218,17 +218,24 @@ def reference_clique_density(g, s) -> float:
     return float(abs(sub.sum())) / (k * (k - 1))
 
 
-def reference_density_filter(g, k_ref, delta_t, cliques=None):
+def reference_density_filter(g, k_ref, delta_t):
     """g restricted to the edges inside its k_ref-cliques of density
-    >= delta_t, on all n vertices; brute-force cliques unless supplied."""
-    if cliques is None:
-        cliques = brute_force_cliques(g, k_ref)[k_ref]
+    >= delta_t, on all n vertices; the cliques come from brute force."""
     w = np.zeros_like(g.weights)
-    for s in cliques:
+    for s in brute_force_cliques(g, k_ref)[k_ref]:
         if reference_clique_density(g, s) >= delta_t:
             block = np.ix_(s, s)
             w[block] = g.weights[block]
     return ComplexGraph(g.n, w)
+
+
+def relabel(g, perm) -> ComplexGraph:
+    """Apply a vertex permutation: new vertex perm[v] is old vertex v."""
+    perm = list(perm)
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm must be a permutation of range(n)")
+    inv = np.argsort(perm)
+    return ComplexGraph(g.n, g.weights[np.ix_(inv, inv)])
 
 
 def reference_is_clique(g, s) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import gbstopo
 from gbstopo.cli import build_parser, main
-from gbstopo.graph import load_graph, save_graph
+from gbstopo.graph import graph_from_edges, load_graph, save_graph
 from gbstopo.instances import planted_clique_graph, two_community_graph
 
 
@@ -308,6 +309,24 @@ class TestCompareCmd:
         assert doc["enhancement"]["gbs_over_uniform"] is None or (
             doc["enhancement"]["gbs_over_uniform"] > 0
         )
+        rates = {k: v["success_rate"] for k, v in doc["backends"].items()}
+        ratio = doc["enhancement"]["gbs_over_squashed"]
+        assert rates["squashed"] > 0
+        assert ratio == rates["gbs"] / rates["squashed"]
+
+    def test_ratios_are_null_without_a_k_clique(self, tmp_path):
+        gpath = tmp_path / "path.json"
+        gpath.write_bytes(save_graph(
+            graph_from_edges(6, [(i, i + 1, 1.0) for i in range(5)])
+        ))
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--graph", str(gpath), "--k", "3",
+                     "--shots", "50", "--seed", "1", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert all(s["successes"] == 0 for s in doc["backends"].values())
+        assert doc["enhancement"] == {
+            "gbs_over_uniform": None, "gbs_over_squashed": None,
+        }
 
 
 class TestDryRunAndConfig:
@@ -677,7 +696,7 @@ class TestInputContract:
         ({"n": None}, "--n must be an integer, got None (config key 'n')"),
         ({"p": "half"}, "--p must be a number, got 'half' (config key 'p')"),
         ({"alpha_range": [0.2]}, "--alpha-range must be a list of 2 values, "
-         "each a number, got [0.2] (config key 'alpha_range')"),
+         "each a finite number, got [0.2] (config key 'alpha_range')"),
         ({"out": ["g.json"]}, "--out must be a string, got ['g.json']"),
         ({"dry_run": 1}, "--dry-run must be true or false, got 1"),
     ])
@@ -795,7 +814,43 @@ class TestInputContract:
                      "--omega-axis", "0.5", "--delta-axis", "0",
                      "--k-ref", "1", "--out", str(out)])
         assert code == 3
-        assert "k_ref must be >= 2" in capsys.readouterr().err
+        assert "--k-ref must be an integer >= 2, got 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "dry-run", "config"])
+    @pytest.mark.parametrize("argv, key, value, want", [
+        (["betti", "--delta-t", "0.5"], "k_ref", 0, "an integer >= 2"),
+        (["betti", "--k-ref", "3"], "delta_t", math.nan, "a finite number"),
+        (["percolation", "--k", "3", "--k-ref", "3"], "delta_t", math.nan,
+         "a finite number"),
+        (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5",
+          "--photon-total", "2"], "alpha", math.nan,
+         "a positive finite number"),
+        (["gen", "--n", "5", "--p", "0.5", "--seed", "0"], "alpha_range",
+         [math.nan, 1.0], "a list of 2 values, each a finite number"),
+        (["encode"], "d", math.inf, "a finite number"),
+        (["betti"], "dmax", -1, "a non-negative integer"),
+        (["dist"], "cutoff_total", -1, "a non-negative integer"),
+    ])
+    def test_numeric_flag_domain_names_the_flag(
+        self, tmp_path, capsys, how, argv, key, value, want
+    ):
+        flag = "--" + key.replace("_", "-")
+        if argv[0] != "gen":
+            argv = [*argv, "--graph", self.graph(tmp_path, 6)]
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out)]
+        if how == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            argv += ["--config", str(cfg)]
+        else:
+            words = value if isinstance(value, list) else [value]
+            argv += [flag, *map(str, words)]
+            argv += ["--dry-run"] if how == "dry-run" else []
+        assert main(argv) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be {want}, got {value!r}" in err
 
     @pytest.mark.parametrize("argv", [
         ["dist"],

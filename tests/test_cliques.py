@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from gbstopo.cliques import (
     Clique,
     binomial_interval,
-    enhancement,
     enumerate_cliques,
     find_cliques,
     greedy_shrink,
@@ -15,13 +14,12 @@ from gbstopo.cliques import (
     pattern_to_subset,
 )
 import gbstopo.cliques as cliques_mod
-from gbstopo.errors import BudgetError, UndefinedRatioError
+from gbstopo.errors import BudgetError
 from gbstopo.graph import (
     clique_density,
     graph_from_edges,
     is_clique,
     random_dual_layer,
-    relabel,
 )
 from gbstopo.sampler import SampleBatch
 from helpers import (
@@ -31,6 +29,7 @@ from helpers import (
     reference_clique_density,
     reference_find_cliques,
     reference_is_clique,
+    relabel,
 )
 
 
@@ -338,18 +337,6 @@ class TestSearchOncePerSubset:
 
 
 class TestEnhancement:
-    def test_ratio(self):
-        assert enhancement(0.3, 0.1) == pytest.approx(3.0)
-
-    def test_equal_rates(self):
-        assert enhancement(0.25, 0.25) == pytest.approx(1.0)
-
-    def test_zero_denominator(self):
-        with pytest.raises(UndefinedRatioError) as err:
-            enhancement(0.2, 0.0)
-        assert err.value.numerator == 0.2
-        assert err.value.denominator == 0.0
-
     def test_wilson_interval_basics(self):
         lo, hi = binomial_interval(50, 100)
         assert lo < 0.5 < hi

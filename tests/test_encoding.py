@@ -14,7 +14,8 @@ from gbstopo.encoding import (
     save_encoding,
     takagi,
 )
-from gbstopo.graph import ComplexGraph, graph_from_edges, random_dual_layer, relabel
+from gbstopo.graph import ComplexGraph, graph_from_edges, random_dual_layer
+from helpers import relabel
 
 
 def random_symmetric(n, seed):

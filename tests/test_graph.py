@@ -14,9 +14,9 @@ from gbstopo.graph import (
     is_clique,
     load_graph,
     random_dual_layer,
-    relabel,
     save_graph,
 )
+from helpers import relabel
 
 
 def doc(n, edges):

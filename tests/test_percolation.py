@@ -12,7 +12,6 @@ from gbstopo.graph import edge_filter, graph_from_edges, random_dual_layer
 from gbstopo.instances import graded_triangle_chain
 from gbstopo.percolation import (
     SweepConfig,
-    clique_adjacency,
     curve_correlation,
     damage,
     normalized_renyi,
@@ -27,29 +26,6 @@ from gbstopo.sampler import (
     sample_gbs,
 )
 from helpers import brute_force_cliques, scipy_spearman
-
-
-class TestCliqueAdjacency:
-    def test_share_two_of_three(self):
-        adj = clique_adjacency([(0, 1, 2), (1, 2, 3)])
-        assert adj == [[1], [0]]
-
-    def test_disjoint(self):
-        adj = clique_adjacency([(0, 1, 2), (3, 4, 5)])
-        assert adj == [[], []]
-
-    def test_mixed_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            clique_adjacency([(0, 1, 2), (0, 1)])
-
-    def test_matches_pairwise_intersection(self):
-        g = random_dual_layer(12, 0.45, seed=6)
-        tris = enumerate_cliques(g, 3).by_size[3]
-        adj = clique_adjacency(tris)
-        for a in range(len(tris)):
-            for b in range(a + 1, len(tris)):
-                expected = len(set(tris[a]) & set(tris[b])) == 2
-                assert (b in adj[a]) == expected
 
 
 class TestPercolationClusters:
@@ -89,6 +65,27 @@ class TestPercolationClusters:
             if comms:
                 want = max(len(c) for c in comms) / 25
             assert rep.phi == pytest.approx(want)
+
+    @given(n=st.integers(1, 12), p=st.sampled_from((0.0, 0.3, 0.6, 1.0)),
+           seed=st.integers(0, 10_000), k=st.sampled_from((2, 3, 4)))
+    @example(n=12, p=0.0, seed=0, k=2)
+    @example(n=12, p=1.0, seed=0, k=4)
+    @settings(max_examples=80, deadline=None)
+    def test_clusters_match_networkx_communities(self, n, p, seed, k):
+        nx = pytest.importorskip("networkx")
+        g = random_dual_layer(n, p, seed=seed)
+        gx = nx.Graph()
+        gx.add_nodes_from(range(n))
+        gx.add_edges_from((i, j) for i, j, _ in g.edges())
+        comms = nx.algorithms.community.k_clique_communities(gx, k)
+        want = sorted(
+            (tuple(sorted(c)) for c in comms), key=lambda t: (-len(t), t)
+        )
+        rep = percolation_clusters(g, k)
+        assert rep.clusters == tuple(want)
+        largest = len(want[0]) if want else 0
+        assert rep.largest_nodes == largest
+        assert rep.phi == largest / n
 
     def test_phi_monotone_under_edge_removal(self):
         g = random_dual_layer(30, 0.3, seed=11)

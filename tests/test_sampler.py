@@ -209,7 +209,8 @@ class TestSampleGbs:
 
 class TestPermutationEquivariance:
     def test_pattern_probabilities_permute_with_vertices(self):
-        from gbstopo.graph import random_dual_layer, relabel
+        from gbstopo.graph import random_dual_layer
+        from helpers import relabel
 
         g = random_dual_layer(4, 0.8, seed=19)
         perm = [2, 0, 3, 1]

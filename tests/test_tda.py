@@ -12,14 +12,12 @@ from gbstopo.graph import (
     edge_filter,
     graph_from_edges,
     random_dual_layer,
-    relabel,
 )
 from gbstopo.instances import surface_axes, two_community_graph
 from gbstopo.tda import (
     betti_numbers,
     boundary_matrix,
     clique_persistence,
-    density_filter_complex,
     density_filtered_graph,
     density_filtration,
     euler_characteristic,
@@ -38,6 +36,7 @@ from helpers import (
     reference_clique_density,
     reference_clique_persistence,
     reference_density_filter,
+    relabel,
 )
 
 # Edgeless, sparse, dense and complete random_dual_layer graphs.
@@ -242,7 +241,7 @@ class TestDensityFilter:
 
     def test_above_max_gives_empty(self):
         g = self.two_blocks()
-        cc = density_filter_complex(g, 5, 2.0)
+        cc = enumerate_cliques(density_filtered_graph(g, 5, 2.0), g.n)
         assert cc.m(1) == 10
         assert all(cc.m(k) == 0 for k in range(2, 6))
 
@@ -252,47 +251,23 @@ class TestDensityFilter:
         kept = {(i, j) for i, j, _ in rebuilt.edges()}
         assert kept == {(i, j) for i in range(5) for j in range(i + 1, 5)}
 
-    def test_supplied_clique_list(self):
-        g = self.two_blocks()
-        cc = density_filter_complex(g, 5, 0.0, cliques=[(0, 1, 2, 3, 4)])
-        assert cc.m(5) == 1
-
-    def test_rejects_non_clique_input(self):
-        g = self.two_blocks()
-        with pytest.raises(ValueError):
-            density_filter_complex(g, 5, 0.0, cliques=[(0, 1, 2, 3, 5)])
-
-
-    def test_rejects_clique_of_other_size(self):
-        g = self.two_blocks()
-        with pytest.raises(ValueError, match="is not a 5-set"):
-            density_filtration(g, 5, [0.0], cliques=[(0, 1, 2)])
-
 
 class TestDensityFiltration:
     @given(n=st.integers(1, 10), p=st.sampled_from(EDGE_PROBS),
-           seed=st.integers(0, 10_000), k_ref=st.integers(2, 4),
-           supplied=st.booleans(), data=st.data())
+           seed=st.integers(0, 10_000), k_ref=st.integers(2, 4))
     @settings(max_examples=60, deadline=None)
-    def test_matches_reference_filter(self, n, p, seed, k_ref, supplied, data):
+    def test_matches_reference_filter(self, n, p, seed, k_ref):
         g = random_dual_layer(n, p, seed=seed)
         refs = brute_force_cliques(g, k_ref)[k_ref]
         # Thresholds equal to clique densities probe the >= boundary.
         dens = sorted({reference_clique_density(g, s) for s in refs})
         thresholds = [0.0, *dens, 2.0]
-        cliques = None
-        if supplied:
-            keep = data.draw(st.lists(
-                st.booleans(), min_size=len(refs), max_size=len(refs)
-            ))
-            # Supplied cliques need not list their vertices in order.
-            cliques = [s[::-1] for s, k in zip(refs, keep) if k]
-        got = density_filtration(g, k_ref, thresholds, cliques)
+        got = density_filtration(g, k_ref, thresholds)
         assert len(got) == len(thresholds)
         for delta_t, rebuilt in zip(thresholds, got):
-            want = reference_density_filter(g, k_ref, delta_t, cliques)
+            want = reference_density_filter(g, k_ref, delta_t)
             assert np.array_equal(rebuilt.weights, want.weights)
-            one = density_filtered_graph(g, k_ref, delta_t, cliques)
+            one = density_filtered_graph(g, k_ref, delta_t)
             assert np.array_equal(one.weights, want.weights)
 
     def test_k_ref_below_two_rejected(self):
@@ -382,7 +357,9 @@ class TestFiltrationSurface:
         for i, wt in enumerate(omega):
             for j, dt in enumerate(delta):
                 filtered = edge_filter(g, wt, "keep_leq")
-                c = density_filter_complex(filtered, k_ref, dt)
+                c = enumerate_cliques(
+                    density_filtered_graph(filtered, k_ref, dt), n
+                )
                 chi = euler_characteristic(c)
                 cell = surf.cell(i, j)
                 assert cell.m == c.counts
