@@ -167,7 +167,18 @@ def cmd_cliques(args) -> bytes:
                 f"shot {shot} has {len(p)} modes but the graph has {g.n} vertices"
             )
     report = cl.find_cliques(g, batch, args.k, args.max_iters)
-    return cl.save_report(report, provenance=_provenance(args)) + b"\n"
+    found = sorted(report.cliques_found, key=lambda c: (-c.density, c.vertices))
+    payload = {
+        "shots": report.shots_in,
+        "successes": len(found),
+        "success_rate": report.success_rate,
+        "density_histogram": [
+            {"density": d, "count": c} for d, c in report.density_histogram.items()
+        ],
+        "cliques": [{"vertices": list(c.vertices), "density": c.density}
+                    for c in found],
+    }
+    return _json_report(payload, args)
 
 
 def cmd_betti(args) -> bytes:

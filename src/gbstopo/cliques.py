@@ -18,7 +18,6 @@ once and each size comes out in lexicographic order without a sort.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -216,12 +215,11 @@ def find_cliques(
     )
 
 
-def binomial_interval(
-    successes: int, shots: int, z: float = 1.959963984540054
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate (default 95%)."""
+def binomial_interval(successes: int, shots: int) -> tuple[float, float]:
+    """Wilson 95% score interval for a binomial rate."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     p = successes / shots
     den = 1.0 + z * z / shots
     centre = (p + z * z / (2 * shots)) / den
@@ -263,24 +261,3 @@ def enumerate_cliques(
         by_size[k] = [s for s, _ in grown]
         level = grown
     return CliqueComplex(by_size=by_size, k_max=k_max)
-
-
-def save_report(r: SearchReport, *, provenance: dict | None = None) -> bytes:
-    cliques = sorted(
-        r.cliques_found, key=lambda c: (-c.density, c.vertices)
-    )
-    doc = {
-        "shots": r.shots_in,
-        "successes": len(r.cliques_found),
-        "success_rate": r.success_rate,
-        "density_histogram": [
-            {"density": d, "count": c} for d, c in r.density_histogram.items()
-        ],
-        "cliques": [
-            {"vertices": list(c.vertices), "density": c.density}
-            for c in cliques
-        ],
-    }
-    if provenance is not None:
-        doc = {"provenance": provenance, **doc}
-    return json.dumps(doc, indent=1).encode("utf-8")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -18,14 +19,6 @@ from .errors import FormatError
 
 # An ascending tuple of distinct vertex indices.
 VertexSet = tuple[int, ...]
-
-
-def vertex_set(vertices: Iterable[int]) -> VertexSet:
-    """Canonicalize an iterable of vertex indices into a sorted tuple."""
-    vs = tuple(sorted(map(int, vertices)))
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"duplicate vertex in {vs}")
-    return vs
 
 
 def _mask_vertices(mask: int) -> list[int]:
@@ -252,8 +245,11 @@ def random_dual_layer(
 
 
 def _vertices_of(g: ComplexGraph, s: Sequence[int]) -> VertexSet:
-    """vertex_set(s), after checking that every vertex lies in 0..n-1."""
-    s = vertex_set(s)
+    """s as an ascending tuple; ValueError on a duplicate vertex or one
+    outside 0..n-1."""
+    s = tuple(sorted(map(int, s)))
+    if len(set(s)) != len(s):
+        raise ValueError(f"duplicate vertex in {s}")
     if s and (s[0] < 0 or s[-1] >= g.n):
         bad = s[0] if s[0] < 0 else s[-1]
         raise ValueError(f"vertex {bad} out of range for n={g.n}")
@@ -283,22 +279,21 @@ def clique_density(g: ComplexGraph, s: Sequence[int]) -> float:
     return _density(g, s)
 
 
-def edge_filter(g: ComplexGraph, omega_t: float, mode: str) -> ComplexGraph:
-    """Retain edges by weight magnitude.
-
-    keep_leq keeps edges with 0 < |w| <= omega_t, keep_geq keeps
-    |w| >= omega_t. Vertex count is unchanged.
-    """
+def edge_filter(g: ComplexGraph, omega_t: float) -> ComplexGraph:
+    """Keep the edges with 0 < |w| <= omega_t, on all n vertices."""
     if omega_t < 0:
         raise ValueError("threshold must be nonnegative")
     mag = g.magnitudes()
-    if mode == "keep_leq":
-        mask = (mag > 0) & (mag <= omega_t)
-    elif mode == "keep_geq":
-        mask = (mag > 0) & (mag >= omega_t)
-    else:
-        raise ValueError(f"unknown filter mode {mode!r}")
-    return ComplexGraph(g.n, np.where(mask, g.weights, 0.0))
+    return ComplexGraph(g.n, np.where((mag > 0) & (mag <= omega_t), g.weights, 0.0))
+
+
+def _pairs_inside(n: int, cliques: Sequence[VertexSet], k: int) -> np.ndarray:
+    """n x n boolean mask of the vertex pairs inside any of these k-cliques."""
+    rows = np.array(cliques, dtype=np.intp).reshape(-1, k)
+    mask = np.zeros((n, n), dtype=bool)
+    for a, b in combinations(range(k), 2):
+        mask[rows[:, a], rows[:, b]] = True
+    return mask | mask.T
 
 
 def is_clique(g: ComplexGraph, s: Sequence[int]) -> bool:

@@ -22,7 +22,7 @@ from . import sampler as smp
 from .cliques import enumerate_cliques
 from .encoding import encode
 from .errors import EmptyConditionError
-from .graph import ComplexGraph, VertexSet
+from .graph import ComplexGraph, VertexSet, _pairs_inside
 from .tda import density_filtration
 
 
@@ -100,14 +100,8 @@ def damage(g: ComplexGraph, node: int, k: int) -> ComplexGraph:
     `node`; everything else is untouched."""
     if not 0 <= node < g.n:
         raise ValueError(f"node {node} out of range")
-    w = np.array(g.weights)
-    for s in enumerate_cliques(g, k).by_size.get(k, []):
-        if node not in s:
-            continue
-        for i, j in combinations(s, 2):
-            w[i, j] = 0.0
-            w[j, i] = 0.0
-    return ComplexGraph(g.n, w)
+    hit = [s for s in enumerate_cliques(g, k).by_size.get(k, []) if node in s]
+    return ComplexGraph(g.n, np.where(~_pairs_inside(g.n, hit, k), g.weights, 0))
 
 
 def renyi_entropy(p, alpha: float) -> float:

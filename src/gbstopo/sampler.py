@@ -153,7 +153,6 @@ class _Lattice:
     cutoff_total: int
     cutoff_per_mode: int
     counts: np.ndarray  # (N, n) photon counts; row 0 is the vacuum
-    patterns: tuple[Pattern, ...]  # the same rows as tuples
     minus: np.ndarray  # (n, N) int32: index of p - e_j, -1 where p_j = 0
     lowest: np.ndarray  # (N,) lowest occupied mode (0 for the vacuum)
     totals: np.ndarray  # (N,) photon total
@@ -214,7 +213,6 @@ def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
         cutoff_total=cutoff_total,
         cutoff_per_mode=cutoff_per_mode,
         counts=counts,
-        patterns=tuple(zip(*counts.T.tolist())),
         minus=minus,
         lowest=np.argmax(counts > 0, axis=1),
         totals=counts.sum(axis=1),
@@ -238,12 +236,13 @@ class PatternDistribution:
     @functools.cached_property
     def entries(self) -> Mapping[Pattern, float]:
         """Read-only pattern -> probability view, built on first read."""
-        return MappingProxyType(dict(zip(self.lattice.patterns, self.probs.tolist())))
+        rows = map(tuple, self.lattice.counts.tolist())
+        return MappingProxyType(dict(zip(rows, self.probs.tolist())))
 
 
 def _lattice_law(lat: _Lattice, b: np.ndarray, prefactor: float) -> np.ndarray:
     """Probabilities of every lattice pattern, one even total at a time."""
-    haf = np.zeros(len(lat.patterns), dtype=complex)
+    haf = np.zeros(len(lat.counts), dtype=complex)
     haf[0] = 1.0
     for t in range(2, int(lat.totals.max(initial=0)) + 1, 2):
         idx = np.flatnonzero(lat.totals == t)
@@ -317,20 +316,17 @@ def sample_gbs(
     cutoff_total: int,
     cutoff_per_mode: int,
     seed: int,
-    budget: int = PATTERN_BUDGET,
 ) -> SampleBatch:
     """I.i.d. draws from the enumerated law renormalized by its mass."""
-    dist = enumerate_distribution(e, cutoff_total, cutoff_per_mode, budget)
+    dist = enumerate_distribution(e, cutoff_total, cutoff_per_mode)
     if dist.mass <= 0:
         raise InvariantError("enumerated distribution has zero mass")
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
-    out = []
-    for i in range(shots):
-        u = _shot_rng(seed, _TAG_GBS, i).random()
-        out.append(dist.lattice.patterns[int(np.searchsorted(cum, u, side="right"))])
+    u = np.array([_shot_rng(seed, _TAG_GBS, i).random() for i in range(shots)])
+    rows = dist.lattice.counts[np.searchsorted(cum, u, side="right")]
     return SampleBatch(
-        patterns=tuple(out),
+        patterns=tuple(map(tuple, rows.tolist())),
         seed=seed,
         backend="gbs",
         cutoff_total=cutoff_total,
@@ -466,7 +462,7 @@ def conditional_from_distribution(
         if collision_policy == "collision_free_only":
             rows &= lat.counts.max(axis=1) <= 1
         idx = np.flatnonzero(rows)
-        weighted = zip([lat.patterns[i] for i in idx], d.probs[idx].tolist())
+        weighted = zip(map(tuple, lat.counts[idx].tolist()), d.probs[idx].tolist())
     acc: dict[Pattern, float] = {}
     for p, w in weighted:
         if sum(p) != total:
@@ -505,14 +501,14 @@ def save_batch(b: SampleBatch, *, provenance: dict | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _record_pattern(rec) -> Pattern:
+def _record_pattern(rec) -> list[int]:
     """The record's "pattern", which must list non-negative integer counts."""
     p = rec["pattern"]
     if not isinstance(p, list) or any(type(c) is not int or c < 0 for c in p):
         raise FormatError(
             f"pattern counts must be non-negative integers in record {rec!r}"
         )
-    return tuple(p)
+    return p
 
 
 def _is_count(v) -> bool:
@@ -544,7 +540,7 @@ def load_batch(source: bytes | str) -> SampleBatch:
             p = _record_pattern(rec)
             if "total" in rec and rec["total"] != sum(p):
                 raise FormatError(f"inconsistent total in record {rec!r}")
-            patterns.append(p)
+            patterns.append(tuple(p))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
@@ -563,8 +559,8 @@ def save_distribution(
         "cutoff_per_mode": d.lattice.cutoff_per_mode,
         "mass": d.mass,
         "entries": [
-            {"pattern": list(p), "probability": w}
-            for p, w in zip(d.lattice.patterns, d.probs.tolist())
+            {"pattern": p, "probability": w}
+            for p, w in zip(d.lattice.counts.tolist(), d.probs.tolist())
         ],
     }
     if provenance is not None:
@@ -578,7 +574,7 @@ def load_distribution(source: bytes | str) -> PatternDistribution:
     source = source_text(source)
     try:
         doc = json.loads(source)
-        patterns = tuple(_record_pattern(rec) for rec in doc["entries"])
+        patterns = [_record_pattern(rec) for rec in doc["entries"]]
         probs = [rec["probability"] for rec in doc["entries"]]
         total, per_mode = doc["cutoff_total"], doc["cutoff_per_mode"]
         mass = doc["mass"]
@@ -595,7 +591,7 @@ def load_distribution(source: bytes | str) -> PatternDistribution:
     # shorter file before counting or building a lattice.
     if (min(total, n * per_mode) >= len(patterns)
             or count_patterns(n, total, per_mode) != len(patterns)
-            or _lattice(n, total, per_mode).patterns != patterns):
+            or _lattice(n, total, per_mode).counts.tolist() != patterns):
         raise FormatError(
             f"entries are not the full pattern lattice of cutoffs {total}/{per_mode}"
         )

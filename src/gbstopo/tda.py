@@ -14,13 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cliques import CliqueComplex, enumerate_cliques
 from .errors import InvariantError
-from .graph import ComplexGraph, VertexSet, _density, edge_filter
+from .graph import (
+    ComplexGraph, VertexSet, _density, _pairs_inside, edge_filter,
+)
 
 NEG_INF = float("-inf")
 
@@ -168,7 +170,10 @@ def density_filtration(
     found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
     scored = [(s, _density(g, s)) for s in found]
     return [
-        _edges_inside(g, [s for s, d in scored if d >= delta_t])
+        ComplexGraph(g.n, np.where(
+            _pairs_inside(g.n, [s for s, d in scored if d >= delta_t], k_ref),
+            g.weights, 0,
+        ))
         for delta_t in thresholds
     ]
 
@@ -178,18 +183,6 @@ def density_filtered_graph(
 ) -> ComplexGraph:
     """density_filtration at the one threshold delta_t."""
     return density_filtration(g, k_ref, [delta_t])[0]
-
-
-def _edges_inside(
-    g: ComplexGraph, cliques: Iterable[VertexSet]
-) -> ComplexGraph:
-    """g restricted to the edges inside these cliques, on all n vertices."""
-    w = np.zeros((g.n, g.n), dtype=complex)
-    for s in cliques:
-        for i, j in combinations(s, 2):
-            w[i, j] = g.weights[i, j]
-            w[j, i] = g.weights[j, i]
-    return ComplexGraph(g.n, w)
 
 
 @dataclass(frozen=True)
@@ -235,7 +228,7 @@ def filtration_surface(
         raise ValueError("axes must be ascending")
     rows = []
     for omega_t in omega_axis:
-        filtered = edge_filter(g, omega_t, "keep_leq")
+        filtered = edge_filter(g, omega_t)
         row = []
         for rebuilt in density_filtration(filtered, k_ref, delta_axis):
             complex_ = enumerate_cliques(rebuilt, rebuilt.n)

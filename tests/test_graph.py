@@ -177,30 +177,25 @@ class TestEdgeFilter:
         return graph_from_edges(4, [(0, 1, 0.2), (1, 2, 0.5j), (2, 3, -0.9)])
 
     def test_keep_leq_zero_empties(self):
-        assert edge_filter(self.fixture(), 0.0, "keep_leq").num_edges() == 0
+        assert edge_filter(self.fixture(), 0.0).num_edges() == 0
 
     def test_keep_leq_max_keeps_all(self):
         g = self.fixture()
-        assert edge_filter(g, 0.9, "keep_leq").num_edges() == 3
+        assert edge_filter(g, 0.9).num_edges() == 3
 
     def test_keep_leq_selects(self):
-        g = edge_filter(self.fixture(), 0.5, "keep_leq")
+        g = edge_filter(self.fixture(), 0.5)
         assert g.has_edge(0, 1) and g.has_edge(1, 2)
         assert not g.has_edge(2, 3)
 
-    def test_keep_geq(self):
-        g = edge_filter(self.fixture(), 0.5, "keep_geq")
-        assert not g.has_edge(0, 1)
-        assert g.has_edge(1, 2) and g.has_edge(2, 3)
-
     def test_composition_is_min(self):
         g = random_dual_layer(10, 0.6, seed=5)
-        a = edge_filter(edge_filter(g, 0.8, "keep_leq"), 0.4, "keep_leq")
-        b = edge_filter(g, 0.4, "keep_leq")
+        a = edge_filter(edge_filter(g, 0.8), 0.4)
+        b = edge_filter(g, 0.4)
         assert np.array_equal(a.weights, b.weights)
 
     def test_vertex_count_unchanged(self):
-        assert edge_filter(self.fixture(), 0.1, "keep_leq").n == 4
+        assert edge_filter(self.fixture(), 0.1).n == 4
 
 
 class TestIsClique:

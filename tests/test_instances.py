@@ -69,7 +69,7 @@ class TestTwoCommunity:
         from gbstopo.graph import edge_filter
 
         g = two_community_graph()
-        bridges_only = edge_filter(g, 0.5, "keep_leq")
+        bridges_only = edge_filter(g, 0.5)
         cc = enumerate_cliques(bridges_only, 3)
         assert cc.m(3) == 0
         assert cc.m(2) == 41

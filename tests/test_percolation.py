@@ -92,7 +92,7 @@ class TestPercolationClusters:
         mags = sorted(m for m in np.unique(np.abs(g.weights)) if m > 0)
         thresholds = [mags[-1], mags[len(mags) // 2], mags[len(mags) // 4]]
         phis = [
-            percolation_clusters(edge_filter(g, t, "keep_leq"), 3).phi
+            percolation_clusters(edge_filter(g, t), 3).phi
             for t in thresholds
         ]
         assert all(a >= b for a, b in zip(phis, phis[1:]))

@@ -356,7 +356,7 @@ class TestFiltrationSurface:
         surf = filtration_surface(g, omega, delta, k_ref)
         for i, wt in enumerate(omega):
             for j, dt in enumerate(delta):
-                filtered = edge_filter(g, wt, "keep_leq")
+                filtered = edge_filter(g, wt)
                 c = enumerate_cliques(
                     density_filtered_graph(filtered, k_ref, dt), n
                 )
