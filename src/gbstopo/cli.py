@@ -267,7 +267,7 @@ def cmd_percolation(args) -> bytes:
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
-    if args.delta_t > 0.0 and args.k_ref:
+    if args.k_ref is not None:
         g = tda.density_filtered_graph(g, args.k_ref, args.delta_t)
     report = perc.percolation_clusters(g, args.k)
     payload = {
@@ -379,11 +379,12 @@ _FRACTION = dict(
     action=_Bounded, want="a number in [0, 1]", ok=lambda v: 0.0 <= v <= 1.0
 )
 _FINITE = dict(action=_Bounded, want="a finite number", ok=math.isfinite)
-_K_REF = dict(action=_Bounded, want="an integer >= 2", ok=lambda v: v >= 2)
+_AT_LEAST_2 = dict(action=_Bounded, want="an integer >= 2", ok=lambda v: v >= 2)
+_OPEN_UNIT = dict(action=_Bounded, want="a number in (0, 1)", ok=lambda v: 0 < v < 1)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--target-spectral", type=float, default=0.7)
+    p.add_argument("--target-spectral", type=float, default=0.7, **_OPEN_UNIT)
     p.add_argument("--d", type=float, default=0.0, **_FINITE)
 
 
@@ -411,8 +412,8 @@ def build_parser() -> tuple[
         return p
 
     p = command("gen", cmd_gen, "generate a random dual-layer network")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--n", type=int, required=True, **_POSITIVE)
+    p.add_argument("--p", type=float, required=True, **_FRACTION)
     p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
     for flag in ("--alpha-range", "--beta-range"):
         p.add_argument(flag, type=float, nargs=2, default=[-1.0, 1.0], **_FINITE)
@@ -424,11 +425,12 @@ def build_parser() -> tuple[
     p = command("sample", cmd_sample, "draw photon patterns from a backend")
     p.add_argument("--graph")
     p.add_argument("--encoding")
-    p.add_argument("--n-modes", type=int)
+    p.add_argument("--n-modes", type=int, **_POSITIVE)
     p.add_argument("--backend", choices=smp.BACKENDS, default="gbs")
     p.add_argument("--shots", type=int, required=True, **_NONNEGATIVE)
     p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
-    p.add_argument("--k", type=int, help="subset size for the uniform backend")
+    p.add_argument("--k", type=int, help="subset size for the uniform backend",
+                   **_NONNEGATIVE)
     p.add_argument("--eta", type=float, default=1.0, **_FRACTION)
     _add_encoding_opts(p)
     _add_cutoffs(p)
@@ -450,7 +452,7 @@ def build_parser() -> tuple[
                 "clique-density filtration")
     p.add_argument("--graph", required=True)
     p.add_argument("--dmax", type=int, default=3, **_NONNEGATIVE)
-    p.add_argument("--k-ref", type=int, **_K_REF)
+    p.add_argument("--k-ref", type=int, **_AT_LEAST_2)
     p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
     p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n")
 
@@ -458,31 +460,31 @@ def build_parser() -> tuple[
     p.add_argument("--graph", required=True)
     p.add_argument("--omega-axis", required=True)
     p.add_argument("--delta-axis", required=True)
-    p.add_argument("--k-ref", type=int, default=2, **_K_REF)
+    p.add_argument("--k-ref", type=int, default=2, **_AT_LEAST_2)
 
     p = command("persistence", cmd_persistence, "clique birth/death thresholds")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, **_AT_LEAST_2)
 
     p = command("percolation", cmd_percolation, "k-clique percolation clusters")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--k-ref", type=int, **_K_REF)
+    p.add_argument("--k", type=int, required=True, **_AT_LEAST_2)
+    p.add_argument("--k-ref", type=int, **_AT_LEAST_2)
     p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
-    p.add_argument("--damage-node", type=int)
-    p.add_argument("--damage-k", type=int, default=4)
+    p.add_argument("--damage-node", type=int, **_NONNEGATIVE)
+    p.add_argument("--damage-k", type=int, default=4, **_AT_LEAST_2)
 
     p = command(
         "entropy", cmd_entropy,
         "percolation order parameter vs sampling entropy sweep",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--k-ref", type=int, required=True, **_K_REF)
+    p.add_argument("--k-ref", type=int, required=True, **_AT_LEAST_2)
     p.add_argument("--delta-axis", required=True)
     p.add_argument("--alpha", type=float, default=2.0, action=_Bounded,
                    want="a positive finite number",
                    ok=lambda v: 0.0 < v < math.inf)
-    p.add_argument("--photon-total", type=int, required=True)
+    p.add_argument("--photon-total", type=int, required=True, **_NONNEGATIVE)
     p.add_argument(
         "--backend", choices=("exact", "gbs", "squashed"), default="exact"
     )
@@ -493,8 +495,8 @@ def build_parser() -> tuple[
         choices=smp.COLLISION_POLICIES,
         default="threshold_collapse",
     )
-    p.add_argument("--damage-node", type=int)
-    p.add_argument("--damage-k", type=int, default=4)
+    p.add_argument("--damage-node", type=int, **_NONNEGATIVE)
+    p.add_argument("--damage-k", type=int, default=4, **_AT_LEAST_2)
     _add_encoding_opts(p)
     _add_cutoffs(p)
 

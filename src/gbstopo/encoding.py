@@ -46,10 +46,11 @@ def rescale(
     """Find c such that A' = c*A + d*I has largest singular value
     target_spectral, and return (c, A').
 
-    With d = 0 this is simply c = target / sigma_max(A). With d != 0 the
-    scale is the fixed point of c = target / sigma_max(A + (d/c) I),
-    resolved by damped iteration. A zero matrix forces c = 1 and
-    A' = d*I (the target is unattainable there; d = 0 is an error).
+    With d = 0 this is simply c = target / sigma_max(A). With 0 < |d| <
+    target the scale is the fixed point of c = target / sigma_max(A + (d/c) I),
+    resolved by damped iteration; |d| >= target is a ValueError. A zero
+    matrix forces c = 1 and A' = d*I (the target is unattainable there;
+    d = 0 is an error).
     """
     if not 0.0 < target_spectral < 1.0:
         raise ValueError("target spectral value must lie in (0, 1)")
@@ -62,6 +63,11 @@ def rescale(
     if d == 0.0:
         c = target_spectral / smax
         return c, c * w
+    if not abs(d) < target_spectral:
+        raise ValueError(
+            f"d = {d} cannot reach target spectral value {target_spectral}: "
+            f"the largest singular value of cA + dI is at least |d|"
+        )
     eye = np.eye(a.n)
     c = target_spectral / smax
     for _ in range(1000):

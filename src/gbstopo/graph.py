@@ -170,9 +170,8 @@ def load_graph(source: bytes | str) -> ComplexGraph:
     seen: set[tuple[int, int]] = set()
     for rec in doc["edges"]:
         try:
-            i, j = rec["i"], rec["j"]
-            wij = complex(float(rec["re"]), float(rec["im"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j, re, im = rec["i"], rec["j"], rec["re"], rec["im"]
+        except (KeyError, TypeError) as exc:
             raise FormatError(f"bad edge record {rec!r}") from exc
         if type(i) is not int or type(j) is not int:
             raise FormatError(f"edge indices must be integers in record {rec!r}")
@@ -184,8 +183,12 @@ def load_graph(source: bytes | str) -> ComplexGraph:
             raise FormatError(f"edge ({i},{j}) violates i < j ordering")
         if (i, j) in seen:
             raise FormatError(f"duplicate edge ({i},{j})")
-        if not cmath.isfinite(wij):
-            raise FormatError(f"edge ({i},{j}) has a non-finite weight {wij!r}")
+        if not (is_finite_number(re) and is_finite_number(im)):
+            raise FormatError(
+                f"edge ({i},{j}) has a non-finite weight (re {re!r}, im {im!r}); "
+                f"each must be a finite JSON number"
+            )
+        wij = complex(re, im)
         if wij == 0:
             raise FormatError(
                 f"edge ({i},{j}) has zero weight; omit absent edges instead"

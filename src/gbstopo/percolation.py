@@ -120,7 +120,13 @@ def renyi_entropy(p, alpha: float) -> float:
     probs = probs[probs > 0]
     if alpha == 1.0:
         return float(-np.sum(probs * np.log(probs)))
-    return float(np.log(np.sum(probs**alpha)) / (1.0 - alpha))
+    power_sum = np.sum(probs**alpha)
+    if power_sum == 0.0:  # every p**alpha underflowed; factor out the largest p
+        pmax = probs.max()
+        log_sum = alpha * np.log(pmax) + np.log(np.sum((probs / pmax) ** alpha))
+    else:
+        log_sum = np.log(power_sum)
+    return float(log_sum / (1.0 - alpha))
 
 
 def normalized_renyi(

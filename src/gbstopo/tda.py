@@ -292,8 +292,8 @@ class PersistencePair:
 
 
 def clique_persistence(g: ComplexGraph, k: int) -> list[PersistencePair]:
-    """Birth/death thresholds of each k-clique under the growing keep_leq
-    edge filtration.
+    """Birth/death thresholds of each k-clique as omega grows in
+    edge_filter(g, omega).
 
     A clique is born when its heaviest internal edge enters; it dies when
     it stops being maximal, i.e. at the smallest threshold at which some

@@ -3,7 +3,8 @@
 These deliberately avoid the production code paths: the hafnian oracle
 enumerates perfect matchings directly, the clique oracles scan all vertex
 subsets or close Bron-Kerbosch maximal cliques downward, the persistence
-oracle scans every outside vertex for absorbers, the homology oracle does
+oracle scans every outside vertex for absorbers, the damage oracle zeroes
+clique edges pair by pair, the homology oracle does
 dense GF(2) elimination on numpy arrays, components come from a
 hand-rolled union-find, the loss oracle expands every pattern into its
 thinned patterns one by one, the clique-search oracle runs every shot's
@@ -226,6 +227,17 @@ def reference_density_filter(g, k_ref, delta_t):
         if reference_clique_density(g, s) >= delta_t:
             block = np.ix_(s, s)
             w[block] = g.weights[block]
+    return ComplexGraph(g.n, w)
+
+
+def reference_damage(g, node, k):
+    """g without the edges inside its k-cliques that hold `node`, zeroed
+    pair by pair; the cliques come from brute force."""
+    w = np.array(g.weights)
+    for s in brute_force_cliques(g, k)[k]:
+        if node in s:
+            for i, j in combinations(s, 2):
+                w[i, j] = w[j, i] = 0
     return ComplexGraph(g.n, w)
 
 

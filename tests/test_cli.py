@@ -11,6 +11,8 @@ import gbstopo
 from gbstopo.cli import build_parser, main
 from gbstopo.graph import graph_from_edges, load_graph, save_graph
 from gbstopo.instances import planted_clique_graph, two_community_graph
+from gbstopo.percolation import percolation_clusters
+from gbstopo.tda import density_filtered_graph
 
 
 @pytest.fixture
@@ -237,6 +239,25 @@ class TestPercolationCmd:
         assert (json.loads(out_b.read_text())["phi"]
                 < json.loads(out_a.read_text())["phi"])
 
+    @pytest.mark.parametrize("delta_t", ["0", "-1"])
+    def test_k_ref_filters_at_any_delta_t(self, tmp_path, delta_t):
+        # As in betti, --k-ref alone turns the density filter on.
+        gpath = tmp_path / "g.json"
+        assert main(["gen", "--n", "14", "--p", "0.5", "--seed", "3",
+                     "--alpha-range", "0.2", "1", "--beta-range", "0", "0",
+                     "--out", str(gpath)]) == 0
+        out = tmp_path / "p.json"
+        assert main(["percolation", "--graph", str(gpath), "--k", "3",
+                     "--k-ref", "4", "--delta-t", delta_t,
+                     "--out", str(out)]) == 0
+        g = load_graph(gpath.read_bytes())
+        want = percolation_clusters(
+            density_filtered_graph(g, 4, float(delta_t)), 3
+        )
+        doc = json.loads(out.read_text())
+        assert doc["phi"] == want.phi < 1.0
+        assert doc["clusters"] == [list(c) for c in want.clusters]
+
 
 class TestEntropyCmd:
     def test_sweep_table(self, tmp_path):
@@ -254,6 +275,21 @@ class TestEntropyCmd:
         assert "# spearman_phi_entropy = " in text
         rows = [l for l in text.splitlines() if l and not l.startswith("#")]
         assert len(rows) == 9
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_alpha_stays_finite(self, tmp_path):
+        # sum(p**400) rounds to 0 at delta 0; h_alpha must not read inf.
+        gpath = tmp_path / "g.json"
+        assert main(["gen", "--n", "8", "--p", "0.6", "--seed", "1",
+                     "--out", str(gpath)]) == 0
+        out = tmp_path / "e.tsv"
+        assert main(["entropy", "--graph", str(gpath), "--k-ref", "3",
+                     "--delta-axis", "0,0.5", "--photon-total", "2",
+                     "--alpha", "400", "--out", str(out)]) == 0
+        rows = [l.split("\t") for l in out.read_text().splitlines()
+                if not l.startswith("#")]
+        h = float(rows[1][rows[0].index("h_alpha")])
+        assert h == pytest.approx(2.3240, abs=1e-4)
 
 
 class TestEntropySampledBackend:
@@ -691,10 +727,11 @@ class TestInputContract:
         )
 
     @pytest.mark.parametrize("cfg, named", [
-        ({"n": 5.5}, "--n must be an integer, got 5.5 (config key 'n')"),
-        ({"n": True}, "--n must be an integer, got True (config key 'n')"),
-        ({"n": None}, "--n must be an integer, got None (config key 'n')"),
-        ({"p": "half"}, "--p must be a number, got 'half' (config key 'p')"),
+        ({"n": 5.5}, "--n must be a positive integer, got 5.5 (config key 'n')"),
+        ({"n": True}, "--n must be a positive integer, got True (config key 'n')"),
+        ({"n": None}, "--n must be a positive integer, got None (config key 'n')"),
+        ({"p": "half"},
+         "--p must be a number in [0, 1], got 'half' (config key 'p')"),
         ({"alpha_range": [0.2]}, "--alpha-range must be a list of 2 values, "
          "each a finite number, got [0.2] (config key 'alpha_range')"),
         ({"out": ["g.json"]}, "--out must be a string, got ['g.json']"),
@@ -830,6 +867,25 @@ class TestInputContract:
         (["encode"], "d", math.inf, "a finite number"),
         (["betti"], "dmax", -1, "a non-negative integer"),
         (["dist"], "cutoff_total", -1, "a non-negative integer"),
+        (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1",
+          "--k", "0"], "n_modes", 0, "a positive integer"),
+        (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1",
+          "--k", "1"], "n_modes", -3, "a positive integer"),
+        (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1"],
+         "k", -1, "a non-negative integer"),
+        (["gen", "--p", "0.5", "--seed", "0"], "n", 0, "a positive integer"),
+        (["gen", "--n", "5", "--seed", "0"], "p", 1.5, "a number in [0, 1]"),
+        (["encode"], "target_spectral", 1.0, "a number in (0, 1)"),
+        (["dist"], "target_spectral", 0.0, "a number in (0, 1)"),
+        (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5"],
+         "photon_total", -1, "a non-negative integer"),
+        (["persistence"], "k", 1, "an integer >= 2"),
+        (["percolation"], "k", 1, "an integer >= 2"),
+        (["percolation", "--k", "3"], "damage_k", 1, "an integer >= 2"),
+        (["percolation", "--k", "3"], "damage_node", -1,
+         "a non-negative integer"),
+        (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5",
+          "--photon-total", "2"], "damage_k", 1, "an integer >= 2"),
     ])
     def test_numeric_flag_domain_names_the_flag(
         self, tmp_path, capsys, how, argv, key, value, want
@@ -851,6 +907,28 @@ class TestInputContract:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"error: {flag} must be {want}, got {value!r}" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--d", "0.9"], ["encode", "--d", "5"],
+        ["encode", "--d", "-3"], ["dist", "--d", "1e308"],
+    ])
+    def test_shift_beyond_target_exit_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        argv = [*argv, "--graph", self.graph(tmp_path, 6), "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+        assert "cannot reach target spectral value 0.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ['"0.5"', "true", "1" + "0" * 400],
+                             ids=["string", "bool", "int-beyond-float"])
+    def test_graph_weight_must_be_a_json_number(self, tmp_path, capsys, weight):
+        gpath = tmp_path / "g.json"
+        gpath.write_text('{"n": 2, "edges": [{"i": 0, "j": 1, "re": '
+                         + weight + ', "im": 0}]}')
+        out = tmp_path / "e.json"
+        assert main(["encode", "--graph", str(gpath), "--out", str(out)]) == 3
+        assert "edge (0,1) has a non-finite weight" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["dist"],

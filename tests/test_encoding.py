@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestRescale:
         assert np.allclose(a_prime, c * g.weights + 0.1 * np.eye(6))
         smax = np.linalg.svd(a_prime, compute_uv=False)[0]
         assert smax == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [0.5, 0.9, -0.5, 5.0, -3.0, 1e308])
+    def test_shift_beyond_target_rejected(self, d):
+        # cA + dI has trace 2d, so sigma_max >= |d| for every scale c.
+        with pytest.raises(ValueError, match=re.escape(
+            f"d = {d} cannot reach target spectral value 0.5"
+        )):
+            rescale(unit_edge_graph(), 0.5, d)
 
     def test_target_must_be_in_unit_interval(self):
         with pytest.raises(ValueError):

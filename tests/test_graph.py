@@ -86,6 +86,17 @@ class TestLoadGraph:
         with pytest.raises(FormatError, match=r"edge \(1,2\).*non-finite"):
             load_graph(d)
 
+    @pytest.mark.parametrize("re_, im", [
+        ("0.5", 0), (0.5, True), (10**400, 0), (0.5, None),
+    ], ids=["string", "bool", "int-beyond-float", "null"])
+    def test_weight_must_be_a_json_number(self, re_, im):
+        d = json.dumps({"n": 3, "edges": [
+            {"i": 0, "j": 2, "re": 0.5, "im": 0},
+            {"i": 1, "j": 2, "re": re_, "im": im},
+        ]}).encode()
+        with pytest.raises(FormatError, match=r"edge \(1,2\).*non-finite"):
+            load_graph(d)
+
 
 class TestSaveGraph:
     def test_round_trip_simple(self):

@@ -183,6 +183,13 @@ class TestRenyiEntropy:
             renyi_entropy(p[::-1], 2.0)
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_power_sum_stays_finite(self):
+        # 0.1**400 and 0.5**2000 round to 0; the entropy does not.
+        assert renyi_entropy([0.1] * 10, 400.0) == pytest.approx(math.log(10))
+        h = renyi_entropy([0.5, 0.25, 0.25], 2000.0)
+        assert h == pytest.approx(2000 * math.log(2) / 1999)
+
 
 class TestNormalizedRenyi:
     def test_uniform_over_all_patterns_is_one(self):

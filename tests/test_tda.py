@@ -14,6 +14,7 @@ from gbstopo.graph import (
     random_dual_layer,
 )
 from gbstopo.instances import surface_axes, two_community_graph
+from gbstopo.percolation import damage
 from gbstopo.tda import (
     betti_numbers,
     boundary_matrix,
@@ -35,6 +36,7 @@ from helpers import (
     dense_gf2_rank,
     reference_clique_density,
     reference_clique_persistence,
+    reference_damage,
     reference_density_filter,
     relabel,
 )
@@ -273,6 +275,44 @@ class TestDensityFiltration:
     def test_k_ref_below_two_rejected(self):
         with pytest.raises(ValueError, match="k_ref must be >= 2"):
             density_filtration(complete(4), 1, [0.0])
+
+class TestEdgeMask:
+    """Every filtered network comes from one boolean edge mask; each is
+    checked against a pair-by-pair reference."""
+
+    @given(n=st.integers(1, 9), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k=st.integers(2, 4),
+           node=st.integers(0, 8), cut=st.integers(0, 40))
+    @example(n=7, p=0.0, seed=0, k=2, node=3, cut=0)
+    @example(n=7, p=1.0, seed=0, k=4, node=3, cut=10)
+    @settings(max_examples=60, deadline=None)
+    def test_filters_match_pair_references(self, n, p, seed, k, node, cut):
+        g = random_dual_layer(n, p, seed=seed)
+        node %= n
+        # |w| is g.magnitudes(): numpy's array abs can differ from the
+        # scalar abs in the last place.
+        mags = g.magnitudes()
+        # 0, every edge magnitude (the <= boundary) and one above them all.
+        cuts = [0.0, *sorted(set(mags.ravel().tolist())), 2.0]
+        omega = cuts[cut % len(cuts)]
+
+        want = np.zeros_like(g.weights)
+        for i in range(n):
+            for j in range(n):
+                if 0 < mags[i, j] <= omega:
+                    want[i, j] = g.weights[i, j]
+        assert np.array_equal(edge_filter(g, omega).weights, want)
+
+        dens = sorted({reference_clique_density(g, s)
+                       for s in brute_force_cliques(g, k)[k]})
+        thresholds = [0.0, *dens, 2.0]
+        for delta_t, rebuilt in zip(thresholds, density_filtration(g, k, thresholds)):
+            want = reference_density_filter(g, k, delta_t)
+            assert np.array_equal(rebuilt.weights, want.weights)
+
+        want = reference_damage(g, node, k)
+        assert np.array_equal(damage(g, node, k).weights, want.weights)
+
 
 class TestFiltrationSurface:
     def test_single_cell_equals_direct_analysis(self):
