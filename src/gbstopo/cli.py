@@ -161,11 +161,9 @@ def cmd_dist(args) -> bytes:
 def cmd_cliques(args) -> bytes:
     g = _read_graph(args.graph)
     batch = smp.load_batch(_read(args.samples, "--samples"))
-    for shot, p in enumerate(batch.patterns):
-        if len(p) != g.n:
-            raise FormatError(
-                f"shot {shot} has {len(p)} modes but the graph has {g.n} vertices"
-            )
+    shots, width = batch.patterns.shape
+    if shots and width != g.n:
+        raise FormatError(f"shot 0 has {width} modes but the graph has {g.n} vertices")
     report = cl.find_cliques(g, batch, args.k, args.max_iters)
     found = sorted(report.cliques_found, key=lambda c: (-c.density, c.vertices))
     payload = {

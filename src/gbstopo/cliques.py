@@ -197,7 +197,7 @@ def find_cliques(
     distinct subset is searched once, in order of first appearance.
     """
     _check_search_params(target_k, max_iters)
-    subsets = [pattern_to_subset(p) for p in b.patterns]
+    subsets = [pattern_to_subset(p) for p in b.patterns.tolist()]
     searched = {
         s: local_search(g, greedy_shrink(g, s), target_k, max_iters)
         for s in dict.fromkeys(subsets)

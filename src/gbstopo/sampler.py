@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -55,14 +54,23 @@ _TAG_SQUASHED = 2
 _TAG_LOSS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: == on an ndarray field is ambiguous
 class SampleBatch:
-    patterns: tuple[Pattern, ...]
+    """Shots as one read-only (shots, n_modes) int64 array of counts."""
+
+    patterns: np.ndarray
     seed: int
     backend: str
     loss_eta: float = 1.0
     cutoff_total: int | None = None
     cutoff_per_mode: int | None = None
+
+    def __post_init__(self):
+        rows = np.array(self.patterns, dtype=np.int64)
+        if rows.ndim != 2:  # no shots: () has no mode count
+            rows = rows.reshape(len(rows), 0)
+        rows.flags.writeable = False
+        object.__setattr__(self, "patterns", rows)
 
 
 def hafnian(m: np.ndarray) -> complex:
@@ -310,6 +318,11 @@ def _shot_rng(seed: int, tag: int, shot: int) -> np.random.Generator:
     return np.random.default_rng([seed, tag, shot])
 
 
+def _per_shot(seed: int, tag: int, items: Iterable, draw) -> list:
+    """draw(rng, item) for each item i, on its own stream (seed, tag, i)."""
+    return [draw(_shot_rng(seed, tag, i), item) for i, item in enumerate(items)]
+
+
 def sample_gbs(
     e: GBSEncoding,
     shots: int,
@@ -323,10 +336,9 @@ def sample_gbs(
         raise InvariantError("enumerated distribution has zero mass")
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
-    u = np.array([_shot_rng(seed, _TAG_GBS, i).random() for i in range(shots)])
-    rows = dist.lattice.counts[np.searchsorted(cum, u, side="right")]
+    u = _per_shot(seed, _TAG_GBS, range(shots), lambda rng, _: rng.random())
     return SampleBatch(
-        patterns=tuple(map(tuple, rows.tolist())),
+        patterns=dist.lattice.counts[np.searchsorted(cum, u, side="right")],
         seed=seed,
         backend="gbs",
         cutoff_total=cutoff_total,
@@ -340,15 +352,9 @@ def sample_uniform(n_modes: int, k: int, shots: int, seed: int) -> SampleBatch:
         raise ValueError(f"k={k} exceeds mode count {n_modes}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    out = []
-    for i in range(shots):
-        rng = _shot_rng(seed, _TAG_UNIFORM, i)
-        subset = rng.choice(n_modes, size=k, replace=False)
-        p = [0] * n_modes
-        for v in subset:
-            p[int(v)] = 1
-        out.append(tuple(p))
-    return SampleBatch(patterns=tuple(out), seed=seed, backend="uniform")
+    rows = _per_shot(seed, _TAG_UNIFORM, range(shots), lambda rng, _: np.bincount(
+        rng.choice(n_modes, size=k, replace=False), minlength=n_modes))
+    return SampleBatch(np.reshape(rows, (shots, n_modes)), seed, "uniform")
 
 
 def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
@@ -360,14 +366,13 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
     count_i ~ Poisson(|beta_i|^2).
     """
     std = np.sqrt((np.exp(2.0 * e.squeezings) - 1.0) / 4.0)
-    out = []
-    for i in range(shots):
-        rng = _shot_rng(seed, _TAG_SQUASHED, i)
-        a = rng.normal(0.0, 1.0, size=e.n) * std
-        beta = e.u @ a
-        counts = rng.poisson(np.abs(beta) ** 2)
-        out.append(tuple(int(c) for c in counts))
-    return SampleBatch(patterns=tuple(out), seed=seed, backend="squashed")
+
+    def draw(rng, _):
+        beta = e.u @ (rng.normal(0.0, 1.0, size=e.n) * std)
+        return rng.poisson(np.abs(beta) ** 2)
+
+    rows = _per_shot(seed, _TAG_SQUASHED, range(shots), draw)
+    return SampleBatch(np.reshape(rows, (shots, e.n)), seed, "squashed")
 
 
 def sample(
@@ -424,20 +429,14 @@ def apply_loss(x, eta: float, seed: int = 0):
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if isinstance(x, SampleBatch):
-        out = []
-        for i, p in enumerate(x.patterns):
-            rng = _shot_rng(seed, _TAG_LOSS, i)
-            out.append(tuple(int(rng.binomial(c, eta)) for c in p))
-        return replace(x, patterns=tuple(out), loss_eta=x.loss_eta * eta)
+        rows = _per_shot(seed, _TAG_LOSS, x.patterns,
+                         lambda rng, row: rng.binomial(row, eta))
+        return replace(x, patterns=np.reshape(rows, x.patterns.shape),
+                       loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):
         # Thinned patterns lie below their source, so stay on the lattice.
         return replace(x, probs=_thin_lattice(x.lattice, x.probs, eta))
     raise TypeError(f"cannot apply loss to {type(x).__name__}")
-
-
-def collapse_threshold(p: Pattern) -> Pattern:
-    """Map photon counts to detector clicks (counts > 0 become 1)."""
-    return tuple(1 if c > 0 else 0 for c in p)
 
 
 def conditional_from_distribution(
@@ -445,8 +444,8 @@ def conditional_from_distribution(
 ) -> dict[Pattern, float]:
     """Law of the patterns carrying `total` photons, renormalised.
 
-    A distribution weighs each pattern by its probability; a batch weighs
-    it by its whole shot count, so each value is count / selected shots.
+    A distribution weighs each lattice pattern by its probability; a batch
+    weighs each shot by 1, so each value is count / selected shots.
     collision_free_only keeps only 0/1 patterns; threshold_collapse keeps
     every pattern at the total and collapses counts to clicks afterwards.
     """
@@ -455,22 +454,16 @@ def conditional_from_distribution(
     if total < 0:
         raise ValueError("total must be nonnegative")
     if isinstance(d, SampleBatch):
-        weighted = Counter(d.patterns).items()
+        rows, weights = d.patterns, np.ones(len(d.patterns))
     else:
-        lat = d.lattice
-        rows = (lat.totals == total) & (d.probs != 0)
-        if collision_policy == "collision_free_only":
-            rows &= lat.counts.max(axis=1) <= 1
-        idx = np.flatnonzero(rows)
-        weighted = zip(map(tuple, lat.counts[idx].tolist()), d.probs[idx].tolist())
+        rows, weights = d.lattice.counts, d.probs
+    keep = (rows.sum(axis=1) == total) & (weights != 0)
+    if collision_policy == "collision_free_only":
+        keep &= rows.max(axis=1, initial=0) <= 1
+    else:
+        rows = np.minimum(rows, 1)  # counts become detector clicks
     acc: dict[Pattern, float] = {}
-    for p, w in weighted:
-        if sum(p) != total:
-            continue
-        if collision_policy == "threshold_collapse":
-            p = collapse_threshold(p)
-        elif any(c > 1 for c in p):
-            continue
+    for p, w in zip(map(tuple, rows[keep].tolist()), weights[keep].tolist()):
         acc[p] = acc.get(p, 0.0) + w
     norm = sum(acc.values())
     if norm <= 0.0:
@@ -496,8 +489,8 @@ def save_batch(b: SampleBatch, *, provenance: dict | None = None) -> bytes:
     if provenance is not None:
         header["provenance"] = provenance
     lines = [json.dumps(header)]
-    for p in b.patterns:
-        lines.append(json.dumps({"pattern": list(p), "total": sum(p)}))
+    for p in b.patterns.tolist():
+        lines.append(json.dumps({"pattern": p, "total": sum(p)}))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -540,15 +533,22 @@ def load_batch(source: bytes | str) -> SampleBatch:
             p = _record_pattern(rec)
             if "total" in rec and rec["total"] != sum(p):
                 raise FormatError(f"inconsistent total in record {rec!r}")
-            patterns.append(tuple(p))
+            if patterns and len(p) != len(patterns[0]):
+                raise FormatError(f"record {rec!r} has {len(p)} modes but "
+                                  f"the first record has {len(patterns[0])}")
+            patterns.append(p)
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FormatError(f"bad sample file: {exc}") from exc
-    return SampleBatch(
-        patterns=tuple(patterns), seed=seed, backend=backend,
-        loss_eta=float(eta), cutoff_total=cutoffs[0], cutoff_per_mode=cutoffs[1],
-    )
+    try:
+        return SampleBatch(
+            patterns=patterns, seed=seed, backend=backend, loss_eta=float(eta),
+            cutoff_total=cutoffs[0], cutoff_per_mode=cutoffs[1],
+        )
+    except OverflowError:  # the counts must fit the int64 pattern array
+        raise FormatError(f"pattern counts must be at most 2^63 - 1, got "
+                          f"{max(map(max, patterns))}") from None
 
 
 def save_distribution(
