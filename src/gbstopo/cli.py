@@ -34,22 +34,27 @@ EXIT_BUDGET = 4
 EXIT_INVARIANT = 5
 
 
-def _axis(spec: str, flag: str) -> list[float]:
-    """Parse an axis flag, comma-separated values or lin:lo:hi:num, into
-    one or more finite values."""
+# Values per axis flag; the paper's grids are 20 x 20.
+AXIS_MAX = 10_000
+
+
+def _axis(spec: str) -> list[float] | None:
+    """The values of an axis flag, comma-separated values or lin:lo:hi:num:
+    1 to AXIS_MAX finite numbers, else None."""
     try:
         if spec.startswith("lin:"):
             _, lo, hi, num = spec.split(":")
+            if not 1 <= int(num) <= AXIS_MAX:  # before linspace allocates
+                return None
             with np.errstate(all="ignore"):  # non-finite values fail below
                 values = np.linspace(float(lo), float(hi), int(num)).tolist()
         else:
             values = [float(x) for x in spec.split(",") if x.strip()]
     except ValueError:
-        values = []
-    if values and all(map(math.isfinite, values)):
+        return None
+    if 1 <= len(values) <= AXIS_MAX and all(map(math.isfinite, values)):
         return values
-    raise FormatError(f"{flag} must be finite numbers v1,v2,... or "
-                      f"lin:lo:hi:num with num >= 1, got {spec!r}")
+    return None
 
 
 def _provenance(args: argparse.Namespace) -> dict:
@@ -182,7 +187,7 @@ def cmd_cliques(args) -> bytes:
 def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
     axis = args.delta_axis
-    thresholds = [args.delta_t] if axis is None else _axis(axis, "--delta-axis")
+    thresholds = [args.delta_t] if axis is None else _axis(axis)
     if args.k_ref is not None:
         rebuilt = tda.density_filtration(g, args.k_ref, thresholds)
         complexes = (cl.enumerate_cliques(r, r.n) for r in rebuilt)
@@ -217,8 +222,7 @@ def cmd_betti(args) -> bytes:
 def cmd_surface(args) -> bytes:
     g = _read_graph(args.graph)
     surf = tda.filtration_surface(
-        g, _axis(args.omega_axis, "--omega-axis"),
-        _axis(args.delta_axis, "--delta-axis"), args.k_ref,
+        g, _axis(args.omega_axis), _axis(args.delta_axis), args.k_ref,
     )
     # Every cell counts its n >= 1 vertices, and the axes are not empty.
     kmax = max(
@@ -292,7 +296,7 @@ def cmd_entropy(args) -> bytes:
         f.name: getattr(args, f.name) for f in dataclasses.fields(perc.SweepConfig)
     })
     phi_curve, ent_curve = perc.percolation_entropy_sweep(
-        g, _axis(args.delta_axis, "--delta-axis"), cfg
+        g, _axis(args.delta_axis), cfg
     )
     rows = [
         [dt, phi, nstar, h, hn, ent_curve.shots, ent_curve.backend]
@@ -379,6 +383,9 @@ _FRACTION = dict(
 _FINITE = dict(action=_Bounded, want="a finite number", ok=math.isfinite)
 _AT_LEAST_2 = dict(action=_Bounded, want="an integer >= 2", ok=lambda v: v >= 2)
 _OPEN_UNIT = dict(action=_Bounded, want="a number in (0, 1)", ok=lambda v: 0 < v < 1)
+# The stored value stays the spec string, which the report headers print.
+_AXIS = dict(action=_Bounded, ok=lambda spec: _axis(spec) is not None, want=(
+    f"finite numbers v1,v2,... or lin:lo:hi:num, 1 to {AXIS_MAX} of them"))
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
@@ -452,12 +459,13 @@ def build_parser() -> tuple[
     p.add_argument("--dmax", type=int, default=3, **_NONNEGATIVE)
     p.add_argument("--k-ref", type=int, **_AT_LEAST_2)
     p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
-    p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n")
+    p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n",
+                   **_AXIS)
 
     p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)
-    p.add_argument("--omega-axis", required=True)
-    p.add_argument("--delta-axis", required=True)
+    p.add_argument("--omega-axis", required=True, **_AXIS)
+    p.add_argument("--delta-axis", required=True, **_AXIS)
     p.add_argument("--k-ref", type=int, default=2, **_AT_LEAST_2)
 
     p = command("persistence", cmd_persistence, "clique birth/death thresholds")
@@ -478,7 +486,7 @@ def build_parser() -> tuple[
     )
     p.add_argument("--graph", required=True)
     p.add_argument("--k-ref", type=int, required=True, **_AT_LEAST_2)
-    p.add_argument("--delta-axis", required=True)
+    p.add_argument("--delta-axis", required=True, **_AXIS)
     p.add_argument("--alpha", type=float, default=2.0, action=_Bounded,
                    want="a positive finite number",
                    ok=lambda v: 0.0 < v < math.inf)

@@ -47,10 +47,11 @@ def rescale(
     target_spectral, and return (c, A').
 
     With d = 0 this is simply c = target / sigma_max(A). With 0 < |d| <
-    target the scale is the fixed point of c = target / sigma_max(A + (d/c) I),
-    resolved by damped iteration; |d| >= target is a ValueError. A zero
-    matrix forces c = 1 and A' = d*I (the target is unattainable there;
-    d = 0 is an error).
+    target, c is bisected: the eigenvalues of cA + dI average d (A has a
+    zero diagonal), so sigma_max(cA + dI) is convex in c, least (|d|) at
+    c = 0, and crosses the target once below (target + |d|) / sigma_max(A).
+    |d| >= target is a ValueError. A zero matrix forces c = 1 and A' = d*I
+    (the target is unattainable there; d = 0 is an error).
     """
     if not 0.0 < target_spectral < 1.0:
         raise ValueError("target spectral value must lie in (0, 1)")
@@ -69,19 +70,17 @@ def rescale(
             f"the largest singular value of cA + dI is at least |d|"
         )
     eye = np.eye(a.n)
-    c = target_spectral / smax
-    for _ in range(1000):
-        c_next = target_spectral / _sigma_max(w + (d / c) * eye)
-        if abs(c_next - c) < 1e-13:
-            c = c_next
-            break
-        c = 0.5 * (c + c_next)
-    a_prime = c * w + d * eye
+    lo, hi = 0.0, (target_spectral + abs(d)) / smax
+    # Halve until no float lies strictly between lo and hi.
+    while lo < (c := 0.5 * (lo + hi)) < hi:
+        if _sigma_max(c * w + d * eye) < target_spectral:
+            lo = c
+        else:
+            hi = c
+    a_prime = hi * w + d * eye
     if abs(_sigma_max(a_prime) - target_spectral) > 1e-9:
-        raise InvariantError(
-            f"rescale iteration did not converge for d={d}"
-        )
-    return c, a_prime
+        raise InvariantError(f"rescale bisection missed the target for d={d}")
+    return hi, a_prime
 
 
 def takagi(a_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,6 +207,9 @@ def load_encoding(source: bytes | str) -> GBSEncoding:
     numbers += [rec.get(part) for rec in u for part in ("re", "im")]
     if not all(map(is_finite_number, numbers)):
         raise FormatError("encoding c, d and each re, im of u must be finite numbers")
+    # A unitary's entries have modulus <= 1; far larger ones overflow u^H u.
+    if not all(abs(x) <= 1 + RECON_TOL for x in numbers[2:]):
+        raise FormatError("encoding u is not unitary: a re or im exceeds 1")
     u = np.array([complex(rec["re"], rec["im"]) for rec in u]).reshape(n, n)
     lambdas = np.array(doc["lambdas"], dtype=float)
     squeezings = np.array(doc["squeezings"], dtype=float)

@@ -166,7 +166,10 @@ def load_graph(source: bytes | str) -> ComplexGraph:
         raise FormatError(f"invalid vertex count: {n!r}")
     if not isinstance(doc["edges"], list):
         raise FormatError(f"'edges' must be a list, got {doc['edges']!r}")
-    w = np.zeros((n, n), dtype=complex)
+    try:
+        w = np.zeros((n, n), dtype=complex)
+    except (ValueError, MemoryError) as exc:  # numpy cannot hold n x n
+        raise FormatError(f"vertex count {n} is too large: {exc}") from None
     seen: set[tuple[int, int]] = set()
     for rec in doc["edges"]:
         try:

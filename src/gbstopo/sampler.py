@@ -587,9 +587,9 @@ def load_distribution(source: bytes | str) -> PatternDistribution:
             f"cutoffs must be non-negative integers, got {total!r}/{per_mode!r}"
         )
     n = len(patterns[0]) if patterns else 0
-    # The lattice has a pattern at every reachable total. That rules out a
-    # shorter file before counting or building a lattice.
-    if (min(total, n * per_mode) >= len(patterns)
+    # A lattice has one mode or more, and a pattern at every reachable total.
+    # That rules out a shorter file before counting or building a lattice.
+    if (n < 1 or min(total, n * per_mode) >= len(patterns)
             or count_patterns(n, total, per_mode) != len(patterns)
             or _lattice(n, total, per_mode).counts.tolist() != patterns):
         raise FormatError(

@@ -8,8 +8,9 @@ clique edges pair by pair, the homology oracle does
 dense GF(2) elimination on numpy arrays, components come from a
 hand-rolled union-find, the loss oracle expands every pattern into its
 thinned patterns one by one, the clique-search oracle runs every shot's
-search anew on np.ix_ submatrices, and the rank-correlation oracle is
-scipy.stats.spearmanr.
+search anew on np.ix_ submatrices, the batch-loss oracle draws one scalar
+binomial per count, the conditioning oracle tallies tuple patterns, and
+the rank-correlation oracle is scipy.stats.spearmanr.
 """
 
 import math
@@ -372,3 +373,32 @@ def scipy_spearman(a, b) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantInputWarning)
         return float(spearmanr(list(a), list(b)).statistic)
+
+
+def reference_batch_loss(rows, eta, seed) -> list:
+    """Batch loss drawn count by count: shot i thins mode after mode with
+    scalar binomial draws from its own stream default_rng([seed, 3, i])."""
+    out = []
+    for i, p in enumerate(rows):
+        rng = np.random.default_rng([seed, 3, i])
+        out.append([int(rng.binomial(c, eta)) for c in p])
+    return out
+
+
+def reference_conditional(weighted, total, collision_policy):
+    """Conditioning over (tuple pattern, weight) pairs, pattern by pattern:
+    a batch passes Counter(patterns).items(), a law its (pattern,
+    probability) entries. None where no weight is left at the total."""
+    acc = {}
+    for p, w in weighted:
+        if w == 0 or sum(p) != total:
+            continue
+        if collision_policy == "threshold_collapse":
+            p = tuple(1 if c > 0 else 0 for c in p)
+        elif any(c > 1 for c in p):
+            continue
+        acc[p] = acc.get(p, 0.0) + w
+    norm = sum(acc.values())
+    if norm <= 0.0:
+        return None
+    return {p: acc[p] / norm for p in sorted(acc)}

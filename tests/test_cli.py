@@ -1026,7 +1026,8 @@ class TestInputContract:
     ])
     @pytest.mark.parametrize("spec", [
         ",", "", "lin:0:1:0", "lin:0:1:-2", "nan", "0,inf", "lin:0:inf:3",
-        "lin:0:x:3", "lin:0:1", "lin:0:1:2.5", "0,a",
+        "lin:0:x:3", "lin:0:1", "lin:0:1:2.5", "0,a", "lin:0:1:10001",
+        "lin:0:1:100000000000",
     ])
     def test_bad_axis_names_its_flag(
         self, tmp_path, capsys, command, flag, spec
@@ -1045,6 +1046,32 @@ class TestInputContract:
                      "--out", str(out)]) == 3
         assert not out.exists()
         assert f"{flag} must be finite numbers" in capsys.readouterr().err
+
+    # Every case runs under --dry-run: an uncapped parser would ask
+    # np.linspace for 800 GB on the last spec.
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize("spec, code", [
+        ("lin:0:1:10000", 0), ("lin:0:1:10001", 3),
+        ("lin:0:1:100000000000", 3), ("0,nan", 3),
+    ])
+    def test_axis_checked_with_the_other_flags(
+        self, tmp_path, capsys, how, spec, code
+    ):
+        argv = ["surface", "--graph", self.graph(tmp_path, 6), "--k-ref", "3",
+                "--omega-axis", "0.5,1.0", "--out", str(tmp_path / "t.tsv"),
+                "--dry-run"]
+        if how == "config":
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"delta_axis": spec}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--delta-axis", spec]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert "--delta-axis must be finite numbers" in captured.err
+        else:
+            assert f"delta_axis = {spec}\n" in captured.out
 
 
 def _fresh_process(runs, cwd):

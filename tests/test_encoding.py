@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -15,6 +16,7 @@ from gbstopo.encoding import (
     save_encoding,
     takagi,
 )
+from gbstopo.errors import FormatError
 from gbstopo.graph import ComplexGraph, graph_from_edges, random_dual_layer
 from helpers import relabel
 
@@ -53,6 +55,17 @@ class TestRescale:
         assert np.allclose(a_prime, c * g.weights + 0.1 * np.eye(6))
         smax = np.linalg.svd(a_prime, compute_uv=False)[0]
         assert smax == pytest.approx(0.6, abs=1e-9)
+
+    @pytest.mark.parametrize("d", [0.69, -0.699, 0.6999, 0.69999999, -0.6])
+    @pytest.mark.parametrize("n,seed", [(8, 1), (10, 4), (12, 7)])
+    def test_shift_close_to_target_reaches_it(self, d, n, seed):
+        # The damped fixed-point iteration stopped off the target here.
+        g = random_dual_layer(n, 0.6, seed=seed)
+        c, a_prime = rescale(g, 0.7, d)
+        assert c > 0
+        assert np.array_equal(a_prime, c * g.weights + d * np.eye(n))
+        smax = np.linalg.svd(a_prime, compute_uv=False)[0]
+        assert smax == pytest.approx(0.7, abs=1e-12)
 
     @pytest.mark.parametrize("d", [0.5, 0.9, -0.5, 5.0, -3.0, 1e308])
     def test_shift_beyond_target_rejected(self, d):
@@ -195,3 +208,15 @@ class TestEncodingIO:
         assert np.array_equal(e.lambdas, e2.lambdas)
         assert np.array_equal(e.squeezings, e2.squeezings)
         assert (e.c, e.d) == (e2.c, e2.d)
+
+    # Found by tests/test_loader_fuzz.py: u^H u overflowed with a warning,
+    # and the second u loaded, its unitarity deviation NaN.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("u", [[1e200j], [1e200j, 1e200j, 1e200j, 1e200]])
+    def test_huge_u_entries_rejected(self, u):
+        n = math.isqrt(len(u))
+        doc = {"n": n, "c": 1.0, "d": 0.0, "lambdas": [0.1] * n,
+               "squeezings": [math.atanh(0.1)] * n,
+               "u": [{"re": z.real, "im": z.imag} for z in map(complex, u)]}
+        with pytest.raises(FormatError, match="not unitary"):
+            load_encoding(json.dumps(doc))

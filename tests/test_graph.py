@@ -97,6 +97,13 @@ class TestLoadGraph:
         with pytest.raises(FormatError, match=r"edge \(1,2\).*non-finite"):
             load_graph(d)
 
+    # Found by tests/test_loader_fuzz.py: numpy's ValueError escaped. Each
+    # n is refused by numpy before anything is allocated.
+    @pytest.mark.parametrize("n", [2**63 - 1, 10**30])
+    def test_vertex_count_beyond_an_array_rejected(self, n):
+        with pytest.raises(FormatError, match=f"vertex count {n} is too large"):
+            load_graph(doc(n, []))
+
 
 class TestSaveGraph:
     def test_round_trip_simple(self):

@@ -17,6 +17,8 @@ from gbstopo.errors import (
 )
 from gbstopo.graph import ComplexGraph, graph_from_edges
 from gbstopo.sampler import (
+    BACKENDS,
+    COLLISION_POLICIES,
     SampleBatch,
     _lattice,
     apply_loss,
@@ -35,7 +37,12 @@ from gbstopo.sampler import (
     save_batch,
     save_distribution,
 )
-from helpers import lossy_entries, matching_sum_hafnian
+from helpers import (
+    lossy_entries,
+    matching_sum_hafnian,
+    reference_batch_loss,
+    reference_conditional,
+)
 
 
 def single_mode_encoding(lam):
@@ -386,6 +393,87 @@ def batch_fields(b):
     return {**vars(b), "patterns": b.patterns.tolist()}
 
 
+class TestBatchArray:
+    def test_patterns_are_one_read_only_int64_array(self):
+        b = SampleBatch(patterns=((1, 2, 0), (0, 4, 1)), seed=0, backend="x")
+        assert b.patterns.dtype == np.int64 and b.patterns.shape == (2, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            b.patterns[0, 0] = 5
+
+    def test_samplers_keep_the_mode_count_at_zero_shots(self):
+        e = tmsv_encoding(0.5)
+        for backend in BACKENDS:
+            b = sample(backend, e, 0, 1, k=1, cutoff_total=4, cutoff_per_mode=4)
+            assert b.patterns.shape == (0, 2)
+            assert apply_loss(b, 0.5, 2).patterns.shape == (0, 2)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_shots_do_not_depend_on_the_shot_count(self, backend):
+        # Shot i draws only from its own stream (seed, tag, i).
+        e = random_encoding(4, 2)
+        whole = sample(backend, e, 30, 8, k=2, cutoff_total=4, cutoff_per_mode=2)
+        lossy = apply_loss(whole, 0.6, 9)
+        for m in (0, 1, 17):
+            part = sample(backend, e, m, 8, k=2, cutoff_total=4, cutoff_per_mode=2)
+            assert np.array_equal(part.patterns, whole.patterns[:m])
+            assert np.array_equal(
+                apply_loss(part, 0.6, 9).patterns, lossy.patterns[:m]
+            )
+
+
+def small_rows(max_shots=40):
+    """Up to max_shots patterns over 1 to 6 modes, counts up to 4."""
+    return st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=max_shots
+    ))
+
+
+def assert_same_conditioning(got_fn, want):
+    """got_fn() equals want key for key, in order and to the bit, or raises
+    EmptyConditionError where want is None."""
+    if want is None:
+        with pytest.raises(EmptyConditionError):
+            got_fn()
+        return
+    got = got_fn()
+    assert [(p, v.hex()) for p, v in got.items()] == [
+        (p, v.hex()) for p, v in want.items()
+    ]
+
+
+class TestBatchPathsMatchReferences:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=small_rows(), eta=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+    def test_loss_matches_per_mode_draws(self, rows, eta, seed):
+        b = SampleBatch(patterns=rows, seed=0, backend="x")
+        got = apply_loss(b, eta, seed).patterns.tolist()
+        assert got == reference_batch_loss(rows, eta, seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(rows=small_rows())
+    def test_batch_conditioning_matches_counter_tally(self, rows):
+        b = SampleBatch(patterns=rows, seed=0, backend="x")
+        weighted = Counter(map(tuple, rows)).items()
+        for policy in COLLISION_POLICIES:
+            for total in range(max(map(sum, rows), default=0) + 2):
+                assert_same_conditioning(
+                    lambda: conditional_from_distribution(b, total, policy),
+                    reference_conditional(weighted, total, policy),
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 50),
+           eta=st.sampled_from([1.0, 0.7, 0.0]))
+    def test_law_conditioning_matches_entry_tally(self, n, seed, eta):
+        d = apply_loss(enumerate_distribution(random_encoding(n, seed), 4, 3), eta)
+        for policy in COLLISION_POLICIES:
+            for total in range(6):
+                assert_same_conditioning(
+                    lambda: conditional_from_distribution(d, total, policy),
+                    reference_conditional(d.entries.items(), total, policy),
+                )
+
+
 class TestSampleDispatch:
     def test_each_backend_matches_its_sampler(self):
         e = tmsv_encoding(0.6)
@@ -437,6 +525,25 @@ class TestBatchIO:
                 "entries": [{**rec, "probability": 1.0}]}
         with pytest.raises(FormatError, match="non-negative integers"):
             load_distribution(json.dumps(dist).encode())
+
+    def test_ragged_records_rejected(self):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0}
+        lines = [header, {"pattern": [1, 0, 1]}, {"pattern": [1, 0]}]
+        with pytest.raises(FormatError, match="has 2 modes but the first"):
+            load_batch("\n".join(map(json.dumps, lines)).encode())
+
+    @pytest.mark.parametrize("count", [2**63, 10**30])
+    def test_count_beyond_int64_rejected(self, count):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0}
+        lines = [header, {"pattern": [1, 0]}, {"pattern": [count, 2**63 - 1]}]
+        with pytest.raises(FormatError, match=r"at most 2\^63 - 1"):
+            load_batch("\n".join(map(json.dumps, lines)).encode())
+
+    def test_largest_int64_count_loads(self):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0}
+        lines = [header, {"pattern": [2**63 - 1, 0]}]
+        b = load_batch("\n".join(map(json.dumps, lines)).encode())
+        assert b.patterns.tolist() == [[2**63 - 1, 0]]
 
     @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1"])
     def test_non_integer_seed_rejected(self, seed):
@@ -553,6 +660,13 @@ class TestDistributionLoss:
         reordered["entries"].reverse()
         with pytest.raises(FormatError, match="pattern lattice"):
             load_distribution(json.dumps(reordered).encode())
+
+    def test_rejects_zero_mode_patterns(self):
+        # Found by tests/test_loader_fuzz.py: a ValueError from numpy.
+        doc = {"cutoff_total": 0, "cutoff_per_mode": 0, "mass": 1.0,
+               "entries": [{"pattern": [], "probability": 1.0}]}
+        with pytest.raises(FormatError, match="pattern lattice"):
+            load_distribution(json.dumps(doc).encode())
 
 
 class TestDistributionFile:
