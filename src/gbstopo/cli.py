@@ -44,7 +44,7 @@ def _axis(spec: str) -> list[float] | None:
     try:
         if spec.startswith("lin:"):
             _, lo, hi, num = spec.split(":")
-            if not 1 <= int(num) <= AXIS_MAX:  # before linspace allocates
+            if int(num) > AXIS_MAX:  # before linspace allocates
                 return None
             with np.errstate(all="ignore"):  # non-finite values fail below
                 values = np.linspace(float(lo), float(hi), int(num)).tolist()

@@ -111,7 +111,7 @@ def dumps(doc) -> str:
     return json.dumps(doc, allow_nan=True)
 
 
-FUZZ = settings(max_examples=300, deadline=None,
+FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
