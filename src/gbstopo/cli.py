@@ -381,7 +381,17 @@ _FRACTION = dict(
     action=_Bounded, want="a number in [0, 1]", ok=lambda v: 0.0 <= v <= 1.0
 )
 _FINITE = dict(action=_Bounded, want="a finite number", ok=math.isfinite)
-_AT_LEAST_2 = dict(action=_Bounded, want="an integer >= 2", ok=lambda v: v >= 2)
+
+
+def _up_to_max_vertices(low: int) -> dict:
+    """An integer from `low` to graph.MAX_VERTICES: a vertex count, a clique
+    size (a k-clique has k vertices) or a simplex dimension."""
+    return dict(action=_Bounded, want=f"an integer in [{low}, {gr.MAX_VERTICES}]",
+                ok=lambda v: low <= v <= gr.MAX_VERTICES)
+
+
+_VERTEX_COUNT = _up_to_max_vertices(1)
+_CLIQUE_SIZE = _up_to_max_vertices(2)
 _OPEN_UNIT = dict(action=_Bounded, want="a number in (0, 1)", ok=lambda v: 0 < v < 1)
 # The stored value stays the spec string, which the report headers print.
 _AXIS = dict(action=_Bounded, ok=lambda spec: _axis(spec) is not None, want=(
@@ -417,7 +427,7 @@ def build_parser() -> tuple[
         return p
 
     p = command("gen", cmd_gen, "generate a random dual-layer network")
-    p.add_argument("--n", type=int, required=True, **_POSITIVE)
+    p.add_argument("--n", type=int, required=True, **_VERTEX_COUNT)
     p.add_argument("--p", type=float, required=True, **_FRACTION)
     p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
     for flag in ("--alpha-range", "--beta-range"):
@@ -430,7 +440,7 @@ def build_parser() -> tuple[
     p = command("sample", cmd_sample, "draw photon patterns from a backend")
     p.add_argument("--graph")
     p.add_argument("--encoding")
-    p.add_argument("--n-modes", type=int, **_POSITIVE)
+    p.add_argument("--n-modes", type=int, **_VERTEX_COUNT)
     p.add_argument("--backend", choices=smp.BACKENDS, default="gbs")
     p.add_argument("--shots", type=int, required=True, **_NONNEGATIVE)
     p.add_argument("--seed", type=int, required=True, **_NONNEGATIVE)
@@ -456,8 +466,8 @@ def build_parser() -> tuple[
     p = command("betti", cmd_betti, "Betti numbers, optionally under a "
                 "clique-density filtration")
     p.add_argument("--graph", required=True)
-    p.add_argument("--dmax", type=int, default=3, **_NONNEGATIVE)
-    p.add_argument("--k-ref", type=int, **_AT_LEAST_2)
+    p.add_argument("--dmax", type=int, default=3, **_up_to_max_vertices(0))
+    p.add_argument("--k-ref", type=int, **_CLIQUE_SIZE)
     p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
     p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n",
                    **_AXIS)
@@ -466,26 +476,26 @@ def build_parser() -> tuple[
     p.add_argument("--graph", required=True)
     p.add_argument("--omega-axis", required=True, **_AXIS)
     p.add_argument("--delta-axis", required=True, **_AXIS)
-    p.add_argument("--k-ref", type=int, default=2, **_AT_LEAST_2)
+    p.add_argument("--k-ref", type=int, default=2, **_CLIQUE_SIZE)
 
     p = command("persistence", cmd_persistence, "clique birth/death thresholds")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True, **_AT_LEAST_2)
+    p.add_argument("--k", type=int, required=True, **_CLIQUE_SIZE)
 
     p = command("percolation", cmd_percolation, "k-clique percolation clusters")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True, **_AT_LEAST_2)
-    p.add_argument("--k-ref", type=int, **_AT_LEAST_2)
+    p.add_argument("--k", type=int, required=True, **_CLIQUE_SIZE)
+    p.add_argument("--k-ref", type=int, **_CLIQUE_SIZE)
     p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
     p.add_argument("--damage-node", type=int, **_NONNEGATIVE)
-    p.add_argument("--damage-k", type=int, default=4, **_AT_LEAST_2)
+    p.add_argument("--damage-k", type=int, default=4, **_CLIQUE_SIZE)
 
     p = command(
         "entropy", cmd_entropy,
         "percolation order parameter vs sampling entropy sweep",
     )
     p.add_argument("--graph", required=True)
-    p.add_argument("--k-ref", type=int, required=True, **_AT_LEAST_2)
+    p.add_argument("--k-ref", type=int, required=True, **_CLIQUE_SIZE)
     p.add_argument("--delta-axis", required=True, **_AXIS)
     p.add_argument("--alpha", type=float, default=2.0, action=_Bounded,
                    want="a positive finite number",
@@ -502,7 +512,7 @@ def build_parser() -> tuple[
         default="threshold_collapse",
     )
     p.add_argument("--damage-node", type=int, **_NONNEGATIVE)
-    p.add_argument("--damage-k", type=int, default=4, **_AT_LEAST_2)
+    p.add_argument("--damage-k", type=int, default=4, **_CLIQUE_SIZE)
     _add_encoding_opts(p)
     _add_cutoffs(p)
 

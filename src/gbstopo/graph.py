@@ -20,6 +20,10 @@ from .errors import FormatError
 # An ascending tuple of distinct vertex indices.
 VertexSet = tuple[int, ...]
 
+# The largest vertex count a graph may have: its n x n complex weight matrix
+# takes 268 MB. The paper's networks and the bundled instances have n <= 100.
+MAX_VERTICES = 4096
+
 
 def _mask_vertices(mask: int) -> list[int]:
     """The vertices of a bitmask, ascending."""
@@ -166,10 +170,11 @@ def load_graph(source: bytes | str) -> ComplexGraph:
         raise FormatError(f"invalid vertex count: {n!r}")
     if not isinstance(doc["edges"], list):
         raise FormatError(f"'edges' must be a list, got {doc['edges']!r}")
-    try:
-        w = np.zeros((n, n), dtype=complex)
-    except (ValueError, MemoryError) as exc:  # numpy cannot hold n x n
-        raise FormatError(f"vertex count {n} is too large: {exc}") from None
+    if n > MAX_VERTICES:  # before the n x n matrix is allocated
+        raise FormatError(
+            f"vertex count {n} is too large: at most {MAX_VERTICES} are supported"
+        )
+    w = np.zeros((n, n), dtype=complex)
     seen: set[tuple[int, int]] = set()
     for rec in doc["edges"]:
         try:
@@ -236,6 +241,11 @@ def random_dual_layer(
         raise ValueError(f"edge probability {edge_prob} outside [0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_VERTICES:
+        raise ValueError(f"n must be at most {MAX_VERTICES}, got {n}")
+    for lo, hi in weight_law:
+        if not cmath.isfinite(hi - lo):  # numpy's uniform needs a finite width
+            raise ValueError(f"weight range ({lo}, {hi}) is wider than a float")
     rng = np.random.default_rng(seed)
     m = n * (n - 1) // 2
     present = rng.random(m) < edge_prob

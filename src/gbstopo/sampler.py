@@ -315,12 +315,152 @@ def enumerate_distribution(
 
 
 def _shot_rng(seed: int, tag: int, shot: int) -> np.random.Generator:
+    """The stream of shot `shot`; the reference _shot_states is checked on."""
     return np.random.default_rng([seed, tag, shot])
 
 
-def _per_shot(seed: int, tag: int, items: Iterable, draw) -> list:
-    """draw(rng, item) for each item i, on its own stream (seed, tag, i)."""
-    return [draw(_shot_rng(seed, tag, i), item) for i, item in enumerate(items)]
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding, replayed
+# on arrays so the streams of a whole batch are seeded at once.
+_M32 = 0xFFFF_FFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # mix_entropy's hashmix: (init, mult)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state's hash: (init, mult)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_MAX_STREAMS = 2**32  # shot indices from 2^32 on enter the seed as two words
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence reads from a non-negative int,
+    least significant first; 0 is one word."""
+    words = [n & _M32]
+    while n > _M32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hash: XOR the running constant in, step the constant,
+    multiply by it and fold the high half down. The constant depends only
+    on how many words were hashed before, so it stays a Python int."""
+    const = init
+
+    def hashmix(v: np.ndarray) -> np.ndarray:
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _M32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return r ^ (r >> np.uint32(16))
+
+
+def _mul128(a: tuple, b: tuple) -> tuple:
+    """(hi, lo) uint64 pairs multiplied mod 2^128."""
+    (ah, al), (bh, bl) = a, b
+    m32, s32 = np.uint64(_M32), np.uint64(32)
+    a0, a1, b0, b1 = al & m32, al >> s32, bl & m32, bl >> s32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> s32) + (p01 & m32) + (p10 & m32)
+    high = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
+    return high + ah * bl + al * bh, al * bl
+
+
+def _add128(a: tuple, b: tuple) -> tuple:
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
+
+
+def _pcg_step(state: tuple, inc: tuple) -> tuple:
+    mult = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1))
+    return _add128(_mul128(state, mult), inc)
+
+
+def _shot_states(seed: int, tag: int, shots: int) -> tuple[tuple, tuple]:
+    """The PCG64 (state, inc) of default_rng([seed, tag, i]) for every i in
+    range(shots), each a (hi, lo) pair of uint64 arrays.
+
+    Shots 0 and shots - 1 are checked against _shot_rng, so a numpy whose
+    SeedSequence differs raises InvariantError instead of drawing other
+    streams.
+    """
+    if shots > _MAX_STREAMS:
+        raise BudgetError(
+            f"{shots} shots exceed the {_MAX_STREAMS} per-shot streams a "
+            f"batch may seed", required=shots, budget=_MAX_STREAMS,
+        )
+    entropy = [np.full(shots, w, dtype=np.uint32) for w in _words(seed) + [tag]]
+    entropy.append(np.arange(shots, dtype=np.uint32))
+    hashmix = _hasher(*_HASH_A)
+    zero = np.zeros(shots, dtype=np.uint32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 words from the pool, paired little-endian
+    # into (state hi, state lo, seq hi, seq lo).
+    hash_b = _hasher(*_HASH_B)
+    out = [hash_b(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    s_hi, s_lo, q_hi, q_lo = (
+        out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)
+    )
+    # PCG64 srandom: inc = 2 seq + 1; step from 0; add the seed; step.
+    one = np.uint64(1)
+    inc = (q_hi << one | q_lo >> np.uint64(63), q_lo << one | one)
+    state = _pcg_step(_add128(inc, (s_hi, s_lo)), inc)
+    for i in sorted({0, shots - 1}) if shots else []:
+        want = _shot_rng(seed, tag, i).bit_generator.state["state"]
+        got = {k: int(v[0][i]) << 64 | int(v[1][i])
+               for k, v in (("state", state), ("inc", inc))}
+        if got != want:
+            raise InvariantError(
+                f"seeded stream ({seed}, {tag}, {i}) holds {got}, but "
+                f"default_rng gives {want}"
+            )
+    return state, inc
+
+
+def _first_doubles(seed: int, tag: int, shots: int) -> np.ndarray:
+    """default_rng([seed, tag, i]).random() for every i in range(shots): one
+    PCG64 step, its XSL-RR output, the top 53 bits times 2^-53."""
+    state, inc = _shot_states(seed, tag, shots)
+    hi, lo = _pcg_step(state, inc)
+    rot = hi >> np.uint64(58)
+    x = hi ^ lo
+    x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _per_shot(seed: int, tag: int, shots: int, draw) -> list:
+    """draw(rng, i) for each shot i, on its own stream (seed, tag, i).
+
+    One Generator is reused; its PCG64 is set to each shot's seeded state,
+    which is all default_rng([seed, tag, i]) would hold.
+    """
+    (s_hi, s_lo), (i_hi, i_lo) = _shot_states(seed, tag, shots)
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    out = []
+    for i, (sh, sl, ih, il) in enumerate(zip(
+        s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()
+    )):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        out.append(draw(rng, i))
+    return out
 
 
 def sample_gbs(
@@ -336,7 +476,7 @@ def sample_gbs(
         raise InvariantError("enumerated distribution has zero mass")
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
-    u = _per_shot(seed, _TAG_GBS, range(shots), lambda rng, _: rng.random())
+    u = _first_doubles(seed, _TAG_GBS, shots)
     return SampleBatch(
         patterns=dist.lattice.counts[np.searchsorted(cum, u, side="right")],
         seed=seed,
@@ -352,7 +492,7 @@ def sample_uniform(n_modes: int, k: int, shots: int, seed: int) -> SampleBatch:
         raise ValueError(f"k={k} exceeds mode count {n_modes}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = _per_shot(seed, _TAG_UNIFORM, range(shots), lambda rng, _: np.bincount(
+    rows = _per_shot(seed, _TAG_UNIFORM, shots, lambda rng, _: np.bincount(
         rng.choice(n_modes, size=k, replace=False), minlength=n_modes))
     return SampleBatch(np.reshape(rows, (shots, n_modes)), seed, "uniform")
 
@@ -371,7 +511,7 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
         beta = e.u @ (rng.normal(0.0, 1.0, size=e.n) * std)
         return rng.poisson(np.abs(beta) ** 2)
 
-    rows = _per_shot(seed, _TAG_SQUASHED, range(shots), draw)
+    rows = _per_shot(seed, _TAG_SQUASHED, shots, draw)
     return SampleBatch(np.reshape(rows, (shots, e.n)), seed, "squashed")
 
 
@@ -429,8 +569,8 @@ def apply_loss(x, eta: float, seed: int = 0):
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if isinstance(x, SampleBatch):
-        rows = _per_shot(seed, _TAG_LOSS, x.patterns,
-                         lambda rng, row: rng.binomial(row, eta))
+        rows = _per_shot(seed, _TAG_LOSS, len(x.patterns),
+                         lambda rng, i: rng.binomial(x.patterns[i], eta))
         return replace(x, patterns=np.reshape(rows, x.patterns.shape),
                        loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):

@@ -8,9 +8,10 @@ clique edges pair by pair, the homology oracle does
 dense GF(2) elimination on numpy arrays, components come from a
 hand-rolled union-find, the loss oracle expands every pattern into its
 thinned patterns one by one, the clique-search oracle runs every shot's
-search anew on np.ix_ submatrices, the batch-loss oracle draws one scalar
-binomial per count, the conditioning oracle tallies tuple patterns, and
-the rank-correlation oracle is scipy.stats.spearmanr.
+search anew on np.ix_ submatrices, the sampler and batch-loss oracles build
+one generator default_rng([seed, tag, i]) per shot (the loss oracle draws
+one scalar binomial per count), the conditioning oracle tallies tuple
+patterns, and the rank-correlation oracle is scipy.stats.spearmanr.
 """
 
 import math
@@ -22,6 +23,7 @@ from scipy.stats import ConstantInputWarning, spearmanr
 
 from gbstopo.cliques import Clique, SearchReport
 from gbstopo.graph import ComplexGraph, VertexSet
+from gbstopo.sampler import enumerate_distribution
 
 
 def matching_sum_hafnian(m) -> complex:
@@ -373,6 +375,50 @@ def scipy_spearman(a, b) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantInputWarning)
         return float(spearmanr(list(a), list(b)).statistic)
+
+
+def reference_stream(seed, tag, shot):
+    """The PCG64 (state, inc) of shot `shot` and its first double, from a
+    generator built for that shot alone."""
+    rng = np.random.default_rng([seed, tag, shot])
+    st = rng.bit_generator.state["state"]
+    return st["state"], st["inc"], rng.random()
+
+
+def reference_gbs(e, shots, cutoff_total, cutoff_per_mode, seed) -> list:
+    """gbs shots inverted from one uniform each, drawn from its own
+    generator default_rng([seed, 0, i]), with a scan of the cumulative law."""
+    dist = enumerate_distribution(e, cutoff_total, cutoff_per_mode)
+    cum = np.cumsum(dist.probs / dist.mass)
+    cum[-1] = 1.0
+    rows = dist.lattice.counts.tolist()
+    out = []
+    for i in range(shots):
+        u = np.random.default_rng([seed, 0, i]).random()
+        out.append(rows[next(j for j, c in enumerate(cum) if c > u)])
+    return out
+
+
+def reference_uniform(n_modes, k, shots, seed) -> list:
+    """Uniform k-subsets, shot i from default_rng([seed, 1, i])."""
+    out = []
+    for i in range(shots):
+        picked = np.random.default_rng([seed, 1, i]).choice(
+            n_modes, size=k, replace=False)
+        out.append([int(v in picked) for v in range(n_modes)])
+    return out
+
+
+def reference_squashed(e, shots, seed) -> list:
+    """Squashed-state shots, shot i from default_rng([seed, 2, i]): normal
+    amplitudes, the interferometer, then Poisson counts."""
+    std = np.sqrt((np.exp(2.0 * e.squeezings) - 1.0) / 4.0)
+    out = []
+    for i in range(shots):
+        rng = np.random.default_rng([seed, 2, i])
+        beta = e.u @ (rng.normal(0.0, 1.0, size=e.n) * std)
+        out.append(rng.poisson(np.abs(beta) ** 2).tolist())
+    return out
 
 
 def reference_batch_loss(rows, eta, seed) -> list:

@@ -526,6 +526,18 @@ class TestInputContract:
                      "--out", str(path)]) == 0
         return str(path)
 
+    # Only the reject side is run: a graph at the cap is a 268 MB matrix.
+    @pytest.mark.parametrize("command", [
+        ["percolation", "--k", "3"], ["encode"], ["betti"],
+    ])
+    def test_graph_above_vertex_cap_exit_3(self, tmp_path, capsys, command):
+        graph = tmp_path / "big.json"
+        graph.write_text(json.dumps({"n": 4097, "edges": []}))
+        out = tmp_path / "out"
+        assert main([*command, "--graph", str(graph), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "vertex count 4097 is too large" in capsys.readouterr().err
+
     @pytest.mark.parametrize("modes, vertices", [(10, 6), (6, 10)])
     def test_cliques_rejects_pattern_of_other_length(
         self, tmp_path, capsys, modes, vertices
@@ -727,9 +739,9 @@ class TestInputContract:
         )
 
     @pytest.mark.parametrize("cfg, named", [
-        ({"n": 5.5}, "--n must be a positive integer, got 5.5 (config key 'n')"),
-        ({"n": True}, "--n must be a positive integer, got True (config key 'n')"),
-        ({"n": None}, "--n must be a positive integer, got None (config key 'n')"),
+        ({"n": 5.5}, "--n must be an integer in [1, 4096], got 5.5 (config key 'n')"),
+        ({"n": True}, "--n must be an integer in [1, 4096], got True (config key 'n')"),
+        ({"n": None}, "--n must be an integer in [1, 4096], got None (config key 'n')"),
         ({"p": "half"},
          "--p must be a number in [0, 1], got 'half' (config key 'p')"),
         ({"alpha_range": [0.2]}, "--alpha-range must be a list of 2 values, "
@@ -851,11 +863,12 @@ class TestInputContract:
                      "--omega-axis", "0.5", "--delta-axis", "0",
                      "--k-ref", "1", "--out", str(out)])
         assert code == 3
-        assert "--k-ref must be an integer >= 2, got 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--k-ref must be an integer in [2, 4096], got 1" in err
 
     @pytest.mark.parametrize("how", ["flag", "dry-run", "config"])
     @pytest.mark.parametrize("argv, key, value, want", [
-        (["betti", "--delta-t", "0.5"], "k_ref", 0, "an integer >= 2"),
+        (["betti", "--delta-t", "0.5"], "k_ref", 0, "an integer in [2, 4096]"),
         (["betti", "--k-ref", "3"], "delta_t", math.nan, "a finite number"),
         (["percolation", "--k", "3", "--k-ref", "3"], "delta_t", math.nan,
          "a finite number"),
@@ -865,27 +878,38 @@ class TestInputContract:
         (["gen", "--n", "5", "--p", "0.5", "--seed", "0"], "alpha_range",
          [math.nan, 1.0], "a list of 2 values, each a finite number"),
         (["encode"], "d", math.inf, "a finite number"),
-        (["betti"], "dmax", -1, "a non-negative integer"),
+        (["betti"], "dmax", -1, "an integer in [0, 4096]"),
         (["dist"], "cutoff_total", -1, "a non-negative integer"),
         (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1",
-          "--k", "0"], "n_modes", 0, "a positive integer"),
+          "--k", "0"], "n_modes", 0, "an integer in [1, 4096]"),
         (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1",
-          "--k", "1"], "n_modes", -3, "a positive integer"),
+          "--k", "1"], "n_modes", -3, "an integer in [1, 4096]"),
         (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1"],
          "k", -1, "a non-negative integer"),
-        (["gen", "--p", "0.5", "--seed", "0"], "n", 0, "a positive integer"),
+        (["gen", "--p", "0.5", "--seed", "0"], "n", 0, "an integer in [1, 4096]"),
         (["gen", "--n", "5", "--seed", "0"], "p", 1.5, "a number in [0, 1]"),
         (["encode"], "target_spectral", 1.0, "a number in (0, 1)"),
         (["dist"], "target_spectral", 0.0, "a number in (0, 1)"),
         (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5"],
          "photon_total", -1, "a non-negative integer"),
-        (["persistence"], "k", 1, "an integer >= 2"),
-        (["percolation"], "k", 1, "an integer >= 2"),
-        (["percolation", "--k", "3"], "damage_k", 1, "an integer >= 2"),
+        (["persistence"], "k", 1, "an integer in [2, 4096]"),
+        (["percolation"], "k", 1, "an integer in [2, 4096]"),
+        (["percolation", "--k", "3"], "damage_k", 1, "an integer in [2, 4096]"),
+        # Vertex counts, clique sizes and dimensions stop at MAX_VERTICES.
+        (["gen", "--p", "0.5", "--seed", "0"], "n", 4097,
+         "an integer in [1, 4096]"),
+        (["sample", "--backend", "uniform", "--shots", "5", "--seed", "1",
+          "--k", "1"], "n_modes", 4097, "an integer in [1, 4096]"),
+        (["betti"], "dmax", 4097, "an integer in [0, 4096]"),
+        (["percolation"], "k", 4097, "an integer in [2, 4096]"),
+        (["percolation", "--k", "3"], "damage_k", 10**30,
+         "an integer in [2, 4096]"),
+        (["surface", "--omega-axis", "0.5", "--delta-axis", "0"], "k_ref",
+         4097, "an integer in [2, 4096]"),
         (["percolation", "--k", "3"], "damage_node", -1,
          "a non-negative integer"),
         (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5",
-          "--photon-total", "2"], "damage_k", 1, "an integer >= 2"),
+          "--photon-total", "2"], "damage_k", 1, "an integer in [2, 4096]"),
     ])
     def test_numeric_flag_domain_names_the_flag(
         self, tmp_path, capsys, how, argv, key, value, want

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gbstopo.errors import FormatError
 from gbstopo.graph import (
+    MAX_VERTICES,
     ComplexGraph,
     clique_density,
     edge_filter,
@@ -97,11 +98,20 @@ class TestLoadGraph:
         with pytest.raises(FormatError, match=r"edge \(1,2\).*non-finite"):
             load_graph(d)
 
-    # Found by tests/test_loader_fuzz.py: numpy's ValueError escaped. Each
-    # n is refused by numpy before anything is allocated.
+    # Found by tests/test_loader_fuzz.py: numpy's ValueError escaped. The
+    # vertex cap now refuses each n before anything is allocated.
     @pytest.mark.parametrize("n", [2**63 - 1, 10**30])
     def test_vertex_count_beyond_an_array_rejected(self, n):
         with pytest.raises(FormatError, match=f"vertex count {n} is too large"):
+            load_graph(doc(n, []))
+
+    # A small document must not ask for gigabytes: 4097 vertices would be a
+    # 268 MB matrix, 50,000 a 40 GB one.
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 50_000])
+    def test_vertex_count_above_cap_rejected(self, n):
+        with pytest.raises(FormatError, match=(
+            f"vertex count {n} is too large: at most {MAX_VERTICES}"
+        )):
             load_graph(doc(n, []))
 
 
@@ -155,6 +165,16 @@ class TestRandomDualLayer:
         mean = 100 * 435 * 0.4
         sigma = np.sqrt(100 * 435 * 0.4 * 0.6)
         assert abs(total - mean) < 3 * sigma
+
+    @pytest.mark.parametrize("law", [((-1e308, 1e308), (0, 0)),
+                                     ((0, 1), (1e308, -1e308))])
+    def test_refuses_range_wider_than_a_float(self, law):
+        with pytest.raises(ValueError, match="wider than a float"):
+            random_dual_layer(5, 0.5, law)
+
+    def test_refuses_above_vertex_cap(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_VERTICES}"):
+            random_dual_layer(MAX_VERTICES + 1, 0.5)
 
 
 class TestCliqueDensity:
