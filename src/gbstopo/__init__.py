@@ -13,7 +13,7 @@ from .graph import (
     random_dual_layer,
     save_graph,
 )
-from .encoding import GBSEncoding, encode, mean_photon_number, reconstruct, takagi
+from .encoding import GBSEncoding, encode, reconstruct, takagi
 from .sampler import (
     PatternDistribution,
     SampleBatch,

@@ -56,10 +56,6 @@ class CliqueComplex:
     def counts(self) -> dict[int, int]:
         return {k: len(v) for k, v in sorted(self.by_size.items())}
 
-    def max_nonempty_size(self) -> int:
-        sizes = [k for k, v in self.by_size.items() if v]
-        return max(sizes) if sizes else 0
-
 
 @dataclass(frozen=True)
 class SearchReport:
@@ -79,10 +75,6 @@ def _checked_clique(g: ComplexGraph, mask: int) -> Clique:
     if not g._is_clique_mask(mask):
         raise ValueError(f"{tuple(_mask_vertices(mask))} is not a clique")
     return _clique(g, mask)
-
-
-def make_clique(g: ComplexGraph, s: Sequence[int]) -> Clique:
-    return _checked_clique(g, _vertex_mask(g, s))
 
 
 def pattern_to_subset(p: Pattern) -> VertexSet:

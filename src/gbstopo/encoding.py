@@ -160,12 +160,6 @@ def _validate(error: type[Exception], u: np.ndarray, **deviations) -> None:
         ))
 
 
-def mean_photon_number(e: GBSEncoding) -> float:
-    """Expected total photons, sum_i sinh^2(r_i) = sum_i lam_i^2/(1-lam_i^2)."""
-    lam2 = e.lambdas**2
-    return float(np.sum(lam2 / (1.0 - lam2)))
-
-
 def save_encoding(e: GBSEncoding, *, provenance: dict | None = None) -> bytes:
     u_flat = [
         {"re": z.real, "im": z.imag} for z in e.u.reshape(-1)

@@ -71,9 +71,6 @@ class ComplexGraph:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.weights)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return i != j and self.weights[i, j] != 0
-
     def edges(self) -> Iterator[tuple[int, int, complex]]:
         """Yield (i, j, w_ij) with i < j for every present edge."""
         iu, ju = np.triu_indices(self.n, k=1)

@@ -31,8 +31,10 @@ NEG_INF = float("-inf")
 class BoundaryMatrix:
     """Incidence of (k-1)-cliques (rows) in k-cliques (columns).
 
-    Rows are stored as integer bitmasks over the column index, so GF(2)
-    elimination is a sequence of XORs.
+    Each row is stored as an integer bitmask over the column index (bit j
+    set when column clique j holds the row clique), so gf2_rank reduces
+    the rows by XOR. A size with no cliques gives a matrix with no
+    columns, whose rows are all 0 and whose rank is 0.
     """
 
     k: int
@@ -43,15 +45,6 @@ class BoundaryMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.row_cliques), len(self.col_cliques))
-
-    def to_dense(self) -> np.ndarray:
-        n_rows, n_cols = self.shape
-        out = np.zeros((n_rows, n_cols), dtype=np.uint8)
-        for i, bits in enumerate(self.rows):
-            for j in range(n_cols):
-                if (bits >> j) & 1:
-                    out[i, j] = 1
-        return out
 
 
 def boundary_matrix(c: CliqueComplex, k: int) -> BoundaryMatrix:
@@ -76,16 +69,15 @@ def boundary_matrix(c: CliqueComplex, k: int) -> BoundaryMatrix:
 
 
 def _rank_bits(rows: Sequence[int]) -> int:
-    """GF(2) rank by elimination on packed bit rows."""
-    work = [r for r in rows if r]
-    rank = 0
-    while work:
-        pivot_row = work.pop()
-        rank += 1
-        low_bit = pivot_row & -pivot_row
-        work = [r ^ pivot_row if r & low_bit else r for r in work]
-        work = [r for r in work if r]
-    return rank
+    """GF(2) rank by pivot-table reduction: pivots maps a highest set bit
+    (as bit_length) to the one reduced row that owns it."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r and (top := r.bit_length()) in pivots:
+            r ^= pivots[top]
+        if r:
+            pivots[top] = r
+    return len(pivots)
 
 
 def gf2_rank(b: BoundaryMatrix) -> int:
@@ -129,10 +121,7 @@ def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
     validate_closure(c)
     ranks: dict[int, int] = {1: 0}
     for k in range(2, top_needed + 1):
-        if c.m(k) == 0:
-            ranks[k] = 0
-        else:
-            ranks[k] = gf2_rank(boundary_matrix(c, k))
+        ranks[k] = gf2_rank(boundary_matrix(c, k))
     betti = []
     for d in range(dmax + 1):
         beta = c.m(d + 1) - ranks[d + 1] - ranks[d + 2]

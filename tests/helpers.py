@@ -4,14 +4,15 @@ These deliberately avoid the production code paths: the hafnian oracle
 enumerates perfect matchings directly, the clique oracles scan all vertex
 subsets or close Bron-Kerbosch maximal cliques downward, the persistence
 oracle scans every outside vertex for absorbers, the damage oracle zeroes
-clique edges pair by pair, the homology oracle does
-dense GF(2) elimination on numpy arrays, components come from a
-hand-rolled union-find, the loss oracle expands every pattern into its
-thinned patterns one by one, the clique-search oracle runs every shot's
-search anew on np.ix_ submatrices, the sampler and batch-loss oracles build
-one generator default_rng([seed, tag, i]) per shot (the loss oracle draws
-one scalar binomial per count), the conditioning oracle tallies tuple
-patterns, and the rank-correlation oracle is scipy.stats.spearmanr.
+clique edges pair by pair, the homology oracles do dense GF(2) elimination
+on numpy arrays or rebuild a packed-row work list after every pivot,
+components come from a hand-rolled union-find, the loss oracle expands
+every pattern into its thinned patterns one by one, the clique-search
+oracle runs every shot's search anew on np.ix_ submatrices, the sampler
+and batch-loss oracles build one generator default_rng([seed, tag, i])
+per shot (the loss oracle draws one scalar binomial per count), the
+conditioning oracle tallies tuple patterns, and the rank-correlation
+oracle is scipy.stats.spearmanr.
 """
 
 import math
@@ -168,6 +169,37 @@ def dense_gf2_rank(mat) -> int:
     return rank
 
 
+def reference_rank_bits(rows) -> int:
+    """GF(2) rank by elimination on packed bit rows, rebuilding the work
+    list after every pivot (the library's former _rank_bits)."""
+    work = [r for r in rows if r]
+    rank = 0
+    while work:
+        pivot_row = work.pop()
+        rank += 1
+        low_bit = pivot_row & -pivot_row
+        work = [r ^ pivot_row if r & low_bit else r for r in work]
+        work = [r for r in work if r]
+    return rank
+
+
+def to_dense(b) -> np.ndarray:
+    """A BoundaryMatrix as a dense uint8 array, bit j of row i at [i, j]."""
+    n_rows, n_cols = b.shape
+    out = np.zeros((n_rows, n_cols), dtype=np.uint8)
+    for i, bits in enumerate(b.rows):
+        for j in range(n_cols):
+            if (bits >> j) & 1:
+                out[i, j] = 1
+    return out
+
+
+def max_nonempty_size(cc) -> int:
+    """Largest clique size with at least one clique; 0 for no cliques."""
+    sizes = [k for k, v in cc.by_size.items() if v]
+    return max(sizes) if sizes else 0
+
+
 def connected_components(n, edges) -> int:
     parent = list(range(n))
 
@@ -251,6 +283,20 @@ def relabel(g, perm) -> ComplexGraph:
         raise ValueError("perm must be a permutation of range(n)")
     inv = np.argsort(perm)
     return ComplexGraph(g.n, g.weights[np.ix_(inv, inv)])
+
+
+def has_edge(g, i, j) -> bool:
+    """True iff i != j and the weight w_ij is nonzero."""
+    return i != j and g.weights[i, j] != 0
+
+
+def make_clique(g, s) -> Clique:
+    """The Clique on the vertices s, with its density; ValueError if s is
+    not a clique."""
+    s = tuple(sorted(s))
+    if not reference_is_clique(g, s):
+        raise ValueError(f"{s} is not a clique")
+    return Clique(s, len(s), reference_clique_density(g, s))
 
 
 def reference_is_clique(g, s) -> bool:

@@ -10,7 +10,6 @@ from gbstopo.cliques import (
     find_cliques,
     greedy_shrink,
     local_search,
-    make_clique,
     pattern_to_subset,
 )
 import gbstopo.cliques as cliques_mod
@@ -25,6 +24,7 @@ from gbstopo.sampler import SampleBatch
 from helpers import (
     brute_force_cliques,
     closure_of_maximal_cliques,
+    make_clique,
     maximal_cliques,
     reference_clique_density,
     reference_find_cliques,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from gbstopo.encoding import (
     encode,
     load_encoding,
-    mean_photon_number,
     reconstruct,
     rescale,
     save_encoding,
@@ -182,22 +181,6 @@ class TestEncode:
         bg = reconstruct(eg.u, eg.lambdas)
         bh = reconstruct(eh.u, eh.lambdas)
         assert np.allclose(bh[np.ix_(perm, perm)], bg, atol=1e-10)
-
-
-class TestMeanPhotonNumber:
-    def test_vacuum(self):
-        g = ComplexGraph(2, np.zeros((2, 2), dtype=complex))
-        e = encode(g, 0.5, d=1e-12)
-        assert mean_photon_number(e) == pytest.approx(0.0, abs=1e-20)
-
-    def test_single_mode_closed_form(self):
-        g = ComplexGraph(1, np.zeros((1, 1), dtype=complex))
-        e = encode(g, 0.7, d=0.5)
-        assert mean_photon_number(e) == pytest.approx(0.25 / 0.75)
-
-    def test_two_mode(self):
-        e = encode(unit_edge_graph(), 0.6)
-        assert mean_photon_number(e) == pytest.approx(2 * 0.36 / 0.64)
 
 
 class TestEncodingIO:

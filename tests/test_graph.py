@@ -17,7 +17,7 @@ from gbstopo.graph import (
     random_dual_layer,
     save_graph,
 )
-from helpers import relabel
+from helpers import has_edge, relabel
 
 
 def doc(n, edges):
@@ -223,8 +223,8 @@ class TestEdgeFilter:
 
     def test_keep_leq_selects(self):
         g = edge_filter(self.fixture(), 0.5)
-        assert g.has_edge(0, 1) and g.has_edge(1, 2)
-        assert not g.has_edge(2, 3)
+        assert has_edge(g, 0, 1) and has_edge(g, 1, 2)
+        assert not has_edge(g, 2, 3)
 
     def test_composition_is_min(self):
         g = random_dual_layer(10, 0.6, seed=5)

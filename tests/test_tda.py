@@ -16,6 +16,7 @@ from gbstopo.graph import (
 from gbstopo.instances import surface_axes, two_community_graph
 from gbstopo.percolation import damage
 from gbstopo.tda import (
+    BoundaryMatrix,
     betti_numbers,
     boundary_matrix,
     clique_persistence,
@@ -34,11 +35,14 @@ from helpers import (
     closure_of_maximal_cliques,
     connected_components,
     dense_gf2_rank,
+    max_nonempty_size,
     reference_clique_density,
     reference_clique_persistence,
     reference_damage,
     reference_density_filter,
+    reference_rank_bits,
     relabel,
+    to_dense,
 )
 
 # Edgeless, sparse, dense and complete random_dual_layer graphs.
@@ -73,17 +77,51 @@ def two_triangles():
     )
 
 
+@st.composite
+def small_graphs(draw):
+    """Unit-weight graphs on 1 to 10 vertices, each pair an edge or not."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs),
+                            max_size=len(pairs)))
+    return graph_from_edges(
+        n, [(i, j, 1.0) for (i, j), keep in zip(pairs, present) if keep]
+    )
+
+
+@st.composite
+def bit_rows(draw):
+    """(width, rows): up to 50 packed GF(2) rows of one width in [0, 200],
+    dense or with at most 3 set bits, with zero rows and repeats."""
+    width = draw(st.integers(0, 200))
+    if width == 0:
+        row = st.just(0)
+    else:
+        row = st.one_of(
+            st.integers(0, (1 << width) - 1),
+            st.sets(st.integers(0, width - 1), max_size=3).map(
+                lambda bits: sum(1 << b for b in bits)
+            ),
+        )
+    rows = draw(st.lists(row, max_size=40))
+    if rows:
+        rows = draw(st.permutations(
+            rows + draw(st.lists(st.sampled_from(rows), max_size=10))
+        ))
+    return width, rows
+
+
 class TestBoundaryMatrix:
     def test_single_triangle(self):
         c = enumerate_cliques(complete(3), 3)
         b = boundary_matrix(c, 3)
         assert b.shape == (3, 1)
-        assert np.array_equal(b.to_dense(), [[1], [1], [1]])
+        assert np.array_equal(to_dense(b), [[1], [1], [1]])
 
     def test_c4_incidence(self):
         c = enumerate_cliques(cycle(4), 2)
         b = boundary_matrix(c, 2)
-        dense = b.to_dense()
+        dense = to_dense(b)
         assert dense.shape == (4, 4)
         assert np.all(dense.sum(axis=0) == 2)
 
@@ -96,7 +134,7 @@ class TestBoundaryMatrix:
         g = random_dual_layer(8, 0.6, seed=2)
         c = enumerate_cliques(g, 4)
         for k in (2, 3, 4):
-            dense = boundary_matrix(c, k).to_dense()
+            dense = to_dense(boundary_matrix(c, k))
             if dense.size:
                 assert np.all(dense.sum(axis=0) == k)
 
@@ -115,7 +153,7 @@ class TestGf2Rank:
         c = enumerate_cliques(g, 4)
         for k in (2, 3, 4):
             b = boundary_matrix(c, k)
-            assert gf2_rank(b) == dense_gf2_rank(b.to_dense())
+            assert gf2_rank(b) == dense_gf2_rank(to_dense(b))
 
     def test_incidence_rank_is_n_minus_components(self):
         for seed in range(5):
@@ -126,6 +164,26 @@ class TestGf2Rank:
                 10, [(i, j) for i, j, _ in g.edges()]
             )
             assert rank == 10 - comps
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_rows())
+    @example((0, []))
+    @example((0, [0, 0, 0]))
+    @example((200, [(1 << 200) - 1, 1 << 199, (1 << 200) - 1, 1]))
+    @example((3, [0b011, 0b110, 0b101, 0, 0b011] * 8))
+    def test_matches_reference_and_dense_oracles(self, drawn):
+        width, rows = drawn
+        # Placeholder cliques: gf2_rank reads only the rows, and the shape
+        # only the clique counts.
+        b = BoundaryMatrix(
+            k=2,
+            row_cliques=tuple((i,) for i in range(len(rows))),
+            col_cliques=tuple((j,) for j in range(width)),
+            rows=tuple(rows),
+        )
+        rank = gf2_rank(b)
+        assert rank == reference_rank_bits(rows)
+        assert rank == dense_gf2_rank(to_dense(b))
 
 
 class TestBettiNumbers:
@@ -148,16 +206,25 @@ class TestBettiNumbers:
             comps = connected_components(9, [(i, j) for i, j, _ in g.edges()])
             assert prof.betti[0] == comps
 
-    def test_matches_dense_oracle(self):
-        for seed in range(8):
-            g = random_dual_layer(9, 0.45, seed=100 + seed)
-            cc = enumerate_cliques(g, 9)
-            top = cc.max_nonempty_size()
-            prof = betti_numbers(cc, max(top - 1, 0))
-            want = betti_via_dense_ranks(cc.by_size)
-            got = tuple(prof.betti)
-            assert got[: len(want)] == want
-            assert all(b == 0 for b in got[len(want):])
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs())
+    @example(g=random_dual_layer(9, 0.45, seed=100))
+    @example(g=octahedron())
+    @example(g=complete(10))
+    def test_matches_dense_oracle(self, g):
+        cc = enumerate_cliques(g, g.n + 1)
+        top = max_nonempty_size(cc)
+        prof = betti_numbers(cc, max(top - 1, 0))
+        want = betti_via_dense_ranks(cc.by_size)
+        got = tuple(prof.betti)
+        assert got[: len(want)] == want
+        assert all(b == 0 for b in got[len(want):])
+
+    def test_sizes_without_cliques_have_rank_zero(self):
+        # C5 has no triangle, so B_3, B_4 and B_5 have no columns.
+        prof = betti_numbers(enumerate_cliques(cycle(5), 6), 3)
+        assert prof.ranks == {1: 0, 2: 4, 3: 0, 4: 0, 5: 0}
+        assert prof.betti == (1, 1, 0, 0)
 
     def test_rejects_shallow_enumeration(self):
         cc = enumerate_cliques(complete(6), 3)
@@ -194,7 +261,7 @@ class TestEulerCharacteristic:
         for seed in range(10):
             g = random_dual_layer(10, 0.4, seed=200 + seed)
             cc = enumerate_cliques(g, 10)
-            top = cc.max_nonempty_size()
+            top = max_nonempty_size(cc)
             prof = betti_numbers(cc, max(top - 1, 0))
             lhs = sum((-1) ** d * b for d, b in enumerate(prof.betti))
             assert lhs == euler_characteristic(cc)
@@ -203,10 +270,10 @@ class TestEulerCharacteristic:
         for seed in range(6):
             g = random_dual_layer(9, 0.5, seed=300 + seed)
             cc = enumerate_cliques(g, 9)
-            top = cc.max_nonempty_size()
+            top = max_nonempty_size(cc)
             for k in range(2, top):
-                bk = boundary_matrix(cc, k).to_dense()
-                bk1 = boundary_matrix(cc, k + 1).to_dense()
+                bk = to_dense(boundary_matrix(cc, k))
+                bk1 = to_dense(boundary_matrix(cc, k + 1))
                 if bk.size and bk1.size:
                     assert not np.any((bk @ bk1) % 2)
 
