@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InvariantError
-from .graph import ComplexGraph, is_finite_number, source_text
+from .graph import ComplexGraph, document_text, is_finite_number, source_text
 
 RECON_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -172,9 +172,7 @@ def save_encoding(e: GBSEncoding, *, provenance: dict | None = None) -> bytes:
         "squeezings": [float(x) for x in e.squeezings],
         "u": u_flat,
     }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return json.dumps(doc, indent=1).encode("utf-8")
+    return document_text(doc, provenance).encode("utf-8")
 
 
 def load_encoding(source: bytes | str) -> GBSEncoding:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, InvariantError
 
 # An ascending tuple of distinct vertex indices.
 VertexSet = tuple[int, ...]
@@ -72,12 +72,9 @@ class ComplexGraph:
         return np.abs(self.weights)
 
     def edges(self) -> Iterator[tuple[int, int, complex]]:
-        """Yield (i, j, w_ij) with i < j for every present edge."""
-        iu, ju = np.triu_indices(self.n, k=1)
-        for i, j in zip(iu, ju):
-            w = self.weights[i, j]
-            if w != 0:
-                yield int(i), int(j), complex(w)
+        """(i, j, w_ij) with i < j for every present edge, row by row."""
+        iu, ju = np.nonzero(np.triu(self.weights, 1))
+        return zip(iu.tolist(), ju.tolist(), self.weights[iu, ju].tolist())
 
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.weights)) // 2
@@ -137,6 +134,20 @@ def graph_from_edges(
 def source_text(source: bytes | str) -> str:
     """The text of a loader's `source`: UTF-8 bytes or str."""
     return source.decode("utf-8") if isinstance(source, bytes) else source
+
+
+def document_text(doc: dict, provenance: dict | None, bulk: str = "",
+                  records: str = "", indent: int | None = 1) -> str:
+    """json.dumps(doc, indent=indent) with `provenance`, if given, as the
+    last key. Non-empty `records` fill doc's empty top-level list `bulk`:
+    its items spelled as json.dumps(indent=1) spells them, joined by ",\\n"."""
+    if provenance is not None:
+        doc = {**doc, "provenance": provenance}
+    text = json.dumps(doc, indent=indent)
+    if records:  # strings hold no raw newline: only a top-level key matches
+        key = f'\n "{bulk}": ['
+        text = text.replace(key + "]", f"{key}\n{records}\n ]", 1)
+    return text
 
 
 def is_finite_number(v) -> bool:
@@ -210,13 +221,13 @@ def save_graph(g: ComplexGraph, *, provenance: dict | None = None) -> bytes:
     Floats are emitted with repr precision so the round trip is bit exact.
     A `provenance` mapping, if given, is written as the last key.
     """
-    edges = [
-        {"i": i, "j": j, "re": w.real, "im": w.imag} for i, j, w in g.edges()
-    ]
-    doc = {"n": g.n, "edges": edges}
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return json.dumps(doc, indent=1).encode("utf-8")
+    if not np.isfinite(g.weights).all():
+        i, j = np.argwhere(~np.isfinite(g.weights))[0]
+        raise InvariantError(f"edge ({i},{j}) weight {g.weights[i, j]} is not finite")
+    item = '  {\n   "i": %d,\n   "j": %d,\n   "re": %r,\n   "im": %r\n  }'
+    records = ",\n".join([item % (i, j, w.real, w.imag) for i, j, w in g.edges()])
+    doc = {"n": g.n, "edges": []}
+    return document_text(doc, provenance, "edges", records).encode("utf-8")
 
 
 WeightLaw = tuple[tuple[float, float], tuple[float, float]]

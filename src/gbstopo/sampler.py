@@ -38,7 +38,7 @@ import numpy as np
 
 from .encoding import GBSEncoding, reconstruct
 from .errors import BudgetError, EmptyConditionError, FormatError, InvariantError
-from .graph import is_finite_number, source_text
+from .graph import document_text, is_finite_number, source_text
 
 Pattern = tuple[int, ...]
 
@@ -626,11 +626,10 @@ def save_batch(b: SampleBatch, *, provenance: dict | None = None) -> bytes:
         "cutoff_per_mode": b.cutoff_per_mode,
         "shots": len(b.patterns),
     }
-    if provenance is not None:
-        header["provenance"] = provenance
-    lines = [json.dumps(header)]
-    for p in b.patterns.tolist():
-        lines.append(json.dumps({"pattern": p, "total": sum(p)}))
+    width = b.patterns.shape[1]
+    item = '{"pattern": [%s], "total": %%d}' % ", ".join(["%d"] * width)
+    lines = [document_text(header, provenance, indent=None)]
+    lines += [item % (*p, sum(p)) for p in b.patterns.tolist()]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -694,18 +693,25 @@ def load_batch(source: bytes | str) -> SampleBatch:
 def save_distribution(
     d: PatternDistribution, *, provenance: dict | None = None
 ) -> bytes:
+    bad = np.flatnonzero(~np.isfinite(d.probs))
+    if len(bad):
+        raise InvariantError(f"probability {d.probs[bad[0]]} of pattern "
+                             f"{d.lattice.counts[bad[0]].tolist()} is not finite")
+    if not math.isfinite(d.mass):
+        raise InvariantError(f"distribution mass {d.mass} is not finite")
+    # A lattice has one mode or more, so json spells no pattern "[]".
+    counts = ",".join(["\n    %d"] * d.lattice.counts.shape[1])
+    item = '  {\n   "pattern": [%s\n   ],\n   "probability": %%r\n  }' % counts
+    records = ",\n".join([
+        item % (*p, w) for p, w in zip(d.lattice.counts.tolist(), d.probs.tolist())
+    ])
     doc = {
         "cutoff_total": d.lattice.cutoff_total,
         "cutoff_per_mode": d.lattice.cutoff_per_mode,
         "mass": d.mass,
-        "entries": [
-            {"pattern": p, "probability": w}
-            for p, w in zip(d.lattice.counts.tolist(), d.probs.tolist())
-        ],
+        "entries": [],
     }
-    if provenance is not None:
-        doc["provenance"] = provenance
-    return json.dumps(doc, indent=1).encode("utf-8")
+    return document_text(doc, provenance, "entries", records).encode("utf-8")
 
 
 def load_distribution(source: bytes | str) -> PatternDistribution:

@@ -94,19 +94,6 @@ class BettiProfile:
     counts: dict[int, int]
 
 
-def validate_closure(c: CliqueComplex) -> None:
-    for k in sorted(c.by_size):
-        if k < 2:
-            continue
-        lower = set(c.by_size.get(k - 1, []))
-        for s in c.by_size[k]:
-            for facet in combinations(s, k - 1):
-                if facet not in lower:
-                    raise InvariantError(
-                        f"complex is not downward closed: {facet} missing"
-                    )
-
-
 def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
     """Betti numbers beta_0..beta_dmax from binary ranks of the boundary
     matrices."""
@@ -118,7 +105,6 @@ def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
             f"complex enumerated through size {c.k_max} cannot support "
             f"dmax={dmax}; need sizes through {top_needed}"
         )
-    validate_closure(c)
     ranks: dict[int, int] = {1: 0}
     for k in range(2, top_needed + 1):
         ranks[k] = gf2_rank(boundary_matrix(c, k))

@@ -11,10 +11,12 @@ every pattern into its thinned patterns one by one, the clique-search
 oracle runs every shot's search anew on np.ix_ submatrices, the sampler
 and batch-loss oracles build one generator default_rng([seed, tag, i])
 per shot (the loss oracle draws one scalar binomial per count), the
-conditioning oracle tallies tuple patterns, and the rank-correlation
-oracle is scipy.stats.spearmanr.
+conditioning oracle tallies tuple patterns, the rank-correlation
+oracle is scipy.stats.spearmanr, and the file-writer oracles build each
+document as Python objects and encode it with json.dumps.
 """
 
+import json
 import math
 import warnings
 from itertools import combinations
@@ -494,3 +496,57 @@ def reference_conditional(weighted, total, collision_policy):
     if norm <= 0.0:
         return None
     return {p: acc[p] / norm for p in sorted(acc)}
+
+
+def reference_edges(g):
+    """Yield (i, j, w_ij) with i < j for every present edge, pair by pair."""
+    iu, ju = np.triu_indices(g.n, k=1)
+    for i, j in zip(iu, ju):
+        w = g.weights[i, j]
+        if w != 0:
+            yield int(i), int(j), complex(w)
+
+
+def reference_save_graph(g, *, provenance=None) -> bytes:
+    """The graph document through json.dumps(indent=1)."""
+    edges = [
+        {"i": i, "j": j, "re": w.real, "im": w.imag} for i, j, w in reference_edges(g)
+    ]
+    doc = {"n": g.n, "edges": edges}
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return json.dumps(doc, indent=1).encode("utf-8")
+
+
+def reference_save_batch(b, *, provenance=None) -> bytes:
+    """The batch file, each line through json.dumps."""
+    header = {
+        "backend": b.backend,
+        "seed": b.seed,
+        "eta": b.loss_eta,
+        "cutoff_total": b.cutoff_total,
+        "cutoff_per_mode": b.cutoff_per_mode,
+        "shots": len(b.patterns),
+    }
+    if provenance is not None:
+        header["provenance"] = provenance
+    lines = [json.dumps(header)]
+    for p in b.patterns.tolist():
+        lines.append(json.dumps({"pattern": p, "total": sum(p)}))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_save_distribution(d, *, provenance=None) -> bytes:
+    """The distribution document through json.dumps(indent=1)."""
+    doc = {
+        "cutoff_total": d.lattice.cutoff_total,
+        "cutoff_per_mode": d.lattice.cutoff_per_mode,
+        "mass": d.mass,
+        "entries": [
+            {"pattern": p, "probability": w}
+            for p, w in zip(d.lattice.counts.tolist(), d.probs.tolist())
+        ],
+    }
+    if provenance is not None:
+        doc["provenance"] = provenance
+    return json.dumps(doc, indent=1).encode("utf-8")
