@@ -186,37 +186,33 @@ def cmd_cliques(args) -> bytes:
 
 def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
-    axis = args.delta_axis
-    thresholds = [args.delta_t] if axis is None else _axis(axis)
-    if args.k_ref is not None:
-        rebuilt = tda.density_filtration(g, args.k_ref, thresholds)
-        complexes = (cl.enumerate_cliques(r, r.n) for r in rebuilt)
-    else:
-        complexes = [cl.enumerate_cliques(g, args.dmax + 2)]
-    profiles = [
-        (tda.betti_numbers(c, args.dmax), tda.euler_characteristic(c))
-        for c in complexes
-    ]
-    if args.k_ref is None:
-        # Unfiltered, every threshold reads the one complex of g.
-        profiles *= len(thresholds)
-    kmax_seen = max(max(prof.counts) for prof, _ in profiles)
+    thresholds = _axis(args.delta_axis)
+    # The ranks read cliques through size dmax + 2: the (dmax+1)-skeleton.
+    top = args.dmax + 2
+    graphs = [g] if args.k_ref is None else tda.density_filtration(
+        g, args.k_ref, thresholds
+    )
+    rows = []
+    for r in graphs:
+        c = cl.enumerate_cliques(r, top)
+        prof = tda.betti_numbers(c, args.dmax)
+        chi = tda.euler_characteristic(c)
+        rows.append(
+            [c.m(k) for k in range(1, top + 1)]
+            + [prof.ranks[k] for k in range(2, top + 1)]
+            + list(prof.betti)
+            + [chi, tda.euler_entropy(chi)]
+        )
+    # Unfiltered, every threshold reads the one complex of g.
+    rows *= len(thresholds) // len(rows)
     header = (
         ["delta_t"]
-        + [f"m{k}" for k in range(1, kmax_seen + 1)]
-        + [f"r{k}" for k in range(2, kmax_seen + 1)]
+        + [f"m{k}" for k in range(1, top + 1)]
+        + [f"r{k}" for k in range(2, top + 1)]
         + [f"beta{d}" for d in range(args.dmax + 1)]
         + ["chi", "s_chi"]
     )
-    rows = [
-        [dt]
-        + [prof.counts.get(k, 0) for k in range(1, kmax_seen + 1)]
-        + [prof.ranks.get(k, 0) for k in range(2, kmax_seen + 1)]
-        + list(prof.betti)
-        + [chi, tda.euler_entropy(chi)]
-        for dt, (prof, chi) in zip(thresholds, profiles)
-    ]
-    return _table(header, rows, args)
+    return _table(header, [[dt, *row] for dt, row in zip(thresholds, rows)], args)
 
 
 def cmd_surface(args) -> bytes:
@@ -396,6 +392,10 @@ _OPEN_UNIT = dict(action=_Bounded, want="a number in (0, 1)", ok=lambda v: 0 < v
 # The stored value stays the spec string, which the report headers print.
 _AXIS = dict(action=_Bounded, ok=lambda spec: _axis(spec) is not None, want=(
     f"finite numbers v1,v2,... or lin:lo:hi:num, 1 to {AXIS_MAX} of them"))
+_ASCENDING_AXIS = dict(
+    _AXIS, want=_AXIS["want"] + ", in ascending order",
+    ok=lambda spec: (v := _axis(spec)) is not None and v == sorted(v),
+)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
@@ -468,14 +468,13 @@ def build_parser() -> tuple[
     p.add_argument("--graph", required=True)
     p.add_argument("--dmax", type=int, default=3, **_up_to_max_vertices(0))
     p.add_argument("--k-ref", type=int, **_CLIQUE_SIZE)
-    p.add_argument("--delta-t", type=float, default=0.0, **_FINITE)
-    p.add_argument("--delta-axis", help="sweep thresholds: lo,hi,... or lin:lo:hi:n",
-                   **_AXIS)
+    p.add_argument("--delta-axis", default="0",
+                   help="thresholds: lo,hi,... or lin:lo:hi:n", **_AXIS)
 
     p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)
-    p.add_argument("--omega-axis", required=True, **_AXIS)
-    p.add_argument("--delta-axis", required=True, **_AXIS)
+    p.add_argument("--omega-axis", required=True, **_ASCENDING_AXIS)
+    p.add_argument("--delta-axis", required=True, **_ASCENDING_AXIS)
     p.add_argument("--k-ref", type=int, default=2, **_CLIQUE_SIZE)
 
     p = command("persistence", cmd_persistence, "clique birth/death thresholds")

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, InvariantError
+from .errors import FormatError
 
 # An ascending tuple of distinct vertex indices.
 VertexSet = tuple[int, ...]
@@ -39,9 +39,10 @@ def _mask_vertices(mask: int) -> list[int]:
 class ComplexGraph:
     """Immutable n-vertex network with a complex symmetric adjacency matrix.
 
-    Invariants enforced at construction: weights is n x n, symmetric,
-    zero on the diagonal. neighbor_masks[v] has bit u set iff uv is an edge.
-    A vertex set is also written as an int bitmask, bit v for vertex v.
+    Invariants enforced at construction: weights is n x n, finite,
+    symmetric, zero on the diagonal. neighbor_masks[v] has bit u set iff
+    uv is an edge. A vertex set is also written as an int bitmask, bit v
+    for vertex v.
     """
 
     n: int
@@ -58,6 +59,9 @@ class ComplexGraph:
         w = np.asarray(self.weights, dtype=complex)
         if w.shape != (self.n, self.n):
             raise ValueError(f"weights shape {w.shape} != ({self.n}, {self.n})")
+        if not np.isfinite(w).all():
+            i, j = np.argwhere(~np.isfinite(w))[0]
+            raise ValueError(f"weight ({i},{j}) {w[i, j]} is not finite")
         if not np.array_equal(w, w.T):
             raise ValueError("weights must be symmetric")
         if np.any(w.diagonal() != 0):
@@ -221,9 +225,6 @@ def save_graph(g: ComplexGraph, *, provenance: dict | None = None) -> bytes:
     Floats are emitted with repr precision so the round trip is bit exact.
     A `provenance` mapping, if given, is written as the last key.
     """
-    if not np.isfinite(g.weights).all():
-        i, j = np.argwhere(~np.isfinite(g.weights))[0]
-        raise InvariantError(f"edge ({i},{j}) weight {g.weights[i, j]} is not finite")
     item = '  {\n   "i": %d,\n   "j": %d,\n   "re": %r,\n   "im": %r\n  }'
     records = ",\n".join([item % (i, j, w.real, w.imag) for i, j, w in g.edges()])
     doc = {"n": g.n, "edges": []}

@@ -86,12 +86,11 @@ def gf2_rank(b: BoundaryMatrix) -> int:
 
 @dataclass(frozen=True)
 class BettiProfile:
-    """Betti numbers indexed by dimension, with the ranks and counts that
-    produced them (indexed by clique size)."""
+    """Betti numbers indexed by dimension, with the ranks that produced
+    them (indexed by clique size)."""
 
     betti: tuple[int, ...]
     ranks: dict[int, int]
-    counts: dict[int, int]
 
 
 def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
@@ -100,7 +99,8 @@ def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     top_needed = dmax + 2
-    if c.k_max < top_needed and c.m(c.k_max) > 0:
+    # Through an empty size, or through its vertex count, c is complete.
+    if c.k_max < min(top_needed, c.m(1)) and c.m(c.k_max) > 0:
         raise ValueError(
             f"complex enumerated through size {c.k_max} cannot support "
             f"dmax={dmax}; need sizes through {top_needed}"
@@ -114,8 +114,7 @@ def betti_numbers(c: CliqueComplex, dmax: int) -> BettiProfile:
         if beta < 0:
             raise InvariantError(f"negative Betti number at dimension {d}")
         betti.append(beta)
-    counts = {k: c.m(k) for k in range(1, max(c.k_max, top_needed) + 1)}
-    return BettiProfile(betti=tuple(betti), ranks=ranks, counts=counts)
+    return BettiProfile(betti=tuple(betti), ranks=ranks)
 
 
 def euler_characteristic(c: CliqueComplex) -> int:

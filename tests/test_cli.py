@@ -5,14 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import gbstopo
 from gbstopo.cli import build_parser, main
-from gbstopo.graph import graph_from_edges, load_graph, save_graph
+from gbstopo.graph import (
+    graph_from_edges, load_graph, random_dual_layer, save_graph,
+)
 from gbstopo.instances import planted_clique_graph, two_community_graph
 from gbstopo.percolation import percolation_clusters
 from gbstopo.tda import density_filtered_graph
+from helpers import brute_force_cliques, dense_gf2_rank
 
 
 @pytest.fixture
@@ -134,7 +140,7 @@ class TestBettiCmd:
     def test_threshold_above_max_density(self, tmp_path, graph_file):
         out = tmp_path / "b.txt"
         assert main(["betti", "--graph", str(graph_file), "--dmax", "1",
-                     "--k-ref", "3", "--delta-t", "99.0",
+                     "--k-ref", "3", "--delta-axis", "99.0",
                      "--out", str(out)]) == 0
         header, row = [
             l for l in out.read_text().splitlines()
@@ -173,6 +179,49 @@ class TestBettiCmd:
         assert header == body(single)[0]
         assert [r[0] for r in rows] == ["0.0", "0.4", "0.9"]
         assert all(r[1:] == body(single)[1][1:] for r in rows)
+
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(1, 8), p=st.sampled_from([0.3, 0.6, 0.9, 1.0]),
+           seed=st.integers(0, 2**16), dmax=st.integers(0, 3))
+    def test_rows_read_the_skeleton(self, tmp_path, n, p, seed, dmax):
+        g = random_dual_layer(n, p, seed=seed)
+        gpath, out = tmp_path / "g.json", tmp_path / "b.txt"
+        gpath.write_bytes(save_graph(g))
+
+        def rows(*flags):
+            assert main(["betti", "--graph", str(gpath), "--dmax", str(dmax),
+                         *flags, "--out", str(out)]) == 0
+            header, *body = [l.split("\t") for l in out.read_text().splitlines()
+                             if l and not l.startswith("#")]
+            return [dict(zip(header, r)) for r in body]
+
+        # --k-ref 2 at density 0 rebuilds g from its own edges.
+        (row,) = rows()
+        assert rows("--k-ref", "2", "--delta-axis", "0") == [row]
+        top = dmax + 2
+        assert list(row) == (
+            ["delta_t"] + [f"m{k}" for k in range(1, top + 1)]
+            + [f"r{k}" for k in range(2, top + 1)]
+            + [f"beta{d}" for d in range(dmax + 1)] + ["chi", "s_chi"]
+        )
+        m = {k: int(row[f"m{k}"]) for k in range(1, top + 1)}
+        r = {k: int(row[f"r{k}"]) for k in range(2, top + 1)}
+        alternating = sum((-1) ** d * int(row[f"beta{d}"])
+                          for d in range(dmax + 1))
+        assert int(row["chi"]) == (
+            alternating + (-1) ** (dmax + 1) * (m[top] - r[top])
+        )
+        cliques = brute_force_cliques(g, top)
+        for k in range(2, top + 1):
+            assert m[k] == len(cliques[k])
+            faces, cofaces = cliques[k - 1], cliques[k]
+            mat = np.zeros((len(faces), len(cofaces)), dtype=np.uint8)
+            for i, f in enumerate(faces):
+                for j, c in enumerate(cofaces):
+                    mat[i, j] = set(f) <= set(c)
+            assert r[k] == dense_gf2_rank(mat)
 
 
 class TestSurfaceCmd:
@@ -868,8 +917,10 @@ class TestInputContract:
 
     @pytest.mark.parametrize("how", ["flag", "dry-run", "config"])
     @pytest.mark.parametrize("argv, key, value, want", [
-        (["betti", "--delta-t", "0.5"], "k_ref", 0, "an integer in [2, 4096]"),
-        (["betti", "--k-ref", "3"], "delta_t", math.nan, "a finite number"),
+        (["betti", "--delta-axis", "0.5"], "k_ref", 0, "an integer in [2, 4096]"),
+        (["surface", "--omega-axis", "0.5"], "delta_axis", "1,0.5",
+         "finite numbers v1,v2,... or lin:lo:hi:num, 1 to 10000 of them, "
+         "in ascending order"),
         (["percolation", "--k", "3", "--k-ref", "3"], "delta_t", math.nan,
          "a finite number"),
         (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5",

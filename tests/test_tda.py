@@ -226,6 +226,12 @@ class TestBettiNumbers:
         assert prof.ranks == {1: 0, 2: 4, 3: 0, 4: 0, 5: 0}
         assert prof.betti == (1, 1, 0, 0)
 
+    def test_complete_through_vertex_count(self):
+        # No 5-clique fits in 4 vertices, so K4 through size 4 is complete.
+        prof = betti_numbers(enumerate_cliques(complete(4), 4), 3)
+        assert prof.ranks == {1: 0, 2: 3, 3: 3, 4: 1, 5: 0}
+        assert prof.betti == (1, 0, 0, 0)
+
     def test_rejects_shallow_enumeration(self):
         cc = enumerate_cliques(complete(6), 3)
         with pytest.raises(ValueError):
