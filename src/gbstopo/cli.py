@@ -220,11 +220,8 @@ def cmd_surface(args) -> bytes:
     surf = tda.filtration_surface(
         g, _axis(args.omega_axis), _axis(args.delta_axis), args.k_ref,
     )
-    # Every cell counts its n >= 1 vertices, and the axes are not empty.
-    kmax = max(
-        max(k for k, count in cell.m.items() if count)
-        for row in surf.cells for cell in row
-    )
+    # The union cell (last omega, first delta) holds every cell's cliques.
+    kmax = max(k for k, count in surf.cell(-1, 0).m.items() if count)
     header = (
         ["omega_t", "delta_t"]
         + [f"m{k}" for k in range(1, kmax + 1)]
@@ -396,6 +393,8 @@ _ASCENDING_AXIS = dict(
     _AXIS, want=_AXIS["want"] + ", in ascending order",
     ok=lambda spec: (v := _axis(spec)) is not None and v == sorted(v),
 )
+_OMEGA_AXIS = dict(_ASCENDING_AXIS, want=_ASCENDING_AXIS["want"] + ", none negative",
+                   ok=lambda spec: _ASCENDING_AXIS["ok"](spec) and _axis(spec)[0] >= 0)
 
 
 def _add_encoding_opts(p: argparse.ArgumentParser) -> None:
@@ -473,7 +472,7 @@ def build_parser() -> tuple[
 
     p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)
-    p.add_argument("--omega-axis", required=True, **_ASCENDING_AXIS)
+    p.add_argument("--omega-axis", required=True, **_OMEGA_AXIS)
     p.add_argument("--delta-axis", required=True, **_ASCENDING_AXIS)
     p.add_argument("--k-ref", type=int, default=2, **_CLIQUE_SIZE)
 

@@ -28,6 +28,8 @@ from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
 from .sampler import Pattern, SampleBatch
 
 CLIQUE_BUDGET = 5_000_000
+# Bits of one boundary matrix, rows x columns: 2^32 bits are 512 MiB of row ints.
+BOUNDARY_BITS = 2**32
 
 
 @dataclass(frozen=True)

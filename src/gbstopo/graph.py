@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -312,12 +311,17 @@ def edge_filter(g: ComplexGraph, omega_t: float) -> ComplexGraph:
     return ComplexGraph(g.n, np.where((mag > 0) & (mag <= omega_t), g.weights, 0.0))
 
 
+def _pair_ids(n: int, cliques: np.ndarray) -> np.ndarray:
+    """The flat n x n index u * n + v of each pair u < v inside each row of
+    a clique array, a column per pair."""
+    a, b = np.triu_indices(cliques.shape[1], 1)
+    return cliques[:, a] * n + cliques[:, b]
+
+
 def _pairs_inside(n: int, cliques: Sequence[VertexSet], k: int) -> np.ndarray:
     """n x n boolean mask of the vertex pairs inside any of these k-cliques."""
-    rows = np.array(cliques, dtype=np.intp).reshape(-1, k)
     mask = np.zeros((n, n), dtype=bool)
-    for a, b in combinations(range(k), 2):
-        mask[rows[:, a], rows[:, b]] = True
+    mask.flat[_pair_ids(n, np.array(cliques, dtype=np.intp).reshape(-1, k))] = True
     return mask | mask.T
 
 

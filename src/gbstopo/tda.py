@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .cliques import CliqueComplex, enumerate_cliques
-from .errors import InvariantError
+from .cliques import BOUNDARY_BITS, CliqueComplex, enumerate_cliques
+from .errors import BudgetError, InvariantError
 from .graph import (
-    ComplexGraph, VertexSet, _density, _pairs_inside, edge_filter,
+    ComplexGraph, VertexSet, _density, _pair_ids, _pairs_inside, edge_filter,
 )
 
 NEG_INF = float("-inf")
@@ -51,6 +51,9 @@ def boundary_matrix(c: CliqueComplex, k: int) -> BoundaryMatrix:
     """Build B_k with deterministic lexicographic row/column order."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if (bits := c.m(k - 1) * c.m(k)) > BOUNDARY_BITS:  # before any row is built
+        raise BudgetError(f"B_{k} of shape {c.m(k - 1)} x {c.m(k)} exceeds the "
+                          f"budget of {BOUNDARY_BITS} bits", bits, BOUNDARY_BITS)
     row_cliques = tuple(sorted(c.by_size.get(k - 1, [])))
     col_cliques = tuple(sorted(c.by_size.get(k, [])))
     row_index = {s: i for i, s in enumerate(row_cliques)}
@@ -130,6 +133,21 @@ def euler_entropy(chi: int) -> float:
     return math.log(abs(chi))
 
 
+def _scored_cliques(g: ComplexGraph, k_ref: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k_ref-cliques of g as the rows of an array, and their densities."""
+    if k_ref < 2:
+        raise ValueError("k_ref must be >= 2")
+    found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
+    refs = np.array(found, dtype=np.intp).reshape(-1, k_ref)
+    return refs, np.array([_density(g, s) for s in found], dtype=float)
+
+
+def _rebuilt(g: ComplexGraph, refs: np.ndarray) -> ComplexGraph:
+    """g restricted to the pairs inside the rows of refs, on all n vertices."""
+    inside = _pairs_inside(g.n, refs, refs.shape[1])
+    return ComplexGraph(g.n, np.where(inside, g.weights, 0))
+
+
 def density_filtration(
     g: ComplexGraph, k_ref: int, thresholds: Sequence[float]
 ) -> list[ComplexGraph]:
@@ -139,17 +157,8 @@ def density_filtration(
     The k_ref-cliques come from exhaustive enumeration, and each is scored
     once, whatever the number of thresholds.
     """
-    if k_ref < 2:
-        raise ValueError("k_ref must be >= 2")
-    found = enumerate_cliques(g, k_ref).by_size.get(k_ref, [])
-    scored = [(s, _density(g, s)) for s in found]
-    return [
-        ComplexGraph(g.n, np.where(
-            _pairs_inside(g.n, [s for s, d in scored if d >= delta_t], k_ref),
-            g.weights, 0,
-        ))
-        for delta_t in thresholds
-    ]
+    refs, dens = _scored_cliques(g, k_ref)
+    return [_rebuilt(g, refs[dens >= delta_t]) for delta_t in thresholds]
 
 
 def density_filtered_graph(
@@ -191,30 +200,45 @@ def filtration_surface(
 ) -> FiltrationSurface:
     """Two-dimensional filtration: cell (i, j) keeps edges with
     |w| <= omega_axis[i], then reconstructs from k_ref-cliques of density
-    >= delta_axis[j] and takes the full clique complex."""
+    >= delta_axis[j] and takes the full clique complex.
+
+    Cells gain edges along omega and lose them along delta, so only the
+    union complex, cell (omega_axis[-1], delta_axis[0]), is enumerated; in
+    a row, a clique is present through the first column its edges stop at.
+    """
     omega_axis = tuple(float(x) for x in omega_axis)
     delta_axis = tuple(float(x) for x in delta_axis)
     if not omega_axis or not delta_axis:
         raise ValueError("axes must be nonempty")
-    if list(omega_axis) != sorted(omega_axis) or list(delta_axis) != sorted(
-        delta_axis
-    ):
+    if not all(a <= b for axis in (omega_axis, delta_axis)
+               for a, b in zip(axis, axis[1:])):  # a NaN is in no order
         raise ValueError("axes must be ascending")
-    rows = []
-    for omega_t in omega_axis:
-        filtered = edge_filter(g, omega_t)
-        row = []
-        for rebuilt in density_filtration(filtered, k_ref, delta_axis):
-            complex_ = enumerate_cliques(rebuilt, rebuilt.n)
-            chi = euler_characteristic(complex_)
-            row.append(
-                SurfaceCell(m=complex_.counts, chi=chi, s_chi=euler_entropy(chi))
-            )
-        rows.append(tuple(row))
+    if omega_axis[0] < 0:
+        raise ValueError("threshold must be nonnegative")
+    top = edge_filter(g, omega_axis[-1])
+    refs, dens = _scored_cliques(top, k_ref)
+    last = np.searchsorted(delta_axis, dens, "right") - 1  # -1: in no column
+    by_size = enumerate_cliques(_rebuilt(top, refs[last >= 0]), g.n).by_size
+    ref_ids = _pair_ids(g.n, refs)
+    first = np.searchsorted(omega_axis, top.magnitudes().flat[ref_ids].max(1), "left")
+    sizes = [_pair_ids(g.n, np.array(s, dtype=np.int32)) for s in by_size.values() if s]
+    m = np.zeros((len(omega_axis), len(delta_axis), g.n), dtype=np.int64)
+    pair_last = np.full(g.n * g.n, -1, dtype=np.int32)  # last columns in row i
+    for i, row in enumerate(m):  # row[j, k - 1] is m_k of cell (i, j)
+        np.maximum.at(pair_last, ref_ids[first == i], last[first == i, None])
+        for k, ids in enumerate(sizes):
+            # Each clique's last column + 1; a vertex, with no pair, is in all.
+            ends = pair_last[ids].min(axis=1, initial=len(row) - 1) + 1
+            row[:, k] = np.bincount(ends, minlength=len(row) + 1)[:0:-1].cumsum()[::-1]
+    chi = m @ (-1) ** np.arange(g.n)
+    cells = tuple(
+        tuple(SurfaceCell(dict(enumerate(cm, 1)), c, euler_entropy(c))
+              for cm, c in zip(ms.tolist(), cs.tolist())) for ms, cs in zip(m, chi)
+    )
     return FiltrationSurface(
         omega_axis=omega_axis,
         delta_axis=delta_axis,
-        cells=tuple(rows),
+        cells=cells,
         k_ref=k_ref,
     )
 

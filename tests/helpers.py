@@ -24,9 +24,13 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import ConstantInputWarning, spearmanr
 
-from gbstopo.cliques import Clique, SearchReport
-from gbstopo.graph import ComplexGraph, VertexSet
+from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
+from gbstopo.graph import ComplexGraph, VertexSet, edge_filter
 from gbstopo.sampler import enumerate_distribution
+from gbstopo.tda import (
+    FiltrationSurface, SurfaceCell, density_filtration, euler_characteristic,
+    euler_entropy,
+)
 
 
 def matching_sum_hafnian(m) -> complex:
@@ -265,6 +269,36 @@ def reference_density_filter(g, k_ref, delta_t):
             block = np.ix_(s, s)
             w[block] = g.weights[block]
     return ComplexGraph(g.n, w)
+
+
+def reference_filtration_surface(g, omega_axis, delta_axis, k_ref):
+    """filtration_surface one cell at a time: per omega row, edge_filter and
+    density_filtration, then the full clique complex of every cell."""
+    omega_axis = tuple(float(x) for x in omega_axis)
+    delta_axis = tuple(float(x) for x in delta_axis)
+    if not omega_axis or not delta_axis:
+        raise ValueError("axes must be nonempty")
+    if list(omega_axis) != sorted(omega_axis) or list(delta_axis) != sorted(
+        delta_axis
+    ):
+        raise ValueError("axes must be ascending")
+    rows = []
+    for omega_t in omega_axis:
+        filtered = edge_filter(g, omega_t)
+        row = []
+        for rebuilt in density_filtration(filtered, k_ref, delta_axis):
+            complex_ = enumerate_cliques(rebuilt, rebuilt.n)
+            chi = euler_characteristic(complex_)
+            row.append(
+                SurfaceCell(m=complex_.counts, chi=chi, s_chi=euler_entropy(chi))
+            )
+        rows.append(tuple(row))
+    return FiltrationSurface(
+        omega_axis=omega_axis,
+        delta_axis=delta_axis,
+        cells=tuple(rows),
+        k_ref=k_ref,
+    )
 
 
 def reference_damage(g, node, k):

@@ -151,6 +151,27 @@ class TestBettiCmd:
         assert vals["beta1"] == "0"
         assert vals["m2"] == "0"
 
+    def test_boundary_over_bit_budget_exit_4(self, tmp_path):
+        """B_4 of this graph, 55,903 triangles by 470,147 4-cliques, would
+        take 3.1 GiB of row ints; it is refused before a row is built."""
+        import resource
+
+        graph, out = tmp_path / "g.json", tmp_path / "b.tsv"
+        assert main(["gen", "--n", "100", "--p", "0.7", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
+        cap = 2 << 30  # a regression then fails with MemoryError, not the host
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbstopo.cli", "betti", "--graph", str(graph),
+             "--dmax", "2", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error: B_4 of shape 55903 x 470147 exceeds the "
+                               "budget of 4294967296 bits\n")
+        assert not out.exists()
+
     def test_unfiltered_sweep_repeats_one_row(
         self, tmp_path, graph_file, monkeypatch
     ):
@@ -961,6 +982,9 @@ class TestInputContract:
          "a non-negative integer"),
         (["entropy", "--k-ref", "3", "--delta-axis", "0,0.5",
           "--photon-total", "2"], "damage_k", 1, "an integer in [2, 4096]"),
+        (["surface", "--delta-axis", "0"], "omega_axis", "lin:-0.5:1:4",
+         "finite numbers v1,v2,... or lin:lo:hi:num, 1 to 10000 of them, "
+         "in ascending order, none negative"),
     ])
     def test_numeric_flag_domain_names_the_flag(
         self, tmp_path, capsys, how, argv, key, value, want

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbstopo import tda
 from gbstopo.cliques import CliqueComplex, enumerate_cliques
-from gbstopo.errors import InvariantError
+from gbstopo.errors import BudgetError, InvariantError
 from gbstopo.graph import (
     clique_density,
     edge_filter,
@@ -29,6 +31,7 @@ from gbstopo.tda import (
     gf2_rank,
     tpt_points,
 )
+import helpers
 from helpers import (
     betti_via_dense_ranks,
     brute_force_cliques,
@@ -40,6 +43,7 @@ from helpers import (
     reference_clique_persistence,
     reference_damage,
     reference_density_filter,
+    reference_filtration_surface,
     reference_rank_bits,
     relabel,
     to_dense,
@@ -137,6 +141,16 @@ class TestBoundaryMatrix:
             dense = to_dense(boundary_matrix(c, k))
             if dense.size:
                 assert np.all(dense.sum(axis=0) == k)
+
+    def test_over_bit_budget_refused_before_building(self, monkeypatch):
+        c = enumerate_cliques(complete(4), 4)  # B_2 and B_3 are 24 bits
+        monkeypatch.setattr(tda, "BOUNDARY_BITS", 24)
+        assert boundary_matrix(c, 2).shape == (4, 6)
+        monkeypatch.setattr(tda, "BOUNDARY_BITS", 23)
+        with pytest.raises(BudgetError, match=r"B_3 of shape 6 x 4 exceeds") as exc:
+            boundary_matrix(c, 3)
+        assert (exc.value.required, exc.value.budget) == (24, 23)
+        assert boundary_matrix(c, 4).shape == (4, 1)
 
 
 class TestGf2Rank:
@@ -478,6 +492,59 @@ class TestFiltrationSurface:
                 assert cell.m == c.counts
                 assert cell.chi == chi
                 assert cell.s_chi == euler_entropy(chi)
+
+    @given(data=st.data(), n=st.integers(1, 12), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k_ref=st.integers(2, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_reference(self, data, n, p, seed, k_ref):
+        g = random_dual_layer(n, p, seed=seed)
+        # Thresholds equal to an edge magnitude or a k_ref-clique density
+        # probe the <= and >= boundaries; repeated values give equal rows.
+        mags = g.magnitudes()[np.triu(g.weights, 1) != 0].tolist()
+        dens = [clique_density(g, s) for s in brute_force_cliques(g, k_ref)[k_ref]]
+        omega = data.draw(st.lists(
+            st.sampled_from([0.0, *mags]) | st.floats(0.0, 1.6),
+            min_size=1, max_size=5,
+        ).map(sorted), label="omega")
+        delta = data.draw(st.lists(
+            st.sampled_from([0.0, *dens, *mags]) | st.floats(-0.2, 1.6),
+            min_size=1, max_size=5,
+        ).map(sorted), label="delta")
+        got = filtration_surface(g, omega, delta, k_ref)
+        want = reference_filtration_surface(g, omega, delta, k_ref)
+        assert (got.omega_axis, got.delta_axis) == (want.omega_axis, want.delta_axis)
+        for i, j in np.ndindex(len(omega), len(delta)):
+            cell, ref = got.cell(i, j), want.cell(i, j)
+            assert (cell.m, cell.chi, cell.s_chi) == (ref.m, ref.chi, ref.s_chi), (i, j)
+
+    # On this graph the k_ref = 3 enumeration counts 66 cliques and the
+    # union complex 95: budgets below, at and between both.
+    @pytest.mark.parametrize("budget", [1, 40, 65, 66, 80, 94, 95])
+    def test_budget_error_matches_reference(self, monkeypatch, budget):
+        small = functools.partial(enumerate_cliques, budget=budget)
+        monkeypatch.setattr(tda, "enumerate_cliques", small)
+        monkeypatch.setattr(helpers, "enumerate_cliques", small)
+        g = random_dual_layer(8, 0.8, seed=3)
+
+        def outcome(surface):
+            try:
+                return surface(g, [0.5, 1.0, 1.5], [0.0, 0.3], 3)
+            except BudgetError as exc:
+                return exc.required, exc.budget
+
+        got = outcome(filtration_surface)
+        assert got == outcome(reference_filtration_surface)
+        assert (got == (budget + 1, budget)) == (budget < 95)
+
+    def test_axis_holding_nan_rejected(self):
+        # The union complex reads the last omega; a NaN there would empty it.
+        for omega, delta in (([0.5, math.nan], [0.0]), ([0.5], [math.nan, 0.3])):
+            with pytest.raises(ValueError, match="axes must be ascending"):
+                filtration_surface(two_community_graph(), omega, delta, 2)
+
+    def test_negative_omega_anywhere_rejected(self):
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            filtration_surface(two_community_graph(), [-0.1, 0.5], [0.0], 1)
 
 
 class TestTptDetection:
