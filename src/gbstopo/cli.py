@@ -135,17 +135,18 @@ def cmd_encode(args) -> bytes:
 
 
 def cmd_sample(args) -> bytes:
-    if args.backend == "uniform":
-        if args.k is None:
-            raise FormatError("--k is required for the uniform backend")
-        if args.graph:
-            source = _read_graph(args.graph).n
-        elif args.n_modes:
-            source = args.n_modes
-        else:
-            raise FormatError("uniform backend needs --graph or --n-modes")
-    else:
+    if args.backend != "uniform":
         source = _get_encoding(args)
+    elif args.k is None:
+        raise FormatError("--k is required for the uniform backend")
+    elif args.graph:
+        source = _read_graph(args.graph).n
+    elif args.encoding:  # loaded, so validated; uniform reads its mode count
+        source = _get_encoding(args)
+    elif args.n_modes:
+        source = args.n_modes
+    else:
+        raise FormatError("uniform backend needs --graph, --encoding or --n-modes")
     batch = smp.sample(
         args.backend, source, args.shots, args.seed, k=args.k,
         cutoff_total=args.cutoff_total, cutoff_per_mode=args.cutoff_per_mode,
@@ -220,27 +221,20 @@ def cmd_surface(args) -> bytes:
     surf = tda.filtration_surface(
         g, _axis(args.omega_axis), _axis(args.delta_axis), args.k_ref,
     )
-    # The union cell (last omega, first delta) holds every cell's cliques.
-    kmax = max(k for k, count in surf.cell(-1, 0).m.items() if count)
-    header = (
-        ["omega_t", "delta_t"]
-        + [f"m{k}" for k in range(1, kmax + 1)]
-        + ["chi", "s_chi", "tpt"]
-    )
-    rows = []
-    for i, omega_t in enumerate(surf.omega_axis):
-        for j, delta_t in enumerate(surf.delta_axis):
-            cell = surf.cell(i, j)
-            rows.append(
-                [omega_t, delta_t]
-                + [cell.m.get(k, 0) for k in range(1, kmax + 1)]
-                + [cell.chi, cell.s_chi, int(cell.tpt)]
-            )
-    report = tda.tpt_points(surf)
-    footer = [
-        f"# front: ({a[0]},{a[1]})-({b[0]},{b[1]})"
-        for a, b in report.sign_fronts
+    # The union cell (last omega, first delta) holds every cell's cliques,
+    # and a complex holds cliques of every size up to its largest.
+    kmax = int(np.count_nonzero(surf.m[-1, 0]))
+    header = ["omega_t", "delta_t", *(f"m{k}" for k in range(1, kmax + 1)),
+              "chi", "s_chi", "tpt"]
+    rows = [
+        [omega_t, delta_t, *m, chi, tda.euler_entropy(chi), int(chi == 0)]
+        for omega_t, row_m, row_chi in zip(
+            surf.omega_axis, surf.m[..., :kmax].tolist(), surf.chi.tolist()
+        )
+        for delta_t, m, chi in zip(surf.delta_axis, row_m, row_chi)
     ]
+    fronts = tda.tpt_points(surf).sign_fronts
+    footer = [f"# front: ({i},{j})-({i2},{j2})" for (i, j), (i2, j2) in fronts]
     return _table(header, rows, args, footer)
 
 
@@ -387,8 +381,11 @@ _VERTEX_COUNT = _up_to_max_vertices(1)
 _CLIQUE_SIZE = _up_to_max_vertices(2)
 _OPEN_UNIT = dict(action=_Bounded, want="a number in (0, 1)", ok=lambda v: 0 < v < 1)
 # The stored value stays the spec string, which the report headers print.
+# argparse reads a word like -1,0.3 as a flag unless '=' joins it to one.
 _AXIS = dict(action=_Bounded, ok=lambda spec: _axis(spec) is not None, want=(
-    f"finite numbers v1,v2,... or lin:lo:hi:num, 1 to {AXIS_MAX} of them"))
+    f"finite numbers v1,v2,... or lin:lo:hi:num, 1 to {AXIS_MAX} of them"),
+    help="v1,v2,... or lin:lo:hi:num; join a list that starts with '-' "
+    "to its flag with '=', as in --delta-axis=-1,0.3")
 _ASCENDING_AXIS = dict(
     _AXIS, want=_AXIS["want"] + ", in ascending order",
     ok=lambda spec: (v := _axis(spec)) is not None and v == sorted(v),
@@ -467,8 +464,7 @@ def build_parser() -> tuple[
     p.add_argument("--graph", required=True)
     p.add_argument("--dmax", type=int, default=3, **_up_to_max_vertices(0))
     p.add_argument("--k-ref", type=int, **_CLIQUE_SIZE)
-    p.add_argument("--delta-axis", default="0",
-                   help="thresholds: lo,hi,... or lin:lo:hi:n", **_AXIS)
+    p.add_argument("--delta-axis", default="0", **_AXIS)
 
     p = command("surface", cmd_surface, "two-dimensional filtration surface")
     p.add_argument("--graph", required=True)

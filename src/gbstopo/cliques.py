@@ -54,10 +54,6 @@ class CliqueComplex:
     def m(self, k: int) -> int:
         return len(self.by_size.get(k, []))
 
-    @property
-    def counts(self) -> dict[int, int]:
-        return {k: len(v) for k, v in sorted(self.by_size.items())}
-
 
 @dataclass(frozen=True)
 class SearchReport:

@@ -174,22 +174,23 @@ class SurfaceCell:
     chi: int
     s_chi: float
 
-    @property
-    def tpt(self) -> bool:
-        return self.chi == 0
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # equal only to itself: m and chi are arrays
 class FiltrationSurface:
-    """Grid over (omega_t, delta_t) of clique counts and Euler data."""
+    """Grid over (omega_t, delta_t) of clique counts and Euler data:
+    m[i, j, k - 1] is m_k of cell (i, j) and chi[i, j] its Euler
+    characteristic, both read-only."""
 
     omega_axis: tuple[float, ...]
     delta_axis: tuple[float, ...]
-    cells: tuple[tuple[SurfaceCell, ...], ...]
+    m: np.ndarray
+    chi: np.ndarray
     k_ref: int
 
     def cell(self, i: int, j: int) -> SurfaceCell:
-        return self.cells[i][j]
+        chi = int(self.chi[i, j])
+        return SurfaceCell(dict(enumerate(self.m[i, j].tolist(), 1)), chi,
+                           euler_entropy(chi))
 
 
 def filtration_surface(
@@ -231,16 +232,8 @@ def filtration_surface(
             ends = pair_last[ids].min(axis=1, initial=len(row) - 1) + 1
             row[:, k] = np.bincount(ends, minlength=len(row) + 1)[:0:-1].cumsum()[::-1]
     chi = m @ (-1) ** np.arange(g.n)
-    cells = tuple(
-        tuple(SurfaceCell(dict(enumerate(cm, 1)), c, euler_entropy(c))
-              for cm, c in zip(ms.tolist(), cs.tolist())) for ms, cs in zip(m, chi)
-    )
-    return FiltrationSurface(
-        omega_axis=omega_axis,
-        delta_axis=delta_axis,
-        cells=cells,
-        k_ref=k_ref,
-    )
+    m.flags.writeable = chi.flags.writeable = False
+    return FiltrationSurface(omega_axis, delta_axis, m, chi, k_ref)
 
 
 @dataclass(frozen=True)
@@ -253,21 +246,17 @@ class TptReport:
 
 
 def tpt_points(s: FiltrationSurface) -> TptReport:
-    zeros = []
-    fronts = []
-    n_i = len(s.omega_axis)
-    n_j = len(s.delta_axis)
-    for i in range(n_i):
-        for j in range(n_j):
-            chi = s.cell(i, j).chi
-            if chi == 0:
-                zeros.append((i, j))
-            for di, dj in ((1, 0), (0, 1)):
-                i2, j2 = i + di, j + dj
-                if i2 < n_i and j2 < n_j:
-                    if chi * s.cell(i2, j2).chi < 0:
-                        fronts.append(((i, j), (i2, j2)))
-    return TptReport(zero_cells=tuple(zeros), sign_fronts=tuple(fronts))
+    """Zero cells in row-major order; each cell's front to (i+1, j) comes
+    before its front to (i, j+1)."""
+    sign = np.sign(s.chi)  # a product of two chi values could overflow
+    flips = np.zeros((*sign.shape, 2), dtype=bool)  # [i, j, d]: to (i+1-d, j+d)
+    flips[:-1, :, 0] = sign[:-1] * sign[1:] < 0
+    flips[:, :-1, 1] = sign[:, :-1] * sign[:, 1:] < 0
+    return TptReport(
+        zero_cells=tuple(map(tuple, np.argwhere(sign == 0).tolist())),
+        sign_fronts=tuple(((i, j), (i + 1 - d, j + d))
+                          for i, j, d in np.argwhere(flips).tolist()),
+    )
 
 
 def euler_entropy_path(

@@ -12,8 +12,9 @@ oracle runs every shot's search anew on np.ix_ submatrices, the sampler
 and batch-loss oracles build one generator default_rng([seed, tag, i])
 per shot (the loss oracle draws one scalar binomial per count), the
 conditioning oracle tallies tuple patterns, the rank-correlation
-oracle is scipy.stats.spearmanr, and the file-writer oracles build each
-document as Python objects and encode it with json.dumps.
+oracle is scipy.stats.spearmanr, the transition oracle compares chi of
+neighbouring cells in a double loop, and the file-writer oracles build
+each document as Python objects and encode it with json.dumps.
 """
 
 import json
@@ -28,8 +29,7 @@ from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
 from gbstopo.graph import ComplexGraph, VertexSet, edge_filter
 from gbstopo.sampler import enumerate_distribution
 from gbstopo.tda import (
-    FiltrationSurface, SurfaceCell, density_filtration, euler_characteristic,
-    euler_entropy,
+    FiltrationSurface, TptReport, density_filtration, euler_characteristic,
 )
 
 
@@ -200,6 +200,11 @@ def to_dense(b) -> np.ndarray:
     return out
 
 
+def clique_counts(cc) -> dict[int, int]:
+    """Number of cliques of each enumerated size, by ascending size."""
+    return {k: len(v) for k, v in sorted(cc.by_size.items())}
+
+
 def max_nonempty_size(cc) -> int:
     """Largest clique size with at least one clique; 0 for no cliques."""
     sizes = [k for k, v in cc.by_size.items() if v]
@@ -282,23 +287,42 @@ def reference_filtration_surface(g, omega_axis, delta_axis, k_ref):
         delta_axis
     ):
         raise ValueError("axes must be ascending")
-    rows = []
+    m, chi = [], []
     for omega_t in omega_axis:
         filtered = edge_filter(g, omega_t)
-        row = []
+        m.append([])
+        chi.append([])
         for rebuilt in density_filtration(filtered, k_ref, delta_axis):
             complex_ = enumerate_cliques(rebuilt, rebuilt.n)
-            chi = euler_characteristic(complex_)
-            row.append(
-                SurfaceCell(m=complex_.counts, chi=chi, s_chi=euler_entropy(chi))
-            )
-        rows.append(tuple(row))
+            m[-1].append([complex_.m(k) for k in range(1, g.n + 1)])
+            chi[-1].append(euler_characteristic(complex_))
     return FiltrationSurface(
         omega_axis=omega_axis,
         delta_axis=delta_axis,
-        cells=tuple(rows),
+        m=np.array(m, dtype=np.int64),
+        chi=np.array(chi, dtype=np.int64),
         k_ref=k_ref,
     )
+
+
+def reference_tpt_points(s):
+    """tpt_points one cell at a time: zero cells and sign changes to the
+    next row and the next column, by a double loop over the grid."""
+    zeros = []
+    fronts = []
+    n_i = len(s.omega_axis)
+    n_j = len(s.delta_axis)
+    for i in range(n_i):
+        for j in range(n_j):
+            chi = s.cell(i, j).chi
+            if chi == 0:
+                zeros.append((i, j))
+            for di, dj in ((1, 0), (0, 1)):
+                i2, j2 = i + di, j + dj
+                if i2 < n_i and j2 < n_j:
+                    if chi * s.cell(i2, j2).chi < 0:
+                        fronts.append(((i, j), (i2, j2)))
+    return TptReport(zero_cells=tuple(zeros), sign_fronts=tuple(fronts))
 
 
 def reference_damage(g, node, k):

@@ -397,6 +397,35 @@ class TestSampleSourceEquivalence:
         recs = lambda p: p.read_text().splitlines()[1:]
         assert recs(via_graph) == recs(via_enc)
 
+    def test_uniform_takes_mode_count_from_encoding(self, tmp_path, graph_file):
+        enc = tmp_path / "e.json"
+        assert main(["encode", "--graph", str(graph_file), "--out",
+                     str(enc)]) == 0
+        draws = {}
+        for source in (["--graph", str(graph_file)], ["--encoding", str(enc)]):
+            out = tmp_path / "u.jsonl"
+            assert main(["sample", *source, "--backend", "uniform", "--k", "3",
+                         "--shots", "30", "--seed", "4", "--out", str(out)]) == 0
+            draws[source[0]] = out.read_text().splitlines()[1:]
+        assert draws["--graph"] == draws["--encoding"]
+        assert len(draws["--graph"]) == 30
+
+    def test_uniform_validates_encoding_file(self, tmp_path, capsys):
+        enc = tmp_path / "e.json"
+        enc.write_text('{"n": 3}')
+        out = tmp_path / "u.jsonl"
+        assert main(["sample", "--encoding", str(enc), "--backend", "uniform",
+                     "--k", "2", "--shots", "3", "--seed", "0",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "encoding lambdas must be a list of 3" in capsys.readouterr().err
+
+    def test_uniform_without_source_names_every_flag(self, tmp_path, capsys):
+        assert main(["sample", "--backend", "uniform", "--k", "2", "--shots",
+                     "3", "--seed", "0", "--out", str(tmp_path / "u.jsonl")]) == 3
+        assert ("uniform backend needs --graph, --encoding or --n-modes"
+                in capsys.readouterr().err)
+
 
 class TestCompareCmd:
     def test_enhancement_on_planted_instance(self, tmp_path):
@@ -1146,7 +1175,29 @@ class TestInputContract:
         assert not out.exists()
         assert f"{flag} must be finite numbers" in capsys.readouterr().err
 
-    # Every case runs under --dry-run: an uncapped parser would ask
+    # argparse reads "-1,0.3" after a space as an unknown flag (exit 2);
+    # joined with '=' it is the axis value.
+    @pytest.mark.parametrize("command", ["betti", "surface", "entropy"])
+    def test_axis_starting_with_minus_joins_with_equals(
+        self, tmp_path, capsys, command
+    ):
+        argv = {
+            "betti": ["--k-ref", "3"],
+            "surface": ["--k-ref", "3", "--omega-axis=0.5,1.0"],
+            "entropy": ["--k-ref", "3", "--photon-total", "2"],
+        }[command]
+        out = tmp_path / "t.tsv"
+        assert main([command, "--graph", self.graph(tmp_path, 6), *argv,
+                     "--delta-axis=-1,0.3", "--out", str(out)]) == 0
+        assert "# delta_axis = -1,0.3\n" in out.read_text()
+
+    def test_every_axis_help_shows_the_equals_form(self):
+        _, commands = build_parser()
+        axes = [a for p in commands for a in p._actions
+                if a.dest in ("omega_axis", "delta_axis")]
+        assert len(axes) == 4
+        assert all("--delta-axis=-1,0.3" in a.help for a in axes)
+
     # np.linspace for 800 GB on the last spec.
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize("spec, code", [

@@ -19,6 +19,7 @@ from gbstopo.instances import surface_axes, two_community_graph
 from gbstopo.percolation import damage
 from gbstopo.tda import (
     BoundaryMatrix,
+    FiltrationSurface,
     betti_numbers,
     boundary_matrix,
     clique_persistence,
@@ -35,6 +36,7 @@ import helpers
 from helpers import (
     betti_via_dense_ranks,
     brute_force_cliques,
+    clique_counts,
     closure_of_maximal_cliques,
     connected_components,
     dense_gf2_rank,
@@ -45,6 +47,7 @@ from helpers import (
     reference_density_filter,
     reference_filtration_surface,
     reference_rank_bits,
+    reference_tpt_points,
     relabel,
     to_dense,
 )
@@ -359,6 +362,13 @@ class TestDensityFiltration:
             one = density_filtered_graph(g, k_ref, delta_t)
             assert np.array_equal(one.weights, want.weights)
 
+    def test_m_and_chi_are_read_only_arrays(self):
+        surf = filtration_surface(two_community_graph(), [0.3, 1.0], [0.0, 0.5, 0.9], 2)
+        assert surf.m.shape == (2, 3, 20) and surf.chi.shape == (2, 3)
+        for a in (surf.m, surf.chi):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+
     def test_k_ref_below_two_rejected(self):
         with pytest.raises(ValueError, match="k_ref must be >= 2"):
             density_filtration(complete(4), 1, [0.0])
@@ -409,7 +419,7 @@ class TestFiltrationSurface:
         cell = surf.cell(0, 0)
         direct = enumerate_cliques(g, g.n)
         assert cell.chi == euler_characteristic(direct)
-        assert cell.m == direct.counts
+        assert cell.m == clique_counts(direct)
 
     def test_edgeless_row_chi_is_n(self):
         g = two_community_graph()
@@ -460,6 +470,13 @@ class TestFiltrationSurface:
                     assert cell.m.get(k, 0) == m
 
 
+    def test_m_and_chi_are_read_only_arrays(self):
+        surf = filtration_surface(two_community_graph(), [0.3, 1.0], [0.0, 0.5, 0.9], 2)
+        assert surf.m.shape == (2, 3, 20) and surf.chi.shape == (2, 3)
+        for a in (surf.m, surf.chi):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 1
+
     def test_k_ref_below_two_rejected(self):
         with pytest.raises(ValueError, match="k_ref must be >= 2"):
             filtration_surface(two_community_graph(), [0.5], [0.0], 1)
@@ -489,7 +506,7 @@ class TestFiltrationSurface:
                 )
                 chi = euler_characteristic(c)
                 cell = surf.cell(i, j)
-                assert cell.m == c.counts
+                assert cell.m == clique_counts(c)
                 assert cell.chi == chi
                 assert cell.s_chi == euler_entropy(chi)
 
@@ -532,9 +549,12 @@ class TestFiltrationSurface:
             except BudgetError as exc:
                 return exc.required, exc.budget
 
-        got = outcome(filtration_surface)
-        assert got == outcome(reference_filtration_surface)
-        assert (got == (budget + 1, budget)) == (budget < 95)
+        got, want = outcome(filtration_surface), outcome(reference_filtration_surface)
+        if budget < 95:
+            assert got == want == (budget + 1, budget)
+        else:
+            assert (got.omega_axis, got.delta_axis) == (want.omega_axis, want.delta_axis)
+            assert np.array_equal(got.m, want.m) and np.array_equal(got.chi, want.chi)
 
     def test_axis_holding_nan_rejected(self):
         # The union complex reads the last omega; a NaN there would empty it.
@@ -548,6 +568,34 @@ class TestFiltrationSurface:
 
 
 class TestTptDetection:
+    @staticmethod
+    def surface_of(chi):
+        """A surface whose cells hold the Euler characteristics chi."""
+        chi = np.array(chi, dtype=np.int64)
+        rows, cols = chi.shape
+        m = np.zeros((rows, cols, 1), dtype=np.int64)
+        return FiltrationSurface(
+            tuple(map(float, range(rows))), tuple(map(float, range(cols))),
+            m, chi, 2,
+        )
+
+    # Small values give zeros and sign flips along both axes; the large
+    # ones have products beyond int64.
+    @given(chi=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.integers(-2, 2) | st.integers(-2**62, 2**62),
+                     min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0])))
+    @example(chi=[[0]])
+    @example(chi=[[1, -1, 0, 2, -3]])
+    @example(chi=[[2], [0], [-1], [4], [-2**62]])
+    @example(chi=[[1, -1], [-1, 1]])
+    @example(chi=[[2**62, -2**62], [-2**62, 3]])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_cell_reference(self, chi):
+        surf = self.surface_of(chi)
+        assert tpt_points(surf) == reference_tpt_points(surf)
+
     def test_constant_surface_has_no_points(self):
         g = complete(4)
         surf = filtration_surface(g, [2.0], [0.0], k_ref=2)
