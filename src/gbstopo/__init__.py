@@ -52,9 +52,9 @@ from .tda import (
     tpt_points,
 )
 from .percolation import (
-    EntropyCurve,
     PercolationReport,
     SweepConfig,
+    SweepResult,
     curve_correlation,
     damage,
     normalized_renyi,

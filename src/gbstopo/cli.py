@@ -253,6 +253,9 @@ def cmd_persistence(args) -> bytes:
 
 
 def cmd_percolation(args) -> bytes:
+    if args.k_ref is None and args.delta_t != 0:
+        raise FormatError(f"--delta-t {args.delta_t} needs --k-ref: only a "
+                          "density filtration reads the threshold")
     g = _read_graph(args.graph)
     if args.damage_node is not None:
         g = perc.damage(g, args.damage_node, args.damage_k)
@@ -260,7 +263,7 @@ def cmd_percolation(args) -> bytes:
         g = tda.density_filtered_graph(g, args.k_ref, args.delta_t)
     report = perc.percolation_clusters(g, args.k)
     payload = {
-        "k": report.k,
+        "k": args.k,
         "phi": report.phi,
         "largest_nodes": report.largest_nodes,
         "clusters": [list(c) for c in report.clusters],
@@ -282,21 +285,15 @@ def cmd_entropy(args) -> bytes:
     cfg = perc.SweepConfig(**{
         f.name: getattr(args, f.name) for f in dataclasses.fields(perc.SweepConfig)
     })
-    phi_curve, ent_curve = perc.percolation_entropy_sweep(
-        g, _axis(args.delta_axis), cfg
-    )
+    sweep = perc.percolation_entropy_sweep(g, _axis(args.delta_axis), cfg)
+    shots = 0 if args.backend == "exact" else args.shots
     rows = [
-        [dt, phi, nstar, h, hn, ent_curve.shots, ent_curve.backend]
-        for dt, phi, nstar, h, hn in zip(
-            phi_curve.axis,
-            phi_curve.phi,
-            phi_curve.largest_nodes,
-            ent_curve.raw_values,
-            ent_curve.values,
-        )
+        [*cols, shots, args.backend]
+        for cols in zip(sweep.axis, sweep.phi, sweep.largest_nodes,
+                        sweep.h_alpha, sweep.h_norm)
     ]
     try:
-        rho = perc.curve_correlation(phi_curve.phi, ent_curve.values)
+        rho = perc.curve_correlation(sweep.phi, sweep.h_norm)
         rho_repr = _fmt(float(rho))
     except ValueError:
         rho_repr = "nan"
@@ -616,7 +613,8 @@ def main(argv=None) -> int:
             return EXIT_FORMAT
         for sp in commands:
             for action in sp._actions:
-                if action.dest in cfg:
+                # --help is no parameter: it would only leak into provenance.
+                if action.dest in cfg and action.dest != "help":
                     value = _config_value(action, cfg[action.dest])
                     sp.set_defaults(**{action.dest: value})
                     action.required = False

@@ -28,28 +28,9 @@ from .tda import density_filtration
 
 @dataclass(frozen=True)
 class PercolationReport:
-    k: int
     clusters: tuple[VertexSet, ...]
     phi: float
     largest_nodes: int
-
-
-@dataclass(frozen=True)
-class PhiCurve:
-    axis: tuple[float, ...]
-    phi: tuple[float, ...]
-    largest_nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EntropyCurve:
-    axis: tuple[float, ...]
-    values: tuple[float, ...]          # normalized entropies in [0, 1]
-    alpha: float
-    photon_total: int
-    raw_values: tuple[float, ...]
-    backend: str
-    shots: int
 
 
 def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
@@ -64,7 +45,7 @@ def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
         raise ValueError("k must be >= 2")
     cliques = enumerate_cliques(g, k).by_size.get(k, [])
     if not cliques:
-        return PercolationReport(k=k, clusters=(), phi=0.0, largest_nodes=0)
+        return PercolationReport(clusters=(), phi=0.0, largest_nodes=0)
     # Nodes 0..m-1 are the cliques and m, m+1, ... their distinct facets;
     # each clique has k facets and an edge to each.
     m = len(cliques)
@@ -88,7 +69,6 @@ def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
     )
     largest = len(clusters[0])
     return PercolationReport(
-        k=k,
         clusters=tuple(clusters),
         phi=largest / g.n,
         largest_nodes=largest,
@@ -180,6 +160,19 @@ class SweepConfig:
     collision_policy: str = "threshold_collapse"
 
 
+@dataclass(frozen=True)
+class SweepResult:
+    """Per threshold of axis: the order parameter Phi, the node count of
+    the largest cluster, and the Renyi entropy of the conditioned pattern
+    law, raw (h_alpha) and normalized to [0, 1] (h_norm)."""
+
+    axis: tuple[float, ...]
+    phi: tuple[float, ...]
+    largest_nodes: tuple[int, ...]
+    h_alpha: tuple[float, ...]
+    h_norm: tuple[float, ...]
+
+
 def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> tuple[float, float]:
     """(H_alpha, normalized H_alpha) of the conditioned pattern law of g.
 
@@ -209,27 +202,19 @@ def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> tuple[float, float]:
 
 def percolation_entropy_sweep(
     g: ComplexGraph, thresholds: Sequence[float], cfg: SweepConfig
-) -> tuple[PhiCurve, EntropyCurve]:
+) -> SweepResult:
     """Per density threshold: reconstruct the network from qualifying
     k_ref-cliques, measure Phi there, re-encode and measure the
-    normalized Renyi entropy of photon patterns conditioned on the
-    configured total."""
+    Renyi entropy of photon patterns conditioned on the configured
+    total."""
     axis = tuple(float(t) for t in thresholds)
     rebuilt = density_filtration(g, cfg.k_ref, axis)
     reports = [percolation_clusters(f, cfg.k_ref) for f in rebuilt]
     entropies = [_entropy_at(f, cfg) for f in rebuilt]
-    phi_curve = PhiCurve(
+    return SweepResult(
         axis=axis,
         phi=tuple(r.phi for r in reports),
         largest_nodes=tuple(r.largest_nodes for r in reports),
+        h_alpha=tuple(h for h, _ in entropies),
+        h_norm=tuple(h_norm for _, h_norm in entropies),
     )
-    entropy_curve = EntropyCurve(
-        axis=axis,
-        values=tuple(h_norm for _, h_norm in entropies),
-        alpha=cfg.alpha,
-        photon_total=cfg.photon_total,
-        raw_values=tuple(h for h, _ in entropies),
-        backend=cfg.backend,
-        shots=0 if cfg.backend == "exact" else cfg.shots,
-    )
-    return phi_curve, entropy_curve

@@ -676,6 +676,10 @@ def load_batch(source: bytes | str) -> SampleBatch:
                 raise FormatError(f"record {rec!r} has {len(p)} modes but "
                                   f"the first record has {len(patterns[0])}")
             patterns.append(p)
+        shots = header.get("shots", len(patterns))
+        if not _is_count(shots) or shots != len(patterns):
+            raise FormatError(f"header shots {shots!r} is not the record "
+                              f"count {len(patterns)}")
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

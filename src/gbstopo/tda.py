@@ -168,13 +168,6 @@ def density_filtered_graph(
     return density_filtration(g, k_ref, [delta_t])[0]
 
 
-@dataclass(frozen=True)
-class SurfaceCell:
-    m: dict[int, int]
-    chi: int
-    s_chi: float
-
-
 @dataclass(frozen=True, eq=False)  # equal only to itself: m and chi are arrays
 class FiltrationSurface:
     """Grid over (omega_t, delta_t) of clique counts and Euler data:
@@ -185,12 +178,6 @@ class FiltrationSurface:
     delta_axis: tuple[float, ...]
     m: np.ndarray
     chi: np.ndarray
-    k_ref: int
-
-    def cell(self, i: int, j: int) -> SurfaceCell:
-        chi = int(self.chi[i, j])
-        return SurfaceCell(dict(enumerate(self.m[i, j].tolist(), 1)), chi,
-                           euler_entropy(chi))
 
 
 def filtration_surface(
@@ -233,7 +220,7 @@ def filtration_surface(
             row[:, k] = np.bincount(ends, minlength=len(row) + 1)[:0:-1].cumsum()[::-1]
     chi = m @ (-1) ** np.arange(g.n)
     m.flags.writeable = chi.flags.writeable = False
-    return FiltrationSurface(omega_axis, delta_axis, m, chi, k_ref)
+    return FiltrationSurface(omega_axis, delta_axis, m, chi)
 
 
 @dataclass(frozen=True)
@@ -267,7 +254,7 @@ def euler_entropy_path(
     for i, j in path:
         if not (0 <= i < len(s.omega_axis) and 0 <= j < len(s.delta_axis)):
             raise ValueError(f"cell ({i}, {j}) outside the grid")
-        out.append(s.cell(i, j).s_chi)
+        out.append(euler_entropy(int(s.chi[i, j])))
     return out
 
 

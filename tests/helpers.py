@@ -301,7 +301,6 @@ def reference_filtration_surface(g, omega_axis, delta_axis, k_ref):
         delta_axis=delta_axis,
         m=np.array(m, dtype=np.int64),
         chi=np.array(chi, dtype=np.int64),
-        k_ref=k_ref,
     )
 
 
@@ -314,13 +313,13 @@ def reference_tpt_points(s):
     n_j = len(s.delta_axis)
     for i in range(n_i):
         for j in range(n_j):
-            chi = s.cell(i, j).chi
+            chi = int(s.chi[i, j])
             if chi == 0:
                 zeros.append((i, j))
             for di, dj in ((1, 0), (0, 1)):
                 i2, j2 = i + di, j + dj
                 if i2 < n_i and j2 < n_j:
-                    if chi * s.cell(i2, j2).chi < 0:
+                    if chi * int(s.chi[i2, j2]) < 0:
                         fronts.append(((i, j), (i2, j2)))
     return TptReport(zero_cells=tuple(zeros), sign_fronts=tuple(fronts))
 

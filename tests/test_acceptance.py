@@ -235,7 +235,7 @@ def test_criterion_6_tpt_detection():
     path = [(i, 0) for i in range(len(omega))]
     entropies = gt.euler_entropy_path(surf, path)
     sentinel_at = [i for i, v in enumerate(entropies) if v == float("-inf")]
-    zero_at = [i for i in range(len(omega)) if surf.cell(i, 0).chi == 0]
+    zero_at = np.flatnonzero(surf.chi[:, 0] == 0).tolist()
     ok = (
         bool(rep.sign_fronts)
         and bool(rep.zero_cells)
@@ -322,13 +322,12 @@ def test_criterion_8_entropy_percolation_agreement():
         k_ref=3, alpha=2.0, photon_total=4, target_spectral=0.7,
         backend="exact", cutoff_total=4, cutoff_per_mode=4,
     )
-    phi, ent = percolation_entropy_sweep(g, thresholds, cfg)
-    rho = gt.curve_correlation(phi.phi, ent.values)
+    sweep = percolation_entropy_sweep(g, thresholds, cfg)
+    rho = gt.curve_correlation(sweep.phi, sweep.h_norm)
 
-    damaged = gt.damage(g, 1, 4)
-    phi_d, ent_d = percolation_entropy_sweep(damaged, thresholds, cfg)
-    dphi = np.array(phi_d.phi) - np.array(phi.phi)
-    dent = np.array(ent_d.values) - np.array(ent.values)
+    damaged = percolation_entropy_sweep(gt.damage(g, 1, 4), thresholds, cfg)
+    dphi = np.array(damaged.phi) - np.array(sweep.phi)
+    dent = np.array(damaged.h_norm) - np.array(sweep.h_norm)
     agree = int(sum(np.sign(a) == np.sign(b) for a, b in zip(dphi, dent)))
     ok = rho >= 0.8 and agree >= 0.8 * len(thresholds)
     _report(

@@ -309,6 +309,19 @@ class TestPercolationCmd:
         assert (json.loads(out_b.read_text())["phi"]
                 < json.loads(out_a.read_text())["phi"])
 
+    def test_delta_t_without_k_ref_exit_3(self, tmp_path, capsys):
+        # Without --k-ref no filtration runs, so a threshold would be ignored.
+        gpath = tmp_path / "g.json"
+        assert main(["gen", "--n", "12", "--p", "0.5", "--seed", "3",
+                     "--out", str(gpath)]) == 0
+        out = tmp_path / "p.json"
+        code = main(["percolation", "--graph", str(gpath), "--k", "3",
+                     "--delta-t", "0.9", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--delta-t 0.9" in err and "--k-ref" in err
+
     @pytest.mark.parametrize("delta_t", ["0", "-1"])
     def test_k_ref_filters_at_any_delta_t(self, tmp_path, delta_t):
         # As in betti, --k-ref alone turns the density filter on.
@@ -492,6 +505,21 @@ class TestDryRunAndConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1,2,3]")
         assert main(["gen", "--config", str(cfg), "--out", "x"]) == 3
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_help_key_is_ignored(self, tmp_path, capsys, value):
+        # help names no parameter, so the provenance must not record it.
+        argv = ["gen", "--n", "4", "--p", "0.5", "--seed", "0"]
+        outputs = []
+        for doc in ({"help": value}, {}):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            out = tmp_path / "g.json"
+            run = [*argv, "--config", str(cfg), "--out", str(out)]
+            assert main([*run, "--dry-run"]) == 0
+            assert main(run) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 # The smallest argv of every command. The input files are never created:
@@ -696,6 +724,19 @@ class TestInputContract:
         assert code == 3
         assert not out.exists()
         assert str(pattern) in capsys.readouterr().err
+
+    def test_sample_header_shots_must_count_the_records(self, tmp_path, capsys):
+        samples = tmp_path / "s.jsonl"
+        samples.write_text(
+            json.dumps({"backend": "gbs", "seed": 0, "eta": 1.0, "shots": 7})
+            + "\n" + json.dumps({"pattern": [1, 1, 1, 0, 0, 0]}) + "\n"
+        )
+        out = tmp_path / "r.json"
+        code = main(["cliques", "--graph", self.graph(tmp_path, 6),
+                     "--samples", str(samples), "--k", "3", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert "header shots 7 is not the record count 1" in capsys.readouterr().err
 
     def test_non_integer_sample_seed_exit_3(self, tmp_path, capsys):
         samples = tmp_path / "s.jsonl"

@@ -280,28 +280,28 @@ class TestSweep:
 
     def test_endpoints(self):
         g = graded_triangle_chain()
-        phi, ent = percolation_entropy_sweep(g, [0.0, 2.0], self.cfg())
-        assert phi.phi[0] == pytest.approx(1.0)
-        assert phi.phi[1] == 0.0
-        assert ent.values[1] == 0.0
-        assert ent.values[0] > 0.5
-        assert ent.values[0] == max(ent.values)
+        sweep = percolation_entropy_sweep(g, [0.0, 2.0], self.cfg())
+        assert sweep.phi[0] == pytest.approx(1.0)
+        assert sweep.phi[1] == 0.0
+        assert sweep.h_norm[1] == 0.0
+        assert sweep.h_norm[0] > 0.5
+        assert sweep.h_norm[0] == max(sweep.h_norm)
 
     def test_phi_and_entropy_track(self):
         g = graded_triangle_chain()
         thresholds = np.linspace(0.40, 0.92, 14)
-        phi, ent = percolation_entropy_sweep(g, thresholds, self.cfg())
-        rho = curve_correlation(phi.phi, ent.values)
+        sweep = percolation_entropy_sweep(g, thresholds, self.cfg())
+        rho = curve_correlation(sweep.phi, sweep.h_norm)
         assert rho >= 0.8
 
     def test_damage_shifts_both_curves_down(self):
         g = graded_triangle_chain()
         thresholds = np.linspace(0.40, 0.92, 14)
         cfg = self.cfg()
-        phi, ent = percolation_entropy_sweep(g, thresholds, cfg)
-        phi_d, ent_d = percolation_entropy_sweep(damage(g, 1, 4), thresholds, cfg)
-        dphi = np.array(phi_d.phi) - np.array(phi.phi)
-        dent = np.array(ent_d.values) - np.array(ent.values)
+        sweep = percolation_entropy_sweep(g, thresholds, cfg)
+        damaged = percolation_entropy_sweep(damage(g, 1, 4), thresholds, cfg)
+        dphi = np.array(damaged.phi) - np.array(sweep.phi)
+        dent = np.array(damaged.h_norm) - np.array(sweep.h_norm)
         agree = sum(np.sign(a) == np.sign(b) for a, b in zip(dphi, dent))
         assert agree >= 0.8 * len(thresholds)
 

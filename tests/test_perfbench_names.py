@@ -7,9 +7,11 @@ import importlib.util
 from pathlib import Path
 
 import gbstopo.cli  # noqa: F401  (Tracer patches cli.main and cli._write)
+from gbstopo import cliques, percolation, tda
 from gbstopo.cliques import enumerate_cliques
 from gbstopo.graph import graph_from_edges
-from gbstopo.sampler import PatternDistribution
+from gbstopo.instances import planted_clique_graph, two_community_graph
+from gbstopo.sampler import PatternDistribution, sample_uniform
 from gbstopo.tda import betti_numbers
 
 TRACER = Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -50,3 +52,34 @@ def test_gf2_rank_argument_has_the_traced_shape():
         assert betti_numbers(complex_, 1).betti == (1, 0)
     assert tracer.summary()[1]["tda.gf2_rank"] == 2
     assert tracer.counts["tda.gf2_rank.bits"] == 4 * 4 + 4 * 1
+
+
+# The hooks below read fields of real results; each call goes through the
+# module attribute, which the tracer patches.
+
+
+def test_surface_hook_counts_every_cell():
+    with load_tracer().Tracer() as tracer:
+        tda.filtration_surface(two_community_graph(), [0.3, 0.6, 1.0], [0.0, 0.5], 2)
+    assert tracer.counts["tda.filtration_surface.cells"] == 3 * 2
+
+
+def test_search_hook_counts_shots_and_successes():
+    g = planted_clique_graph()
+    batch = sample_uniform(g.n, 5, 200, seed=4)
+    with load_tracer().Tracer() as tracer:
+        report = cliques.find_cliques(g, batch, 5)
+    assert report.cliques_found  # the check below is not 0 == 0
+    assert tracer.counts["cliques.find_cliques.shots"] == report.shots_in == 200
+    assert tracer.counts["cliques.find_cliques.successes"] == len(
+        report.cliques_found
+    )
+
+
+def test_percolation_hook_counts_k_cliques():
+    g = two_community_graph()
+    triangles = len(enumerate_cliques(g, 3).by_size[3])
+    with load_tracer().Tracer() as tracer:
+        percolation.percolation_clusters(g, 3)
+    assert triangles
+    assert tracer.counts["percolation.percolation_clusters.cliques"] == triangles

@@ -545,6 +545,21 @@ class TestBatchIO:
         b = load_batch("\n".join(map(json.dumps, lines)).encode())
         assert b.patterns.tolist() == [[2**63 - 1, 0]]
 
+    @pytest.mark.parametrize("shots", [0, 1, 3, -2, True, 2.0, "2", None])
+    def test_header_shots_must_count_the_records(self, shots):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0, "shots": shots}
+        lines = [header, {"pattern": [1, 0]}, {"pattern": [0, 1]}]
+        with pytest.raises(FormatError, match=(
+            rf"header shots {shots!r} is not the record count 2"
+        )):
+            load_batch("\n".join(map(json.dumps, lines)).encode())
+
+    def test_header_shots_equal_to_the_records_loads(self):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0, "shots": 2}
+        lines = [header, {"pattern": [1, 0]}, {"pattern": [0, 1]}]
+        b = load_batch("\n".join(map(json.dumps, lines)).encode())
+        assert b.patterns.tolist() == [[1, 0], [0, 1]]
+
     @pytest.mark.parametrize("seed", [1.9, 1.0, True, "1"])
     def test_non_integer_seed_rejected(self, seed):
         header = {"backend": "gbs", "seed": seed, "eta": 1.0}

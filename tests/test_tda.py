@@ -411,27 +411,32 @@ class TestEdgeMask:
         assert np.array_equal(damage(g, node, k).weights, want.weights)
 
 
+def counts_at(surf, i, j) -> dict[int, int]:
+    """Clique counts of cell (i, j) by size, as helpers.clique_counts gives
+    them for a complex."""
+    return dict(enumerate(surf.m[i, j].tolist(), 1))
+
+
 class TestFiltrationSurface:
     def test_single_cell_equals_direct_analysis(self):
         g = two_community_graph()
         top = float(np.max(g.magnitudes()))
         surf = filtration_surface(g, [top], [0.0], k_ref=2)
-        cell = surf.cell(0, 0)
         direct = enumerate_cliques(g, g.n)
-        assert cell.chi == euler_characteristic(direct)
-        assert cell.m == clique_counts(direct)
+        assert surf.chi[0, 0] == euler_characteristic(direct)
+        assert counts_at(surf, 0, 0) == clique_counts(direct)
 
     def test_edgeless_row_chi_is_n(self):
         g = two_community_graph()
         surf = filtration_surface(g, [0.0], [0.0], k_ref=2)
-        assert surf.cell(0, 0).chi == 20
-        assert surf.cell(0, 0).m[1] == 20
+        assert surf.chi[0, 0] == 20
+        assert surf.m[0, 0, 0] == 20
 
     def test_m2_monotone_along_omega_at_zero_delta(self):
         g = two_community_graph()
         omega, _ = surface_axes()
         surf = filtration_surface(g, omega, [0.0], k_ref=2)
-        m2 = [surf.cell(i, 0).m.get(2, 0) for i in range(len(omega))]
+        m2 = surf.m[:, 0, 1].tolist()
         assert all(a <= b for a, b in zip(m2, m2[1:]))
 
     def test_axes_must_ascend(self):
@@ -464,10 +469,9 @@ class TestFiltrationSurface:
                 chi = sum(
                     (-1) ** (k - 1) * m for k, m in counts.items()
                 )
-                cell = surf.cell(i, j)
-                assert cell.chi == chi
+                assert surf.chi[i, j] == chi
                 for k, m in counts.items():
-                    assert cell.m.get(k, 0) == m
+                    assert surf.m[i, j, k - 1] == m
 
 
     def test_m_and_chi_are_read_only_arrays(self):
@@ -505,10 +509,9 @@ class TestFiltrationSurface:
                     density_filtered_graph(filtered, k_ref, dt), n
                 )
                 chi = euler_characteristic(c)
-                cell = surf.cell(i, j)
-                assert cell.m == clique_counts(c)
-                assert cell.chi == chi
-                assert cell.s_chi == euler_entropy(chi)
+                assert counts_at(surf, i, j) == clique_counts(c)
+                assert surf.chi[i, j] == chi
+                assert euler_entropy_path(surf, [(i, j)]) == [euler_entropy(chi)]
 
     @given(data=st.data(), n=st.integers(1, 12), p=st.sampled_from(EDGE_PROBS),
            seed=st.integers(0, 10_000), k_ref=st.integers(2, 5))
@@ -530,9 +533,9 @@ class TestFiltrationSurface:
         got = filtration_surface(g, omega, delta, k_ref)
         want = reference_filtration_surface(g, omega, delta, k_ref)
         assert (got.omega_axis, got.delta_axis) == (want.omega_axis, want.delta_axis)
-        for i, j in np.ndindex(len(omega), len(delta)):
-            cell, ref = got.cell(i, j), want.cell(i, j)
-            assert (cell.m, cell.chi, cell.s_chi) == (ref.m, ref.chi, ref.s_chi), (i, j)
+        assert np.array_equal(got.m, want.m) and np.array_equal(got.chi, want.chi)
+        cells = list(np.ndindex(len(omega), len(delta)))
+        assert euler_entropy_path(got, cells) == euler_entropy_path(want, cells)
 
     # On this graph the k_ref = 3 enumeration counts 66 cliques and the
     # union complex 95: budgets below, at and between both.
@@ -575,8 +578,7 @@ class TestTptDetection:
         rows, cols = chi.shape
         m = np.zeros((rows, cols, 1), dtype=np.int64)
         return FiltrationSurface(
-            tuple(map(float, range(rows))), tuple(map(float, range(cols))),
-            m, chi, 2,
+            tuple(map(float, range(rows))), tuple(map(float, range(cols))), m, chi,
         )
 
     # Small values give zeros and sign flips along both axes; the large
@@ -610,7 +612,7 @@ class TestTptDetection:
         assert rep.zero_cells
         assert rep.sign_fronts
         for (i1, j1), (i2, j2) in rep.sign_fronts:
-            assert surf.cell(i1, j1).chi * surf.cell(i2, j2).chi < 0
+            assert int(surf.chi[i1, j1]) * int(surf.chi[i2, j2]) < 0
 
     def test_path_sentinels_match_zero_cells(self):
         g = two_community_graph()
@@ -619,9 +621,28 @@ class TestTptDetection:
         path = [(i, 0) for i in range(len(omega))]
         entropies = euler_entropy_path(surf, path)
         sentinel_at = [i for i, v in enumerate(entropies) if v == float("-inf")]
-        zero_at = [i for i in range(len(omega)) if surf.cell(i, 0).chi == 0]
+        zero_at = np.flatnonzero(surf.chi[:, 0] == 0).tolist()
         assert sentinel_at == zero_at
         assert sentinel_at
+
+    @given(data=st.data(), rows=st.integers(1, 5), cols=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_path_reads_each_cell_entropy(self, data, rows, cols):
+        chi = data.draw(st.lists(st.integers(-3, 3), min_size=rows * cols,
+                                 max_size=rows * cols), label="chi")
+        surf = self.surface_of(np.reshape(chi, (rows, cols)))
+        cell = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+        path = data.draw(st.lists(cell, max_size=8), label="path")
+        assert euler_entropy_path(surf, path) == [
+            euler_entropy(int(surf.chi[i, j])) for i, j in path
+        ]
+        # One cell off the grid, on either axis and on either side.
+        off = data.draw(st.sampled_from(
+            [(-1, 0), (rows, 0), (0, -1), (0, cols), (rows, cols)]
+        ), label="off")
+        at = data.draw(st.integers(0, len(path)), label="at")
+        with pytest.raises(ValueError, match="outside the grid"):
+            euler_entropy_path(surf, [*path[:at], off, *path[at:]])
 
     def test_out_of_grid_path_rejected(self):
         g = complete(4)
