@@ -48,10 +48,11 @@ BACKENDS = ("gbs", "uniform", "squashed")
 COLLISION_POLICIES = ("threshold_collapse", "collision_free_only")
 
 # Stream tags keep the per-shot RNG streams of different consumers disjoint.
-_TAG_GBS = 0
-_TAG_UNIFORM = 1
-_TAG_SQUASHED = 2
-_TAG_LOSS = 3
+_TAG_GBS, _TAG_UNIFORM, _TAG_SQUASHED, _TAG_LOSS = range(4)
+
+# What _invert may walk; more is refused with BudgetError before a walk.
+MEAN_BUDGET = 500.0  # largest squashed Poisson mean; exp(-500) is normal
+COUNT_BUDGET = 1000  # largest count a draw reaches or batch loss thins
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: == on an ndarray field is ambiguous
@@ -315,7 +316,7 @@ def enumerate_distribution(
 
 
 def _shot_rng(seed: int, tag: int, shot: int) -> np.random.Generator:
-    """The stream of shot `shot`; the reference _shot_states is checked on."""
+    """The stream of shot `shot`; the reference _doubles is checked on."""
     return np.random.default_rng([seed, tag, shot])
 
 
@@ -325,18 +326,8 @@ _M32 = 0xFFFF_FFFF
 _HASH_A = (0x43B0D7E5, 0x931E8875)  # mix_entropy's hashmix: (init, mult)
 _HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state's hash: (init, mult)
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
+_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
 _MAX_STREAMS = 2**32  # shot indices from 2^32 on enter the seed as two words
-
-
-def _words(n: int) -> list[int]:
-    """The uint32 words SeedSequence reads from a non-negative int,
-    least significant first; 0 is one word."""
-    words = [n & _M32]
-    while n > _M32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
 
 
 def _hasher(init: int, mult: int):
@@ -377,24 +368,20 @@ def _add128(a: tuple, b: tuple) -> tuple:
 
 
 def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    mult = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 2**64 - 1))
-    return _add128(_mul128(state, mult), inc)
+    return _add128(_mul128(state, _PCG_MULT), inc)
 
 
 def _shot_states(seed: int, tag: int, shots: int) -> tuple[tuple, tuple]:
     """The PCG64 (state, inc) of default_rng([seed, tag, i]) for every i in
-    range(shots), each a (hi, lo) pair of uint64 arrays.
-
-    Shots 0 and shots - 1 are checked against _shot_rng, so a numpy whose
-    SeedSequence differs raises InvariantError instead of drawing other
-    streams.
-    """
+    range(shots), each a (hi, lo) pair of uint64 arrays."""
     if shots > _MAX_STREAMS:
         raise BudgetError(
             f"{shots} shots exceed the {_MAX_STREAMS} per-shot streams a "
             f"batch may seed", required=shots, budget=_MAX_STREAMS,
         )
-    entropy = [np.full(shots, w, dtype=np.uint32) for w in _words(seed) + [tag]]
+    # The seed enters as uint32 words, least significant first; 0 is one word.
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(shots, w, dtype=np.uint32) for w in words + [tag]]
     entropy.append(np.arange(shots, dtype=np.uint32))
     hashmix = _hasher(*_HASH_A)
     zero = np.zeros(shots, dtype=np.uint32)
@@ -416,51 +403,46 @@ def _shot_states(seed: int, tag: int, shots: int) -> tuple[tuple, tuple]:
     # PCG64 srandom: inc = 2 seq + 1; step from 0; add the seed; step.
     one = np.uint64(1)
     inc = (q_hi << one | q_lo >> np.uint64(63), q_lo << one | one)
-    state = _pcg_step(_add128(inc, (s_hi, s_lo)), inc)
-    for i in sorted({0, shots - 1}) if shots else []:
-        want = _shot_rng(seed, tag, i).bit_generator.state["state"]
-        got = {k: int(v[0][i]) << 64 | int(v[1][i])
-               for k, v in (("state", state), ("inc", inc))}
-        if got != want:
-            raise InvariantError(
-                f"seeded stream ({seed}, {tag}, {i}) holds {got}, but "
-                f"default_rng gives {want}"
-            )
-    return state, inc
+    return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
 
 
-def _first_doubles(seed: int, tag: int, shots: int) -> np.ndarray:
-    """default_rng([seed, tag, i]).random() for every i in range(shots): one
-    PCG64 step, its XSL-RR output, the top 53 bits times 2^-53."""
+def _doubles(seed: int, tag: int, shots: int, m: int) -> np.ndarray:
+    """default_rng([seed, tag, i]).random(m) for every i in range(shots), as
+    a (shots, m) array: per double one PCG64 step, its XSL-RR output, the
+    top 53 bits times 2^-53. Shots 0 and shots - 1 are checked against
+    _shot_rng: a numpy that draws otherwise raises InvariantError."""
     state, inc = _shot_states(seed, tag, shots)
-    hi, lo = _pcg_step(state, inc)
-    rot = hi >> np.uint64(58)
-    x = hi ^ lo
-    x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
-
-
-def _per_shot(seed: int, tag: int, shots: int, draw) -> list:
-    """draw(rng, i) for each shot i, on its own stream (seed, tag, i).
-
-    One Generator is reused; its PCG64 is set to each shot's seeded state,
-    which is all default_rng([seed, tag, i]) would hold.
-    """
-    (s_hi, s_lo), (i_hi, i_lo) = _shot_states(seed, tag, shots)
-    bitgen = np.random.PCG64(0)
-    rng = np.random.Generator(bitgen)
-    out = []
-    for i, (sh, sl, ih, il) in enumerate(zip(
-        s_hi.tolist(), s_lo.tolist(), i_hi.tolist(), i_lo.tolist()
-    )):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        out.append(draw(rng, i))
+    out = np.empty((shots, m))
+    for j in range(m):
+        hi, lo = state = _pcg_step(state, inc)
+        rot = hi >> np.uint64(58)
+        x = hi ^ lo
+        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+        out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    for i in sorted({0, shots - 1}) if shots else []:
+        want = _shot_rng(seed, tag, i).random(m)
+        if not np.array_equal(out[i], want):
+            raise InvariantError(f"seeded stream ({seed}, {tag}, {i}) draws "
+                                 f"{out[i]}, but default_rng gives {want}")
     return out
+
+
+def _invert(u: np.ndarray, last, term) -> np.ndarray:
+    """Inversion by sequential search (Devroye 1986, sec. III.2) over
+    arrays: per element of u, the least k <= last with u < term(0) + ... +
+    term(k). term(k, idx, prev) gives the k-th probability of the flat
+    elements idx still searching, from prev, their (k-1)-th."""
+    flat, last = u.ravel(), np.broadcast_to(last, u.shape).ravel()
+    out, idx = np.empty(flat.shape, dtype=np.int64), np.arange(flat.size)
+    prob = cdf = np.zeros(flat.size)
+    k = 0
+    while idx.size:
+        prob = term(k, idx, prob)
+        cdf = cdf + prob
+        done = (flat[idx] < cdf) | (last[idx] == k)
+        out[idx[done]] = k
+        idx, prob, cdf, k = idx[~done], prob[~done], cdf[~done], k + 1
+    return out.reshape(u.shape)
 
 
 def sample_gbs(
@@ -476,7 +458,7 @@ def sample_gbs(
         raise InvariantError("enumerated distribution has zero mass")
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
-    u = _first_doubles(seed, _TAG_GBS, shots)
+    u = _doubles(seed, _TAG_GBS, shots, 1)[:, 0]
     return SampleBatch(
         patterns=dist.lattice.counts[np.searchsorted(cum, u, side="right")],
         seed=seed,
@@ -487,14 +469,16 @@ def sample_gbs(
 
 
 def sample_uniform(n_modes: int, k: int, shots: int, seed: int) -> SampleBatch:
-    """Uniformly random k-subsets of modes, encoded as 0/1 patterns."""
+    """Uniformly random k-subsets of modes, encoded as 0/1 patterns: the
+    modes of a shot's k smallest doubles, ties to the lower mode."""
     if k > n_modes:
         raise ValueError(f"k={k} exceeds mode count {n_modes}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rows = _per_shot(seed, _TAG_UNIFORM, shots, lambda rng, _: np.bincount(
-        rng.choice(n_modes, size=k, replace=False), minlength=n_modes))
-    return SampleBatch(np.reshape(rows, (shots, n_modes)), seed, "uniform")
+    u = _doubles(seed, _TAG_UNIFORM, shots, n_modes)
+    rows = np.zeros((shots, n_modes), dtype=np.int64)
+    np.put_along_axis(rows, np.argsort(u, axis=1, kind="stable")[:, :k], 1, 1)
+    return SampleBatch(rows, seed, "uniform")
 
 
 def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
@@ -503,16 +487,22 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
 
     Each shot draws a real amplitude a_i ~ Normal(0, (e^{2 r_i} - 1)/4)
     per input mode, propagates beta = U a, and detects
-    count_i ~ Poisson(|beta_i|^2).
+    count_i ~ Poisson(|beta_i|^2). A shot's first h = ceil(n/2) doubles are
+    Box-Muller radii, the next h angles; one more per mode inverts Poisson.
     """
+    h = (e.n + 1) // 2
+    u = _doubles(seed, _TAG_SQUASHED, shots, 2 * h + e.n)
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :h])), 2.0 * np.pi * u[:, h:2 * h]
+    normal = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :e.n]
     std = np.sqrt((np.exp(2.0 * e.squeezings) - 1.0) / 4.0)
-
-    def draw(rng, _):
-        beta = e.u @ (rng.normal(0.0, 1.0, size=e.n) * std)
-        return rng.poisson(np.abs(beta) ** 2)
-
-    rows = _per_shot(seed, _TAG_SQUASHED, shots, draw)
-    return SampleBatch(np.reshape(rows, (shots, e.n)), seed, "squashed")
+    # einsum, not @: a BLAS product would start worker threads.
+    mean = np.abs(np.einsum("ij,sj->si", e.u, normal * std)) ** 2
+    if not (worst := float(mean.max(initial=0.0))) <= MEAN_BUDGET:
+        raise BudgetError(f"Poisson mean {worst!r} exceeds the inversion bound "
+                          f"{MEAN_BUDGET}", required=worst, budget=MEAN_BUDGET)
+    counts = _invert(u[:, 2 * h:], COUNT_BUDGET, lambda k, idx, p: np.exp(
+        -mean.flat[idx]) if k == 0 else p * mean.flat[idx] / k)
+    return SampleBatch(counts, seed, "squashed")
 
 
 def sample(
@@ -536,20 +526,29 @@ def sample(
     return sample_uniform(n_modes, k, shots, seed)
 
 
+def _loss_table(top: int, eta: float) -> np.ndarray:
+    """lost[c, k] = C(c, k) (1 - eta)^k eta^(c - k): k of c <= top lost."""
+    if top > COUNT_BUDGET:
+        raise BudgetError(f"photon count {top} exceeds the loss table bound "
+                          f"{COUNT_BUDGET}", required=top, budget=COUNT_BUDGET)
+    lost = np.zeros((top + 1, top + 1))
+    for c in range(top + 1):
+        comb = 1  # C(c, k), exact
+        for k in range(c + 1):
+            lost[c, k] = comb * eta ** (c - k) * (1 - eta) ** k
+            comb = comb * (c - k) // (k + 1)
+    return lost
+
+
 def _thin_lattice(lat: _Lattice, w: np.ndarray, eta: float) -> np.ndarray:
     """Per-photon survival applied to lattice weights, one mode per pass:
-    the weight at p moves to p - k e_j with probability
-    C(p_j, k) (1 - eta)^k eta^(p_j - k)."""
-    top = int(lat.counts.max(initial=0))
-    lost = np.zeros((top + 1, top + 1))  # lost[c, k]: k of c photons lost
-    for c in range(top + 1):
-        for k in range(c + 1):
-            lost[c, k] = math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
+    the weight at p moves to p - k e_j with probability lost[p_j, k]."""
+    lost = _loss_table(int(lat.counts.max(initial=0)), eta)
     for j in range(lat.counts.shape[1]):
         count = lat.counts[:, j]
         out = np.zeros_like(w)
         src = dst = np.arange(len(w))
-        for k in range(top + 1):
+        for k in range(len(lost)):
             # dst is p - k e_j for every source p with p_j >= k; distinct
             # sources give distinct targets, so the fancy add is safe.
             out[dst] += w[src] * lost[count[src], k]
@@ -563,16 +562,17 @@ def _thin_lattice(lat: _Lattice, w: np.ndarray, eta: float) -> np.ndarray:
 def apply_loss(x, eta: float, seed: int = 0):
     """Uniform loss: each photon survives independently with probability eta.
 
-    Batches are thinned stochastically (per-shot streams); distributions
-    are convolved exactly, so the seed is unused for them.
+    A batch count c loses k photons by inverting lost[c] with one double of
+    its shot's stream; distributions are convolved exactly with the same
+    table, so the seed is unused for them.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     if isinstance(x, SampleBatch):
-        rows = _per_shot(seed, _TAG_LOSS, len(x.patterns),
-                         lambda rng, i: rng.binomial(x.patterns[i], eta))
-        return replace(x, patterns=np.reshape(rows, x.patterns.shape),
-                       loss_eta=x.loss_eta * eta)
+        lost = _loss_table(int(x.patterns.max(initial=0)), eta)
+        u = _doubles(seed, _TAG_LOSS, *x.patterns.shape)
+        gone = _invert(u, x.patterns, lambda k, idx, _: lost[x.patterns.flat[idx], k])
+        return replace(x, patterns=x.patterns - gone, loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):
         # Thinned patterns lie below their source, so stay on the lattice.
         return replace(x, probs=_thin_lattice(x.lattice, x.probs, eta))

@@ -10,11 +10,13 @@ components come from a hand-rolled union-find, the loss oracle expands
 every pattern into its thinned patterns one by one, the clique-search
 oracle runs every shot's search anew on np.ix_ submatrices, the sampler
 and batch-loss oracles build one generator default_rng([seed, tag, i])
-per shot (the loss oracle draws one scalar binomial per count), the
-conditioning oracle tallies tuple patterns, the rank-correlation
-oracle is scipy.stats.spearmanr, the transition oracle compares chi of
-neighbouring cells in a double loop, and the file-writer oracles build
-each document as Python objects and encode it with json.dumps.
+per shot and turn its doubles into the draw one scalar at a time with
+the math module (Box-Muller normals, Poisson and binomial inversion by a
+scan of the CDF), the conditioning oracle tallies tuple patterns, the
+rank-correlation oracle is scipy.stats.spearmanr, the transition oracle
+compares chi of neighbouring cells in a double loop, and the file-writer
+oracles build each document as Python objects and encode it with
+json.dumps.
 """
 
 import json
@@ -27,7 +29,7 @@ from scipy.stats import ConstantInputWarning, spearmanr
 
 from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
 from gbstopo.graph import ComplexGraph, VertexSet, edge_filter
-from gbstopo.sampler import enumerate_distribution
+from gbstopo.sampler import COUNT_BUDGET, enumerate_distribution
 from gbstopo.tda import (
     FiltrationSurface, TptReport, density_filtration, euler_characteristic,
 )
@@ -482,12 +484,31 @@ def scipy_spearman(a, b) -> float:
         return float(spearmanr(list(a), list(b)).statistic)
 
 
-def reference_stream(seed, tag, shot):
-    """The PCG64 (state, inc) of shot `shot` and its first double, from a
-    generator built for that shot alone."""
+def reference_stream(seed, tag, shot, m=1):
+    """The PCG64 (state, inc) of shot `shot` and its first m doubles, from
+    a generator built for that shot alone."""
     rng = np.random.default_rng([seed, tag, shot])
     st = rng.bit_generator.state["state"]
-    return st["state"], st["inc"], rng.random()
+    return st["state"], st["inc"], rng.random(m)
+
+
+def _reference_invert(u, probs, last):
+    """The least k <= last with u < probs[0] + ... + probs[k], scanning the
+    probabilities in order; probs may be an endless iterator."""
+    cdf = 0.0
+    for k, p in enumerate(probs):
+        cdf += p
+        if u < cdf or k == last:
+            return k
+
+
+def _reference_poisson_probs(mean):
+    """The Poisson(mean) probabilities k = 0, 1, ..., each from the last."""
+    p, k = math.exp(-mean), 0
+    while True:
+        yield p
+        k += 1
+        p = p * mean / k
 
 
 def reference_gbs(e, shots, cutoff_total, cutoff_per_mode, seed) -> list:
@@ -505,34 +526,53 @@ def reference_gbs(e, shots, cutoff_total, cutoff_per_mode, seed) -> list:
 
 
 def reference_uniform(n_modes, k, shots, seed) -> list:
-    """Uniform k-subsets, shot i from default_rng([seed, 1, i])."""
+    """Uniform k-subsets, shot i from default_rng([seed, 1, i]): the modes
+    of its k smallest doubles, a stable sort breaking ties by mode."""
     out = []
     for i in range(shots):
-        picked = np.random.default_rng([seed, 1, i]).choice(
-            n_modes, size=k, replace=False)
+        u = np.random.default_rng([seed, 1, i]).random(n_modes).tolist()
+        picked = sorted(range(n_modes), key=u.__getitem__)[:k]
         out.append([int(v in picked) for v in range(n_modes)])
     return out
 
 
 def reference_squashed(e, shots, seed) -> list:
-    """Squashed-state shots, shot i from default_rng([seed, 2, i]): normal
-    amplitudes, the interferometer, then Poisson counts."""
-    std = np.sqrt((np.exp(2.0 * e.squeezings) - 1.0) / 4.0)
+    """Squashed-state shots, shot i from default_rng([seed, 2, i]): with
+    h = ceil(n/2), doubles 0..h-1 are Box-Muller radii and h..2h-1 angles;
+    mode j < h takes the cosine normal of pair j, mode j >= h the sine
+    normal of pair j - h. The interferometer sums U_ab a_b mode by mode,
+    and double 2h + a inverts the Poisson law of mode a."""
+    n, h = e.n, (e.n + 1) // 2
+    std = [math.sqrt((math.exp(2.0 * r) - 1.0) / 4.0) for r in e.squeezings]
     out = []
     for i in range(shots):
-        rng = np.random.default_rng([seed, 2, i])
-        beta = e.u @ (rng.normal(0.0, 1.0, size=e.n) * std)
-        out.append(rng.poisson(np.abs(beta) ** 2).tolist())
+        u = np.random.default_rng([seed, 2, i]).random(2 * h + n).tolist()
+        normal = []
+        for j in range(n):
+            pair = j % h
+            radius = math.sqrt(-2.0 * math.log1p(-u[pair]))
+            turn = (math.cos if j < h else math.sin)(2.0 * math.pi * u[h + pair])
+            normal.append(radius * turn)
+        row = []
+        for a in range(n):
+            beta = sum(complex(e.u[a, b]) * (normal[b] * std[b]) for b in range(n))
+            mean = abs(beta) ** 2
+            row.append(_reference_invert(
+                u[2 * h + a], _reference_poisson_probs(mean), COUNT_BUDGET))
+        out.append(row)
     return out
 
 
 def reference_batch_loss(rows, eta, seed) -> list:
-    """Batch loss drawn count by count: shot i thins mode after mode with
-    scalar binomial draws from its own stream default_rng([seed, 3, i])."""
+    """Batch loss drawn count by count: shot i takes its doubles from
+    default_rng([seed, 3, i]), one per mode, and a count c loses the k
+    that double selects by a scan of the binomial(c, 1 - eta) CDF."""
     out = []
     for i, p in enumerate(rows):
-        rng = np.random.default_rng([seed, 3, i])
-        out.append([int(rng.binomial(c, eta)) for c in p])
+        u = np.random.default_rng([seed, 3, i]).random(len(p)).tolist()
+        out.append([c - _reference_invert(v, [
+            math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
+            for k in range(c + 1)], c) for c, v in zip(p, u)])
     return out
 
 

@@ -1,11 +1,17 @@
-"""Per-shot streams: the states seeded for a whole batch at once must be the
-states of default_rng([seed, tag, i]), and every backend must draw the
-batch the one-generator-per-shot references in helpers.py draw."""
+"""Per-shot streams: the states and doubles drawn for a whole batch at once
+must be those of default_rng([seed, tag, i]); every backend must draw the
+batch the one-generator-per-shot scalar references in helpers.py draw; and
+the array transforms must follow their exact laws: uniform k-subsets,
+binomial thinning as the distribution path applies it, and the squashed
+per-mode means."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from gbstopo import sampler
 from gbstopo.cli import main
@@ -14,6 +20,9 @@ from gbstopo.errors import BudgetError, InvariantError
 from gbstopo.graph import save_graph
 from gbstopo.instances import planted_clique_graph
 from gbstopo.sampler import (
+    COUNT_BUDGET,
+    MEAN_BUDGET,
+    SampleBatch,
     apply_loss,
     sample_gbs,
     sample_squashed,
@@ -37,20 +46,21 @@ def joined(pair, i):
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**130), tag=st.integers(0, 3),
-       shots=st.integers(0, 64))
-@example(seed=2**32 - 1, tag=0, shots=64)
-@example(seed=2**32, tag=1, shots=64)
-@example(seed=2**64, tag=2, shots=64)
-@example(seed=2**96 + 1, tag=3, shots=64)
-def test_states_and_first_doubles_match_default_rng(seed, tag, shots):
+       shots=st.integers(0, 64), m=st.integers(1, 40))
+@example(seed=2**32 - 1, tag=0, shots=64, m=1)
+@example(seed=2**32, tag=1, shots=64, m=12)
+@example(seed=2**64, tag=2, shots=64, m=36)
+@example(seed=2**96 + 1, tag=3, shots=64, m=40)
+def test_states_and_first_doubles_match_default_rng(seed, tag, shots, m):
     state, inc = sampler._shot_states(seed, tag, shots)
-    doubles = sampler._first_doubles(seed, tag, shots)
-    assert len(state[0]) == len(inc[0]) == len(doubles) == shots
+    doubles = sampler._doubles(seed, tag, shots, m)
+    assert len(state[0]) == len(inc[0]) == shots
+    assert doubles.shape == (shots, m)
     for i in range(shots):
-        want_state, want_inc, want_double = reference_stream(seed, tag, i)
+        want_state, want_inc, want_doubles = reference_stream(seed, tag, i, m)
         assert joined(state, i) == want_state
         assert joined(inc, i) == want_inc
-        assert doubles[i].hex() == want_double.hex()
+        assert [v.hex() for v in doubles[i]] == [v.hex() for v in want_doubles]
 
 
 @pytest.fixture(scope="module")
@@ -101,9 +111,11 @@ def off_at_last_shot(seed, tag, shot):
 def test_diverging_reference_raises(monkeypatch, planted, reference):
     _, e = planted
     monkeypatch.setattr(sampler, "_shot_rng", reference)
+    batch = SampleBatch(np.full((5, 3), 2), 7, "x")
     for draw in (lambda: sample_gbs(e, 5, 2, 2, 7),
                  lambda: sample_uniform(6, 2, 5, 7),
-                 lambda: sample_squashed(e, 5, 7)):
+                 lambda: sample_squashed(e, 5, 7),
+                 lambda: apply_loss(batch, 0.5, 7)):
         with pytest.raises(InvariantError, match="default_rng gives"):
             draw()
 
@@ -149,3 +161,97 @@ def test_batch_beyond_one_word_indices_exits_4(tmp_path, capsys):
     assert code == 4
     assert not out.exists()
     assert "per-shot streams" in capsys.readouterr().err
+
+
+def chi_square_ok(observed, expected, shots):
+    """Pearson's test of observed counts against a law over the same cells,
+    cells expecting fewer than 5 pooled into one. The seeds are fixed, so
+    the 1e-6 level only guards against a law that is wrong. One cell
+    leaves no freedom: the counts must then match up to rounding."""
+    observed, want = np.asarray(observed, float), shots * np.asarray(expected)
+    small = want < 5
+    observed = np.append(observed[~small], observed[small].sum())
+    want = np.append(want[~small], want[small].sum())
+    keep = want > 0
+    stat = float(np.sum((observed[keep] - want[keep]) ** 2 / want[keep]))
+    dof = keep.sum() - 1
+    return stat < (1e-9 if dof == 0 else chi2.ppf(1 - 1e-6, dof))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n, k", [(6, 3), (7, 2)])
+def test_uniform_subsets_follow_uniform_law(seed, n, k):
+    shots = 20_000
+    rows = sample_uniform(n, k, shots, seed).patterns
+    assert (rows.sum(axis=1) == k).all() and rows.max() == 1
+    subsets = list(combinations(range(n), k))
+    index = {s: i for i, s in enumerate(subsets)}
+    seen = np.bincount([index[tuple(np.flatnonzero(r))] for r in rows],
+                       minlength=len(subsets))
+    assert chi_square_ok(seen, np.full(len(subsets), 1 / len(subsets)), shots)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("eta", [0.0, 0.35, 0.8, 1.0])
+def test_lossy_batch_follows_thinned_empirical_law(seed, eta):
+    """Given the batch, each shot's thinned pattern has the law the exact
+    distribution path (_thin_lattice) gives its own pattern, so the lossy
+    batch's empirical law has _thin_lattice of the batch's law as mean."""
+    shots, n, top = 30_000, 3, 3
+    rows = np.random.default_rng(seed).integers(0, top + 1, size=(shots, n))
+    lat = sampler._lattice(n, n * top, top)
+    keys = sampler._pattern_keys(lat.counts)
+
+    def law(batch):
+        at = np.searchsorted(keys, sampler._pattern_keys(batch))
+        return np.bincount(at, minlength=len(keys)) / shots
+
+    want = sampler._thin_lattice(lat, law(rows), eta)
+    lossy = apply_loss(SampleBatch(rows, 0, "x"), eta, seed).patterns
+    assert (lossy <= rows).all() and (lossy >= 0).all()
+    got = law(lossy) * shots
+    assert (got[want == 0] == 0).all()  # no mass leaves the support
+    assert chi_square_ok(got, want, shots)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_squashed_means_follow_squeezing(planted, seed):
+    """E count_i = sum_j |U_ij|^2 (e^{2 r_j} - 1)/4; each mode's mean must
+    lie within 5 standard errors of it."""
+    _, e = planted
+    shots = 40_000
+    counts = sample_squashed(e, shots, seed).patterns
+    want = np.abs(e.u) ** 2 @ ((np.exp(2 * e.squeezings) - 1) / 4)
+    error = counts.std(axis=0) / np.sqrt(shots)
+    assert (np.abs(counts.mean(axis=0) - want) <= 5 * error).all()
+
+
+def test_loss_beyond_count_budget_refused():
+    batch = SampleBatch([[COUNT_BUDGET + 1, 0]], 0, "x")
+    with pytest.raises(BudgetError, match=f"photon count {COUNT_BUDGET + 1}"):
+        apply_loss(batch, 0.5, 0)
+
+
+def test_extreme_squeezing_exits_4(tmp_path, capsys):
+    graph, out = tmp_path / "g.json", tmp_path / "s.jsonl"
+    assert main(["gen", "--n", "12", "--p", "0.6", "--seed", "1",
+                 "--out", str(graph)]) == 0
+    code = main(["sample", "--graph", str(graph), "--backend", "squashed",
+                 "--target-spectral", "0.9999999999", "--shots", "50",
+                 "--seed", "0", "--out", str(out)])
+    assert code == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Poisson mean" in err and f"inversion bound {MEAN_BUDGET}" in err
+
+
+@pytest.mark.parametrize("eta", ["1", "0.8"])
+def test_strong_squeezing_within_budget(tmp_path, planted, eta):
+    g, _ = planted
+    graph, out = tmp_path / "g.json", tmp_path / "s.jsonl"
+    graph.write_bytes(save_graph(g))
+    code = main(["sample", "--graph", str(graph), "--backend", "squashed",
+                 "--target-spectral", "0.99", "--shots", "3000", "--seed", "0",
+                 "--eta", eta, "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 3001
