@@ -121,61 +121,52 @@ def _check_search_params(target_k: int, max_iters: int) -> None:
         )
 
 
+def _swap(g: ComplexGraph, cur: int) -> int | None:
+    """cur with one member replaced by an outside vertex adjacent to the
+    rest. (member, outsider) pairs are scanned in ascending order: the first
+    swap that reopens growth wins, failing that the first that raises the
+    density; None when neither exists."""
+    base = g._mask_density(cur)
+    raised = None
+    for u in _mask_vertices(cur):
+        rest = cur & ~(1 << u)
+        for v in _mask_vertices(g._common_mask(rest) & ~cur):
+            swapped = rest | 1 << v
+            if g._common_mask(swapped):
+                return swapped
+            if raised is None and g._mask_density(swapped) > base:
+                raised = swapped
+    return raised
+
+
 def local_search(
     g: ComplexGraph, c: Clique, target_k: int, max_iters: int = 50
 ) -> Clique | None:
     """Grow a clique to exactly target_k vertices, swapping out of plateaus.
 
-    Expansion adds the common neighbor that maximizes the new density.
-    When no common neighbor exists below the target, up to max_iters swap
-    moves are tried: replace one member by an outside vertex adjacent to
-    the rest, preferring swaps that reopen growth, otherwise accepting
-    density-raising ones. Oversized inputs are trimmed first (every
-    subset of a clique is a clique). Returns None when the target stays
-    unreachable.
+    Oversized inputs are trimmed first (every subset of a clique is a
+    clique). Expansion adds the common neighbor that maximizes the new
+    density. When no common neighbor exists below the target, up to
+    max_iters rounds of a _swap and a new expansion follow. Returns None
+    when the target stays unreachable.
     """
     _check_search_params(target_k, max_iters)
     cur = _vertex_mask(g, c.vertices)
     cur = _peel(g, cur, lambda kept: kept.bit_count() <= target_k)
 
     def expand(cur: int) -> int:
-        while cur.bit_count() < target_k:
-            cands = g._common_mask(cur)
-            if not cands:
-                break
+        while cur.bit_count() < target_k and (cands := g._common_mask(cur)):
             cur |= _densest_toggle(g, cur, cands)
         return cur
 
     cur = expand(cur)
-    iters = 0
-    while cur.bit_count() < target_k and iters < max_iters:
-        growth_swap = None
-        density_swap = None
-        base_density = g._mask_density(cur)
-        for u in _mask_vertices(cur):
-            rest = cur & ~(1 << u)
-            for v in _mask_vertices(g._common_mask(rest) & ~cur):
-                swapped = rest | 1 << v
-                if growth_swap is None and g._common_mask(swapped):
-                    growth_swap = (u, v)
-                    break
-                if (
-                    density_swap is None
-                    and g._mask_density(swapped) > base_density
-                ):
-                    density_swap = (u, v)
-            if growth_swap:
-                break
-        chosen = growth_swap or density_swap
-        if chosen is None:
+    for _ in range(max_iters):
+        if cur.bit_count() == target_k:
+            break
+        if (cur := _swap(g, cur)) is None:
             return None
-        u, v = chosen
-        cur = cur & ~(1 << u) | 1 << v
-        iters += 1
         cur = expand(cur)
-    if cur.bit_count() == target_k:
-        return _checked_clique(g, cur)
-    return None
+    return _checked_clique(g, cur) if cur.bit_count() == target_k else None
 
 
 def find_cliques(

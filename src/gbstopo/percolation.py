@@ -208,13 +208,14 @@ def percolation_entropy_sweep(
     Renyi entropy of photon patterns conditioned on the configured
     total."""
     axis = tuple(float(t) for t in thresholds)
-    rebuilt = density_filtration(g, cfg.k_ref, axis)
-    reports = [percolation_clusters(f, cfg.k_ref) for f in rebuilt]
-    entropies = [_entropy_at(f, cfg) for f in rebuilt]
+    cells = [
+        (percolation_clusters(f, cfg.k_ref), *_entropy_at(f, cfg))
+        for f in density_filtration(g, cfg.k_ref, axis)
+    ]
     return SweepResult(
         axis=axis,
-        phi=tuple(r.phi for r in reports),
-        largest_nodes=tuple(r.largest_nodes for r in reports),
-        h_alpha=tuple(h for h, _ in entropies),
-        h_norm=tuple(h_norm for _, h_norm in entropies),
+        phi=tuple(r.phi for r, _, _ in cells),
+        largest_nodes=tuple(r.largest_nodes for r, _, _ in cells),
+        h_alpha=tuple(h for _, h, _ in cells),
+        h_norm=tuple(h_norm for _, _, h_norm in cells),
     )

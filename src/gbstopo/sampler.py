@@ -184,25 +184,17 @@ def _lattice(n_modes: int, cutoff_total: int, cutoff_per_mode: int) -> _Lattice:
             f"reach a photon total of {reachable}; the factorials of totals "
             f"above 170 overflow float64"
         )
-    # Expand one mode at a time; children of each prefix come in ascending
-    # count, which is lexicographic order. Then read each row's counts back
-    # through its chain of prefixes. Totals above n_modes * top are
+    # Add one mode per step, from the last: block c is c followed by every
+    # suffix with sum <= reachable - c, and ascending c over lexicographic
+    # suffixes is lexicographic order. Totals above n_modes * top are
     # unreachable, so a larger cutoff_total need not fit int32.
-    levels = []
-    remaining = np.array([reachable], dtype=np.int32)
+    counts = np.zeros((1, 0), dtype=np.int32)
     for _ in range(n_modes):
-        width = np.minimum(remaining, top) + 1
-        parent = np.repeat(np.arange(len(remaining), dtype=np.int32), width)
-        start = np.cumsum(width, dtype=np.int32) - width
-        c = np.arange(len(parent), dtype=np.int32) - np.repeat(start, width)
-        levels.append((parent, c))
-        remaining = remaining[parent] - c
-    counts = np.empty((len(remaining), n_modes), dtype=np.int32)
-    row = np.arange(len(remaining))
-    for j in range(n_modes - 1, -1, -1):
-        parent, c = levels[j]
-        counts[:, j] = c[row]
-        row = parent[row]
+        used = counts.sum(axis=1)
+        counts = np.vstack([
+            np.column_stack((np.full(len(rest), c, dtype=np.int32), rest))
+            for c in range(top + 1) for rest in [counts[used <= reachable - c]]
+        ])
 
     # Mixed-radix keys: big-endian 32-bit digits compare bytewise in the
     # same lexicographic order, so p - e_j is found by binary search.

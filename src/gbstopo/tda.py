@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .graph import (
 )
 
 NEG_INF = float("-inf")
+# Clique counts of one chi surface, len(omega) x len(delta) x n: 2^25 int64
+# are 256 MiB.
+SURFACE_COUNTS = 2**25
 
 
 @dataclass(frozen=True)
@@ -150,22 +153,23 @@ def _rebuilt(g: ComplexGraph, refs: np.ndarray) -> ComplexGraph:
 
 def density_filtration(
     g: ComplexGraph, k_ref: int, thresholds: Sequence[float]
-) -> list[ComplexGraph]:
+) -> Iterator[ComplexGraph]:
     """Per threshold delta_t, the network rebuilt from the k_ref-cliques of
     density >= delta_t, on all n vertices.
 
     The k_ref-cliques come from exhaustive enumeration, and each is scored
-    once, whatever the number of thresholds.
+    once, at the call, whatever the number of thresholds. The rebuilt graphs
+    come one at a time, so only the one in use is held.
     """
     refs, dens = _scored_cliques(g, k_ref)
-    return [_rebuilt(g, refs[dens >= delta_t]) for delta_t in thresholds]
+    return (_rebuilt(g, refs[dens >= delta_t]) for delta_t in thresholds)
 
 
 def density_filtered_graph(
     g: ComplexGraph, k_ref: int, delta_t: float
 ) -> ComplexGraph:
     """density_filtration at the one threshold delta_t."""
-    return density_filtration(g, k_ref, [delta_t])[0]
+    return next(density_filtration(g, k_ref, [delta_t]))
 
 
 @dataclass(frozen=True, eq=False)  # equal only to itself: m and chi are arrays
@@ -203,6 +207,10 @@ def filtration_surface(
         raise ValueError("axes must be ascending")
     if omega_axis[0] < 0:
         raise ValueError("threshold must be nonnegative")
+    if (counts := len(omega_axis) * len(delta_axis) * g.n) > SURFACE_COUNTS:
+        raise BudgetError(f"a {len(omega_axis)} x {len(delta_axis)} surface on "
+                          f"{g.n} vertices holds {counts} clique counts, above "
+                          f"the budget of {SURFACE_COUNTS}", counts, SURFACE_COUNTS)
     top = edge_filter(g, omega_axis[-1])
     refs, dens = _scored_cliques(top, k_ref)
     last = np.searchsorted(delta_axis, dens, "right") - 1  # -1: in no column

@@ -266,6 +266,29 @@ class TestSurfaceCmd:
         assert "-inf" in out.read_text()
         assert "# front:" in out.read_text()
 
+    def test_over_count_budget_exit_4(self, tmp_path):
+        """A 10,000 x 10,000 surface of 6 vertices would take 4.47 GiB of
+        clique counts; it is refused before any is allocated."""
+        import resource
+
+        graph, out = tmp_path / "g.json", tmp_path / "s.tsv"
+        assert main(["gen", "--n", "6", "--p", "0.5", "--seed", "1",
+                     "--out", str(graph)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
+        cap = 2 << 30  # a regression then fails with MemoryError, not the host
+        proc = subprocess.run(
+            [sys.executable, "-m", "gbstopo.cli", "surface", "--graph", str(graph),
+             "--omega-axis", "lin:0:1:10000", "--delta-axis", "lin:0:1:10000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error: a 10000 x 10000 surface on 6 vertices "
+                               "holds 600000000 clique counts, above the budget "
+                               "of 33554432\n")
+        assert not out.exists()
+
 
 class TestPersistenceCmd:
     def test_death_column_is_plain_numbers(self, tmp_path, graph_file):

@@ -582,7 +582,12 @@ def random_encoding(n, seed):
 
 # (modes, cutoff_total, cutoff_per_mode), with and without a binding
 # per-mode cutoff.
-LATTICE_CASES = [(1, 5, 5), (2, 6, 3), (3, 4, 2), (4, 5, 5), (5, 6, 2), (4, 6, 1)]
+LATTICE_CASES = [
+    (1, 5, 5), (2, 6, 3), (3, 4, 2), (4, 5, 5), (5, 6, 2), (4, 6, 1),
+    # A per-mode cutoff of 0, a total cutoff of 0, a total above
+    # n * per_mode, and six or more modes.
+    (3, 4, 0), (3, 0, 4), (3, 10, 2), (7, 4, 2),
+]
 
 
 class TestPatternLattice:

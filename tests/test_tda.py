@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gbstopo import tda
 from gbstopo.cliques import CliqueComplex, enumerate_cliques
 from gbstopo.errors import BudgetError, InvariantError
 from gbstopo.graph import (
+    MAX_VERTICES,
     clique_density,
     edge_filter,
     graph_from_edges,
@@ -354,7 +356,7 @@ class TestDensityFiltration:
         # Thresholds equal to clique densities probe the >= boundary.
         dens = sorted({reference_clique_density(g, s) for s in refs})
         thresholds = [0.0, *dens, 2.0]
-        got = density_filtration(g, k_ref, thresholds)
+        got = list(density_filtration(g, k_ref, thresholds))
         assert len(got) == len(thresholds)
         for delta_t, rebuilt in zip(thresholds, got):
             want = reference_density_filter(g, k_ref, delta_t)
@@ -372,6 +374,21 @@ class TestDensityFiltration:
     def test_k_ref_below_two_rejected(self):
         with pytest.raises(ValueError, match="k_ref must be >= 2"):
             density_filtration(complete(4), 1, [0.0])
+
+    def test_threshold_graphs_built_one_at_a_time(self):
+        """2,000 thresholds on a 100-vertex graph: every rebuilt graph held
+        at once peaks near 314 MiB, one at a time below 8 MiB."""
+        g = random_dual_layer(100, 0.05, seed=1)
+        thresholds = np.linspace(0.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            rebuilt = density_filtration(g, 2, thresholds)
+            assert sum(1 for _ in rebuilt) == 2000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
 
 class TestEdgeMask:
     """Every filtered network comes from one boolean edge mask; each is
@@ -564,6 +581,24 @@ class TestFiltrationSurface:
         for omega, delta in (([0.5, math.nan], [0.0]), ([0.5], [math.nan, 0.3])):
             with pytest.raises(ValueError, match="axes must be ascending"):
                 filtration_surface(two_community_graph(), omega, delta, 2)
+
+    def test_over_count_budget_refused_before_filtering(self, monkeypatch):
+        assert 20 * 20 * MAX_VERTICES <= tda.SURFACE_COUNTS
+        g = two_community_graph()  # 20 vertices: 2 x 3 cells hold 120 counts
+        monkeypatch.setattr(tda, "SURFACE_COUNTS", 120)
+        assert filtration_surface(g, [0.3, 1.0], [0.0, 0.5, 0.9], 2).m.size == 120
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an oversized surface reached the filtration")
+
+        monkeypatch.setattr(tda, "SURFACE_COUNTS", 119)
+        monkeypatch.setattr(tda, "edge_filter", refused)
+        monkeypatch.setattr(tda, "enumerate_cliques", refused)
+        with pytest.raises(BudgetError, match=r"a 2 x 3 surface on 20 vertices "
+                           r"holds 120 clique counts, above the budget of 119$"
+                           ) as exc:
+            filtration_surface(g, [0.3, 1.0], [0.0, 0.5, 0.9], 2)
+        assert (exc.value.required, exc.value.budget) == (120, 119)
 
     def test_negative_omega_anywhere_rejected(self):
         with pytest.raises(ValueError, match="threshold must be nonnegative"):
