@@ -57,7 +57,6 @@ from .percolation import (
     SweepResult,
     curve_correlation,
     damage,
-    normalized_renyi,
     percolation_clusters,
     percolation_entropy_sweep,
     renyi_entropy,

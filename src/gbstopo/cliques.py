@@ -28,8 +28,6 @@ from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
 from .sampler import Pattern, SampleBatch
 
 CLIQUE_BUDGET = 5_000_000
-# Bits of one boundary matrix, rows x columns: 2^32 bits are 512 MiB of row ints.
-BOUNDARY_BITS = 2**32
 
 
 @dataclass(frozen=True)
@@ -208,9 +206,7 @@ def binomial_interval(successes: int, shots: int) -> tuple[float, float]:
     return centre - half, centre + half
 
 
-def enumerate_cliques(
-    g: ComplexGraph, k_max: int, budget: int = CLIQUE_BUDGET
-) -> CliqueComplex:
+def enumerate_cliques(g: ComplexGraph, k_max: int) -> CliqueComplex:
     """Every clique of size 1..k_max, grown on the graph's neighbor_masks.
 
     Each clique carries the mask of its common neighbours above its largest
@@ -232,11 +228,11 @@ def enumerate_cliques(
                 cands ^= low
                 v = low.bit_length() - 1
                 count += 1
-                if count > budget:
+                if count > CLIQUE_BUDGET:
                     raise BudgetError(
-                        f"clique count exceeds budget {budget}",
+                        f"clique count exceeds budget {CLIQUE_BUDGET}",
                         required=count,
-                        budget=budget,
+                        budget=CLIQUE_BUDGET,
                     )
                 grown.append((s + (v,), cands & masks[v]))
         by_size[k] = [s for s, _ in grown]

@@ -12,14 +12,9 @@ import numpy as np
 from .graph import ComplexGraph, graph_from_edges
 
 
-def planted_clique_graph(
-    n: int = 12,
-    clique_size: int = 5,
-    spokes: int = 3,
-    background_prob: float = 0.1,
-    seed: int = 23,
-) -> ComplexGraph:
-    """Planted clique whose coherence only the sampler can see.
+def planted_clique_graph(seed: int = 23) -> ComplexGraph:
+    """Planted 5-clique on 12 vertices whose coherence only the sampler
+    can see.
 
     All edges carry magnitudes in [0.9, 1.0], so no weight gradient leads
     a greedy search toward the planted clique. Its edges are phase
@@ -27,11 +22,13 @@ def planted_clique_graph(
     which leaves every photon-pattern probability looking like a
     positive-weight clique (matching products share one global phase)
     while the weighted density of planted subsets stays unremarkable.
-    Each background vertex sees exactly `spokes` clique vertices through
-    random-phase edges, so partial matches dead-end below clique_size,
-    and the sparse background layer supplies decoys. The default seed is
-    calibrated so the planted clique is the unique one of its size.
+    Each background vertex sees exactly 3 clique vertices through
+    random-phase edges, so partial matches dead-end below the clique
+    size, and the sparse background layer (edge probability 0.1) supplies
+    decoys. The default seed is calibrated so the planted clique is the
+    unique one of its size.
     """
+    n, clique_size, spokes, background_prob = 12, 5, 3, 0.1
     rng = np.random.default_rng(seed)
     edges = {}
     theta = rng.uniform(0, 2 * np.pi, clique_size)
@@ -90,9 +87,9 @@ def surface_axes() -> tuple[np.ndarray, np.ndarray]:
     return np.linspace(0.05, 1.0, 20), np.linspace(0.0, 0.95, 20)
 
 
-def graded_triangle_chain(n: int = 10, seed: int = 3) -> ComplexGraph:
-    """Chain of triangles with monotonically decreasing edge weights plus
-    one 4-clique at the heavy end.
+def graded_triangle_chain(seed: int = 3) -> ComplexGraph:
+    """Chain of triangles on 10 vertices with monotonically decreasing
+    edge weights plus one 4-clique at the heavy end.
 
     Edges join vertices at distance 1 or 2, with magnitudes falling from
     ~0.92 toward ~0.44 along the chain, so triangle densities are graded
@@ -100,6 +97,7 @@ def graded_triangle_chain(n: int = 10, seed: int = 3) -> ComplexGraph:
     The extra (0, 3) edge completes the 4-clique {0, 1, 2, 3}, giving
     damage injection a target at the heavy end.
     """
+    n = 10
     rng = np.random.default_rng(seed)
     edges = []
 

@@ -101,25 +101,12 @@ def renyi_entropy(p, alpha: float) -> float:
     if alpha == 1.0:
         return float(-np.sum(probs * np.log(probs)))
     power_sum = np.sum(probs**alpha)
-    if power_sum == 0.0:  # every p**alpha underflowed; factor out the largest p
-        pmax = probs.max()
-        log_sum = alpha * np.log(pmax) + np.log(np.sum((probs / pmax) ** alpha))
-    else:
-        log_sum = np.log(power_sum)
-    return float(log_sum / (1.0 - alpha))
-
-
-def normalized_renyi(
-    hist: Mapping[smp.Pattern, float], alpha: float, modes: int, photons: int
-) -> float:
-    """Entropy relative to its ceiling over collision-free patterns,
-    ln C(modes, photons)."""
-    ceiling = math.comb(modes, photons)
-    if ceiling < 2:
-        raise ValueError(
-            f"normalization undefined: C({modes},{photons}) = {ceiling}"
-        )
-    return renyi_entropy(hist, alpha) / math.log(ceiling)
+    if power_sum != 0.0:
+        return float(np.log(power_sum) / (1.0 - alpha))
+    # Every p**alpha underflowed: factor out pmax; alpha / (1 - alpha) cannot overflow.
+    pmax = probs.max()
+    log_rest = np.log(np.sum((probs / pmax) ** alpha))
+    return float(alpha / (1.0 - alpha) * np.log(pmax) + log_rest / (1.0 - alpha))
 
 
 def curve_correlation(a: Sequence[float], b: Sequence[float]) -> float:
@@ -173,14 +160,14 @@ class SweepResult:
     h_norm: tuple[float, ...]
 
 
-def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> tuple[float, float]:
-    """(H_alpha, normalized H_alpha) of the conditioned pattern law of g.
+def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> float:
+    """H_alpha of the conditioned pattern law of g.
 
     Graphs that cannot be sampled (no edges) or that put no mass on the
     conditioning total report the floor value 0.
     """
     if g.num_edges() == 0:
-        return 0.0, 0.0
+        return 0.0
     enc = encode(g, cfg.target_spectral, cfg.d)
     if cfg.backend == "exact":
         law = smp.enumerate_distribution(enc, cfg.cutoff_total, cfg.cutoff_per_mode)
@@ -194,10 +181,8 @@ def _entropy_at(g: ComplexGraph, cfg: SweepConfig) -> tuple[float, float]:
             law, cfg.photon_total, cfg.collision_policy
         )
     except EmptyConditionError:
-        return 0.0, 0.0
-    h = renyi_entropy(hist, cfg.alpha)
-    h_norm = normalized_renyi(hist, cfg.alpha, g.n, cfg.photon_total)
-    return h, h_norm
+        return 0.0
+    return renyi_entropy(hist, cfg.alpha)
 
 
 def percolation_entropy_sweep(
@@ -206,16 +191,22 @@ def percolation_entropy_sweep(
     """Per density threshold: reconstruct the network from qualifying
     k_ref-cliques, measure Phi there, re-encode and measure the
     Renyi entropy of photon patterns conditioned on the configured
-    total."""
+    total, normalized by its ceiling over collision-free patterns,
+    ln C(n, photon_total)."""
+    ceiling = math.comb(g.n, cfg.photon_total)
+    if ceiling < 2:  # checked before any threshold graph is built
+        raise ValueError(
+            f"normalization undefined: C({g.n},{cfg.photon_total}) = {ceiling}"
+        )
     axis = tuple(float(t) for t in thresholds)
     cells = [
-        (percolation_clusters(f, cfg.k_ref), *_entropy_at(f, cfg))
+        (percolation_clusters(f, cfg.k_ref), _entropy_at(f, cfg))
         for f in density_filtration(g, cfg.k_ref, axis)
     ]
     return SweepResult(
         axis=axis,
-        phi=tuple(r.phi for r, _, _ in cells),
-        largest_nodes=tuple(r.largest_nodes for r, _, _ in cells),
-        h_alpha=tuple(h for _, h, _ in cells),
-        h_norm=tuple(h_norm for _, _, h_norm in cells),
+        phi=tuple(r.phi for r, _ in cells),
+        largest_nodes=tuple(r.largest_nodes for r, _ in cells),
+        h_alpha=tuple(h for _, h in cells),
+        h_norm=tuple(h / math.log(ceiling) for _, h in cells),
     )

@@ -280,20 +280,17 @@ def _check_total_law(
 
 
 def enumerate_distribution(
-    e: GBSEncoding,
-    cutoff_total: int,
-    cutoff_per_mode: int,
-    budget: int = PATTERN_BUDGET,
+    e: GBSEncoding, cutoff_total: int, cutoff_per_mode: int
 ) -> PatternDistribution:
     """Exact probabilities of every pattern within the cutoffs."""
     if cutoff_total < 0 or cutoff_per_mode < 0:
         raise ValueError("cutoffs must be nonnegative")
     required = count_patterns(e.n, cutoff_total, cutoff_per_mode)
-    if required > budget:
+    if required > PATTERN_BUDGET:
         raise BudgetError(
-            f"{required} patterns exceed the enumeration budget {budget}",
+            f"{required} patterns exceed the enumeration budget {PATTERN_BUDGET}",
             required=required,
-            budget=budget,
+            budget=PATTERN_BUDGET,
         )
     lat = _lattice(e.n, cutoff_total, cutoff_per_mode)
     prefactor = _sech_prefactor(e.lambdas)
@@ -662,7 +659,8 @@ def load_batch(source: bytes | str) -> SampleBatch:
         for ln in lines[1:]:
             rec = json.loads(ln)
             p = _record_pattern(rec)
-            if "total" in rec and rec["total"] != sum(p):
+            total = rec.get("total", sum(p))
+            if not _is_count(total) or total != sum(p):
                 raise FormatError(f"inconsistent total in record {rec!r}")
             if patterns and len(p) != len(patterns[0]):
                 raise FormatError(f"record {rec!r} has {len(p)} modes but "

@@ -18,13 +18,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cliques import BOUNDARY_BITS, CliqueComplex, enumerate_cliques
+from .cliques import CliqueComplex, enumerate_cliques
 from .errors import BudgetError, InvariantError
 from .graph import (
     ComplexGraph, VertexSet, _density, _pair_ids, _pairs_inside, edge_filter,
 )
 
 NEG_INF = float("-inf")
+# Bits of one boundary matrix, rows x columns: 2^32 bits are 512 MiB of row ints.
+BOUNDARY_BITS = 2**32
 # Clique counts of one chi surface, len(omega) x len(delta) x n: 2^25 int64
 # are 256 MiB.
 SURFACE_COUNTS = 2**25

@@ -397,6 +397,51 @@ class TestEntropyCmd:
         h = float(rows[1][rows[0].index("h_alpha")])
         assert h == pytest.approx(2.3240, abs=1e-4)
 
+    def test_huge_alpha_stays_finite_and_quiet(self, tmp_path):
+        # alpha * ln(pmax) overflows here; h_alpha must stay finite and
+        # numpy silent.
+        from gbstopo.instances import graded_triangle_chain
+
+        gpath = tmp_path / "chain.json"
+        gpath.write_bytes(save_graph(graded_triangle_chain()))
+        argv = ["entropy", "--graph", str(gpath), "--k-ref", "3",
+                "--delta-axis", "lin:0.4:0.92:4", "--photon-total", "4",
+                "--cutoff-total", "4", "--cutoff-per-mode", "4"]
+        env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
+        columns = {}
+        for alpha in ("1e308", "1e300"):
+            out = tmp_path / f"e{alpha}.tsv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gbstopo.cli", *argv, "--alpha", alpha,
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert (proc.returncode, proc.stderr) == (0, "")
+            rows = [l.split("\t") for l in out.read_text().splitlines()
+                    if not l.startswith("#")]
+            col = rows[0].index("h_alpha")
+            columns[alpha] = [float(r[col]) for r in rows[1:]]
+        assert all(map(math.isfinite, columns["1e308"]))
+        assert columns["1e308"][0] > 2.5
+        assert columns["1e308"] == pytest.approx(columns["1e300"])
+
+    def test_undefined_normalization_exit_3(self, tmp_path, capsys):
+        # C(10, 0) = 1; every threshold here is floored, so only a check
+        # made before the sweep refuses it.
+        from gbstopo.instances import graded_triangle_chain
+
+        gpath = tmp_path / "chain.json"
+        gpath.write_bytes(save_graph(graded_triangle_chain()))
+        out = tmp_path / "e.tsv"
+        assert main(["entropy", "--graph", str(gpath), "--k-ref", "3",
+                     "--photon-total", "0", "--delta-axis", "2,3,4",
+                     "--cutoff-total", "4", "--cutoff-per-mode", "4",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: normalization undefined: C(10,0) = 1\n"
+        )
+
 
 class TestEntropySampledBackend:
     def test_gbs_backend_runs_and_records_shots(self, tmp_path):
@@ -1175,9 +1220,9 @@ class TestInputContract:
     def test_clique_budget_states_each_number_once(
         self, tmp_path, capsys, monkeypatch
     ):
-        from gbstopo.cliques import enumerate_cliques
+        import gbstopo.cliques
 
-        monkeypatch.setattr(enumerate_cliques, "__defaults__", (10,))
+        monkeypatch.setattr(gbstopo.cliques, "CLIQUE_BUDGET", 10)
         out = tmp_path / "b.txt"
         assert main(["betti", "--graph", self.graph(tmp_path, 6),
                      "--out", str(out)]) == 4

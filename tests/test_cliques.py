@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -363,9 +365,10 @@ class TestEnumerateCliques:
         for k in range(1, 5):
             assert cc.by_size[k] == brute[k]
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(cliques_mod, "CLIQUE_BUDGET", 100)
         with pytest.raises(BudgetError):
-            enumerate_cliques(complete(16), 16, budget=100)
+            enumerate_cliques(complete(16), 16)
 
     def test_isolated_vertices_are_cliques(self):
         g = graph_from_edges(4, [(0, 1, 1.0)])
@@ -418,14 +421,15 @@ class TestEnumerateCliques:
         budget = data.draw(
             st.sampled_from(sorted({0, total // 2, total - 1, total, total + 1}))
         )
-        if total > budget:
-            with pytest.raises(BudgetError) as err:
-                enumerate_cliques(g, k_max, budget=budget)
-            assert str(err.value) == f"clique count exceeds budget {budget}"
-            assert err.value.required == budget + 1
-            assert err.value.budget == budget
-        else:
-            assert enumerate_cliques(g, k_max, budget=budget).k_max == k_max
+        with patch.object(cliques_mod, "CLIQUE_BUDGET", budget):
+            if total > budget:
+                with pytest.raises(BudgetError) as err:
+                    enumerate_cliques(g, k_max)
+                assert str(err.value) == f"clique count exceeds budget {budget}"
+                assert err.value.required == budget + 1
+                assert err.value.budget == budget
+            else:
+                assert enumerate_cliques(g, k_max).k_max == k_max
 
     def test_maximal_cliques_are_maximal(self):
         g = random_dual_layer(9, 0.6, seed=5)

@@ -1,11 +1,13 @@
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gbstopo import percolation
 from gbstopo.cliques import enumerate_cliques
 from gbstopo.encoding import encode
 from gbstopo.graph import edge_filter, graph_from_edges, random_dual_layer
@@ -14,7 +16,6 @@ from gbstopo.percolation import (
     SweepConfig,
     curve_correlation,
     damage,
-    normalized_renyi,
     percolation_clusters,
     percolation_entropy_sweep,
     renyi_entropy,
@@ -25,6 +26,7 @@ from gbstopo.sampler import (
     enumerate_distribution,
     sample_gbs,
 )
+from gbstopo.tda import density_filtration
 from helpers import brute_force_cliques, has_edge, scipy_spearman
 
 
@@ -184,6 +186,14 @@ class TestRenyiEntropy:
         )
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_huge_alpha_reaches_min_entropy(self, alpha):
+        # alpha * ln(pmax) overflows here; alpha / (1 - alpha) is -1.
+        assert renyi_entropy([0.1] * 10, alpha) == pytest.approx(math.log(10))
+        h = renyi_entropy([0.5, 0.25, 0.25], alpha)
+        assert h == pytest.approx(math.log(2))
+
+    @pytest.mark.filterwarnings("error")
     def test_underflowing_power_sum_stays_finite(self):
         # 0.1**400 and 0.5**2000 round to 0; the entropy does not.
         assert renyi_entropy([0.1] * 10, 400.0) == pytest.approx(math.log(10))
@@ -191,27 +201,84 @@ class TestRenyiEntropy:
         assert h == pytest.approx(2000 * math.log(2) / 1999)
 
 
-class TestNormalizedRenyi:
-    def test_uniform_over_all_patterns_is_one(self):
-        hist = {}
-        from itertools import combinations
+class TestSweepNormalization:
+    """h_norm is h_alpha over the entropy ceiling over collision-free
+    patterns, ln C(n, photon_total), on the sweep's own results."""
 
-        for s in combinations(range(4), 2):
-            pat = tuple(1 if i in s else 0 for i in range(4))
-            hist[pat] = 1 / 6
-        assert normalized_renyi(hist, 2.0, 4, 2) == pytest.approx(1.0)
+    def sweep(self, g, photon_total=2):
+        cfg = SweepConfig(
+            k_ref=2, alpha=2.0, photon_total=photon_total,
+            collision_policy="collision_free_only",
+            cutoff_total=2, cutoff_per_mode=2,
+        )
+        return percolation_entropy_sweep(g, [0.0], cfg)
+
+    def test_uniform_over_all_patterns_is_one(self):
+        # Every pair of K4 carries the same hafnian: all C(4, 2) patterns
+        # are equally likely.
+        pairs = combinations(range(4), 2)
+        g = graph_from_edges(4, [(i, j, 1.0) for i, j in pairs])
+        assert self.sweep(g).h_norm[0] == pytest.approx(1.0)
 
     def test_point_mass_is_zero(self):
-        assert normalized_renyi({(1, 1, 0, 0): 1.0}, 2.0, 4, 2) == 0.0
+        assert self.sweep(graph_from_edges(4, [(0, 1, 1.0)])).h_norm == (0.0,)
 
     def test_two_pattern_value(self):
-        hist = {(1, 1, 0, 0): 0.5, (0, 0, 1, 1): 0.5}
+        g = graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         want = math.log(2) / math.log(6)
-        assert normalized_renyi(hist, 2.0, 4, 2) == pytest.approx(want)
+        assert self.sweep(g).h_norm[0] == pytest.approx(want)
 
-    def test_undefined_normalization(self):
-        with pytest.raises(ValueError):
-            normalized_renyi({(1,): 1.0}, 2.0, 1, 1)
+    @pytest.mark.parametrize("backend", ["exact", "gbs"])
+    @pytest.mark.parametrize("photon_total", [2, 4])
+    def test_h_norm_is_h_alpha_over_log_ceiling(self, backend, photon_total):
+        g = graded_triangle_chain()
+        cfg = SweepConfig(
+            k_ref=3, alpha=2.0, photon_total=photon_total, backend=backend,
+            shots=400, cutoff_total=4, cutoff_per_mode=4,
+        )
+        sweep = percolation_entropy_sweep(g, np.linspace(0.4, 0.92, 14), cfg)
+        ceiling = math.log(math.comb(g.n, photon_total))
+        assert sweep.h_norm == tuple(h / ceiling for h in sweep.h_alpha)
+        assert sweep.h_alpha[0] > 0.0 and sweep.h_alpha[-1] == 0.0
+
+    def test_h_alpha_is_each_threshold_law_entropy(self):
+        g = graded_triangle_chain()
+        thresholds = np.linspace(0.4, 0.92, 14)
+        cfg = SweepConfig(k_ref=3, alpha=2.0, photon_total=4,
+                          cutoff_total=4, cutoff_per_mode=4)
+        sweep = percolation_entropy_sweep(g, thresholds, cfg)
+        want = []
+        for f in density_filtration(g, 3, thresholds):
+            if f.num_edges() == 0:
+                want.append(0.0)
+                continue
+            law = enumerate_distribution(encode(f, 0.7), 4, 4)
+            hist = conditional_from_distribution(law, 4, "threshold_collapse")
+            want.append(renyi_entropy(hist, 2.0))
+        assert sweep.h_alpha == tuple(want)
+
+    # C(10, 0) = C(10, 10) = 1 and C(10, 11) = 0, which only the squashed
+    # backend can reach; C(1, 1) = 1 on a single vertex.
+    @pytest.mark.parametrize("n,photon_total,backend", [
+        (10, 0, "exact"), (10, 10, "exact"), (10, 11, "squashed"),
+        (1, 1, "exact"),
+    ])
+    def test_undefined_normalization_raises_before_any_work(
+        self, monkeypatch, n, photon_total, backend
+    ):
+        def refused(*args, **kwargs):
+            raise AssertionError("the sweep worked before its ceiling check")
+
+        monkeypatch.setattr(percolation, "density_filtration", refused)
+        monkeypatch.setattr(percolation, "encode", refused)
+        g = graded_triangle_chain() if n == 10 else graph_from_edges(1, [])
+        cfg = SweepConfig(k_ref=3, alpha=2.0, photon_total=photon_total,
+                          backend=backend, cutoff_total=10, cutoff_per_mode=2)
+        ceiling = math.comb(n, photon_total)
+        with pytest.raises(ValueError, match=(
+            rf"^normalization undefined: C\({n},{photon_total}\) = {ceiling}$"
+        )):
+            percolation_entropy_sweep(g, [0.4, 0.6], cfg)
 
 
 # Few distinct values force ties; free floats add nan, inf and wide ranges.

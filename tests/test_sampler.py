@@ -164,10 +164,13 @@ class TestEnumerateDistribution:
         masses = [enumerate_distribution(e, c, c).mass for c in (2, 4, 6, 8)]
         assert all(a < b for a, b in zip(masses, masses[1:]))
 
-    def test_budget_error(self):
+    def test_budget_error(self, monkeypatch):
+        import gbstopo.sampler as smp
+
         e = tmsv_encoding(0.5)
+        monkeypatch.setattr(smp, "PATTERN_BUDGET", 5)
         with pytest.raises(BudgetError) as exc_info:
-            enumerate_distribution(e, 10, 10, budget=5)
+            enumerate_distribution(e, 10, 10)
         assert exc_info.value.required == count_patterns(2, 10, 10)
 
     def test_count_patterns_matches_enumeration(self):
@@ -552,6 +555,19 @@ class TestBatchIO:
         with pytest.raises(FormatError, match=(
             rf"header shots {shots!r} is not the record count 2"
         )):
+            load_batch("\n".join(map(json.dumps, lines)).encode())
+
+    @pytest.mark.parametrize("rec", [
+        {"pattern": [1, 0], "total": True},
+        {"pattern": [1, 1], "total": 2.0},
+        {"pattern": [1, 1], "total": "2"},
+        {"pattern": [1, 1], "total": None},
+        {"pattern": [1, 1], "total": 3},
+    ], ids=["bool", "float", "string", "null", "wrong"])
+    def test_record_total_must_be_the_pattern_count(self, rec):
+        header = {"backend": "gbs", "seed": 0, "eta": 1.0}
+        lines = [header, {"pattern": [0, 1], "total": 1}, rec]
+        with pytest.raises(FormatError, match="inconsistent total in record"):
             load_batch("\n".join(map(json.dumps, lines)).encode())
 
     def test_header_shots_equal_to_the_records_loads(self):

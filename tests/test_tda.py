@@ -1,4 +1,3 @@
-import functools
 import math
 import tracemalloc
 
@@ -7,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gbstopo import tda
+from gbstopo import cliques, tda
 from gbstopo.cliques import CliqueComplex, enumerate_cliques
 from gbstopo.errors import BudgetError, InvariantError
 from gbstopo.graph import (
@@ -34,7 +33,6 @@ from gbstopo.tda import (
     gf2_rank,
     tpt_points,
 )
-import helpers
 from helpers import (
     betti_via_dense_ranks,
     brute_force_cliques,
@@ -558,9 +556,7 @@ class TestFiltrationSurface:
     # union complex 95: budgets below, at and between both.
     @pytest.mark.parametrize("budget", [1, 40, 65, 66, 80, 94, 95])
     def test_budget_error_matches_reference(self, monkeypatch, budget):
-        small = functools.partial(enumerate_cliques, budget=budget)
-        monkeypatch.setattr(tda, "enumerate_cliques", small)
-        monkeypatch.setattr(helpers, "enumerate_cliques", small)
+        monkeypatch.setattr(cliques, "CLIQUE_BUDGET", budget)
         g = random_dual_layer(8, 0.8, seed=3)
 
         def outcome(surface):
