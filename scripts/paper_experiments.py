@@ -12,6 +12,9 @@ parameters, rerun a printed command with different flags.
                          before and after removing node 1's 4-cliques
   betti_filtration.tsv   Betti numbers along a density filtration
   clique_lifetimes.tsv   triangle birth and death thresholds
+  gbs_samples.jsonl, cliques.json
+                         GBS shots on the planted graph and the weighted
+                         5-cliques the search finds in them
 
 Exits with the exit code of the first command that fails.
 """
@@ -40,7 +43,8 @@ _ENTROPY = (
     " --cutoff-total 4 --cutoff-per-mode 4"
 )
 
-# (report, command, graph, flags); the flags not given keep CLI defaults.
+# (report, command, graph, flags); the flags not given keep CLI defaults,
+# and {out} in a flag stands for --out-dir.
 RUNS = (
     ("enhancement.json", "compare", "planted.json",
      "--k 5 --seed 42 --target-spectral 0.95 --max-iters 0"),
@@ -52,6 +56,10 @@ RUNS = (
     ("betti_filtration.tsv", "betti", "chain.json",
      "--k-ref 3 --dmax 2 --delta-axis lin:0:0.95:12"),
     ("clique_lifetimes.tsv", "persistence", "community.json", "--k 3"),
+    ("gbs_samples.jsonl", "sample", "planted.json",
+     "--backend gbs --shots 3000 --seed 42 --target-spectral 0.95"),
+    ("cliques.json", "cliques", "planted.json",
+     "--k 5 --samples {out}/gbs_samples.jsonl"),
 )
 
 
@@ -65,7 +73,8 @@ def main() -> int:
     for name, build in GRAPHS.items():
         (out / name).write_bytes(save_graph(build()))
     for report, command, graph, flags in RUNS:
-        argv = [command, "--graph", str(out / graph), *shlex.split(flags),
+        argv = [command, "--graph", str(out / graph),
+                *(word.format(out=out) for word in shlex.split(flags)),
                 "--out", str(out / report)]
         print(f"gbstopo {shlex.join(argv)}", flush=True)
         code = gbstopo(argv)

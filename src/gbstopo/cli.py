@@ -172,17 +172,23 @@ def cmd_cliques(args) -> bytes:
         raise FormatError(f"shot 0 has {width} modes but the graph has {g.n} vertices")
     report = cl.find_cliques(g, batch, args.k, args.max_iters)
     found = sorted(report.cliques_found, key=lambda c: (-c.density, c.vertices))
-    payload = {
+    doc = {
+        "provenance": _provenance(args),
         "shots": report.shots_in,
         "successes": len(found),
         "success_rate": report.success_rate,
         "density_histogram": [
             {"density": d, "count": c} for d, c in report.density_histogram.items()
         ],
-        "cliques": [{"vertices": list(c.vertices), "density": c.density}
-                    for c in found],
+        "cliques": [],
     }
-    return _json_report(payload, args)
+    # One record per success as json.dumps(indent=1) spells it, which also
+    # spells each density; each distinct clique is spelled once.
+    item = '  {\n   "vertices": [%s\n   ],\n   "density": %s\n  }'
+    text = {c: item % (",".join(["\n    %d" % v for v in c.vertices]),
+                       json.dumps(c.density)) for c in dict.fromkeys(found)}
+    records = ",\n".join([text[c] for c in found])
+    return (gr.document_text(doc, None, "cliques", records) + "\n").encode()
 
 
 def cmd_betti(args) -> bytes:

@@ -2,14 +2,16 @@
 enumeration for oracles and downstream topology.
 
 The search pipeline per distinct photon subset is: pattern -> vertex subset
--> greedy shrinking to a clique -> local search toward the target size; shots
-repeating a subset reuse its result. Both stages carry the working set as an
-int bitmask (bit v for vertex v), so clique tests and common neighbours are
-ANDs of the graph's neighbor_masks. They score candidate sets by the weighted
-density |sum w_ij| / (k(k-1)), which keeps complex phase cancellation
-central. Densities are memoised per graph on the bitmask
-(ComplexGraph._mask_density), so a set scored again, for another subset or
-in another find_cliques call on the same graph, is a dict lookup.
+-> greedy shrinking to a clique -> local search toward the target size, run
+once per distinct greedy clique; shots repeating a subset reuse its result,
+and cli.cmd_cliques writes each success from one record template. Both
+stages carry the working set as an int bitmask (bit v for vertex v), so
+clique tests and common neighbours are ANDs of the graph's neighbor_masks.
+They score candidate sets by the weighted density |sum w_ij| / (k(k-1)),
+which keeps complex phase cancellation central. Densities are memoised per
+graph on the bitmask (ComplexGraph._mask_density), so a set scored again,
+for another subset or in another find_cliques call on the same graph, is a
+dict lookup.
 
 Enumeration grows cliques on the same neighbor_masks: a clique extends only
 by its common neighbours above its largest vertex, so each clique is built
@@ -173,16 +175,17 @@ def find_cliques(
     """Run the full per-shot search pipeline and tally the success rate.
 
     Empty subsets (vacuum shots) count as failures in the denominator. Each
-    distinct subset is searched once, in order of first appearance.
+    distinct subset is shrunk once, in order of first appearance, and each
+    distinct greedy clique is grown once.
     """
     _check_search_params(target_k, max_iters)
     subsets = [pattern_to_subset(p) for p in b.patterns.tolist()]
-    searched = {
-        s: local_search(g, greedy_shrink(g, s), target_k, max_iters)
-        for s in dict.fromkeys(subsets)
-        if s
-    }
-    found = [searched[s] for s in subsets if s and searched[s] is not None]
+    shrunk = {s: greedy_shrink(g, s) for s in dict.fromkeys(subsets) if s}
+    # local_search reads only the vertices of the clique it grows.
+    greedy = {c.vertices: c for c in shrunk.values()}
+    grown = {vs: local_search(g, c, target_k, max_iters) for vs, c in greedy.items()}
+    found = [grown[shrunk[s].vertices] for s in subsets if s]
+    found = [c for c in found if c is not None]
     shots = len(b.patterns)
     rate = len(found) / shots if shots else 0.0
     hist = Counter(c.density for c in found)

@@ -87,15 +87,15 @@ def damage(g: ComplexGraph, node: int, k: int) -> ComplexGraph:
 def renyi_entropy(p, alpha: float) -> float:
     """Natural-log Renyi entropy H_alpha = ln(sum p_i^alpha) / (1 - alpha),
     with the Shannon limit at alpha = 1."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # nan fails too
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if isinstance(p, Mapping):
         probs = np.array(list(p.values()), dtype=float)
     else:
         probs = np.asarray(list(p), dtype=float)
     if np.any(probs < 0):
         raise ValueError("negative probability")
-    if abs(float(probs.sum()) - 1.0) > 1e-9:
+    if not abs(float(probs.sum()) - 1.0) <= 1e-9:  # a nan sum fails too
         raise ValueError(f"unnormalized distribution (sum {probs.sum()})")
     probs = probs[probs > 0]
     if alpha == 1.0:

@@ -647,3 +647,21 @@ def reference_save_distribution(d, *, provenance=None) -> bytes:
     if provenance is not None:
         doc["provenance"] = provenance
     return json.dumps(doc, indent=1).encode("utf-8")
+
+
+def reference_cliques_report(report, provenance) -> bytes:
+    """The cliques report through json.dumps(indent=1): provenance first,
+    one record per success, by descending density and then vertices."""
+    found = sorted(report.cliques_found, key=lambda c: (-c.density, c.vertices))
+    doc = {
+        "provenance": provenance,
+        "shots": report.shots_in,
+        "successes": len(found),
+        "success_rate": report.success_rate,
+        "density_histogram": [
+            {"density": d, "count": c} for d, c in report.density_histogram.items()
+        ],
+        "cliques": [{"vertices": list(c.vertices), "density": c.density}
+                    for c in found],
+    }
+    return (json.dumps(doc, indent=1) + "\n").encode()

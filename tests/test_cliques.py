@@ -338,6 +338,24 @@ class TestSearchOncePerSubset:
         find_cliques(g, SampleBatch(patterns=pats, seed=0, backend="x"), 3)
         assert shrinks == [(1, 2, 4), (0, 1, 5)]
 
+    @pytest.mark.parametrize("target_k", [3, 5, 6])
+    def test_local_search_once_per_greedy_clique(self, monkeypatch, target_k):
+        # A unit-weight 5-clique on 0..4 with vertices 5-7 hanging off it by
+        # weak edges: each superset of the clique shrinks back to it.
+        edges = [(i, j, 1.0) for i in range(5) for j in range(i + 1, 5)]
+        weak = [(0, 5, 0.1), (1, 6, 0.1), (2, 6, 0.1), (3, 7, 0.1)]
+        g = graph_from_edges(8, edges + weak)
+        pats = ((1, 1, 1, 1, 1, 1, 0, 0), (1, 1, 2, 1, 1, 0, 1, 0), (0,) * 8,
+                (1, 1, 1, 1, 1, 1, 0, 1), (1, 1, 1, 1, 1, 1, 1, 1),
+                (1, 1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0, 0, 0))
+        b = SampleBatch(patterns=pats, seed=0, backend="x")
+        want = reference_find_cliques(g, b, target_k)
+        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        searches = self.counting(monkeypatch, "local_search")
+        assert find_cliques(g, b, target_k) == want
+        assert len(shrinks) == 5
+        assert [c.vertices for c in searches] == [(0, 1, 2, 3, 4)]
+
 
 class TestEnhancement:
     def test_wilson_interval_basics(self):

@@ -168,6 +168,30 @@ class TestRenyiEntropy:
         with pytest.raises(ValueError):
             renyi_entropy([1.0], 0.0)
 
+    # A nan sum is not within 1e-9 of 1; it was once let through.
+    @pytest.mark.parametrize("p", [[0.5, math.nan, 0.5], [math.nan]])
+    def test_nan_probability_rejected(self, p):
+        with pytest.raises(ValueError, match=r"unnormalized distribution \(sum nan\)"):
+            renyi_entropy(p, 2.0)
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            renyi_entropy([0.5, 0.5], alpha)
+
+    # Values of the Shannon, collision, general and underflow-fallback paths
+    # before the input checks were tightened, bit for bit.
+    @pytest.mark.parametrize("p, alpha, want", [
+        ([0.7, 0.2, 0.1], 1.0, 0.8018185525433372),
+        ([0.7, 0.2, 0.1], 2.0, 0.6161861394238172),
+        ([0.6, 0.3, 0.1], 3.5, 0.6805826478085357),
+        ([0.5, 0.25, 0.25], 2000.0, 0.6934939275237072),
+        ([0.1] * 10, 400.0, 2.3025850929940455),
+        ([0.1] * 10, 1e308, 2.3025850929940455),
+    ])
+    def test_paths_keep_their_bits(self, p, alpha, want):
+        assert renyi_entropy(p, alpha) == want
+
     @given(st.integers(0, 5000))
     @settings(max_examples=40, deadline=None)
     def test_decreasing_in_alpha(self, seed):

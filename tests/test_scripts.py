@@ -14,7 +14,8 @@ from gbstopo.cli import main
 SCRIPT = Path(__file__).parents[1] / "scripts" / "paper_experiments.py"
 GRAPHS = {"planted.json", "community.json", "chain.json"}
 REPORTS = {
-    "enhancement.json", "tpt_surface.tsv", "percolation_entropy.tsv",
+    "enhancement.json", "gbs_samples.jsonl", "cliques.json",
+    "tpt_surface.tsv", "percolation_entropy.tsv",
     "percolation_entropy_damaged.tsv", "betti_filtration.tsv",
     "clique_lifetimes.tsv",
 }

@@ -1,25 +1,36 @@
-"""The template writers of the bulk formats must write the same bytes as
-json.dumps does (tests/helpers.reference_save_*), and refuse values that
-json would spell NaN or Infinity."""
+"""The template writers of the bulk formats and of the cliques report must
+write the same bytes as json.dumps does (tests/helpers.reference_save_* and
+reference_cliques_report), and the bulk formats refuse values that json
+would spell NaN or Infinity."""
 
 import math
 import re
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import gbstopo.cliques as cliques_mod
+from gbstopo.cli import main
+from gbstopo.cliques import Clique, SearchReport
+from gbstopo.encoding import encode
 from gbstopo.errors import InvariantError
-from gbstopo.graph import ComplexGraph, random_dual_layer, save_graph
+from gbstopo.graph import ComplexGraph, load_graph, random_dual_layer, save_graph
+from gbstopo.instances import planted_clique_graph
 from gbstopo.sampler import (
     PatternDistribution,
     SampleBatch,
     _lattice,
+    load_batch,
+    sample,
     save_batch,
     save_distribution,
 )
 from helpers import (
+    reference_cliques_report,
     reference_edges,
     reference_save_batch,
     reference_save_distribution,
@@ -152,3 +163,80 @@ class TestBatchWriter:
     def test_matches_json_oracle(self, b, provenance):
         want = reference_save_batch(b, provenance=provenance)
         assert save_batch(b, provenance=provenance) == want
+
+
+# Names for the cliques report: each holds a quote, a backslash, a newline,
+# non-ASCII text or the report's own list key, all of which json escapes.
+NAMES = ['q"uote \\ back', "line\nbreak", "naïve ☃ \U0001f600",
+         '"cliques": []', '\n "cliques": []', "plain"]
+
+
+@st.composite
+def search_reports(draw):
+    """Reports whose 0-8 successes repeat a pool of 1-3 cliques; densities
+    include 0.0 (one vertex), 5e-324, 1e308 and the inf of an overflowing
+    weight sum."""
+    densities = st.sampled_from([0.0, 5e-324, 1e308, math.inf, 1.0]) | st.floats(
+        min_value=0.0, allow_nan=False)
+    cliques = st.builds(
+        lambda vs, d: Clique(tuple(sorted(vs)), len(vs), d),
+        st.sets(st.integers(0, 11), min_size=1, max_size=6), densities,
+    )
+    pool = draw(st.lists(cliques, min_size=1, max_size=3))
+    found = draw(st.lists(st.sampled_from(pool), max_size=8))
+    shots = len(found) + draw(st.integers(0, 3))
+    hist = Counter(c.density for c in found)
+    return SearchReport(
+        shots_in=shots, cliques_found=tuple(found),
+        success_rate=len(found) / shots if shots else 0.0,
+        density_histogram=dict(sorted(hist.items())),
+    )
+
+
+@pytest.fixture(scope="module")
+def clique_inputs(tmp_path_factory):
+    """The planted graph and a GBS batch, in a directory whose name json
+    escapes."""
+    d = tmp_path_factory.mktemp("report") / NAMES[0] / NAMES[1] / NAMES[2]
+    d.mkdir(parents=True)
+    g = planted_clique_graph()
+    graph, samples = d / "planted.json", d / "gbs.jsonl"
+    graph.write_bytes(save_graph(g))
+    samples.write_bytes(save_batch(sample("gbs", encode(g, 0.95), 300, 42)))
+    return graph, samples
+
+
+def _cliques_run(graph, samples, out, k, max_iters=50):
+    """Run the cliques command; return its bytes and the provenance the
+    report should carry."""
+    argv = ["cliques", "--graph", str(graph), "--samples", str(samples),
+            "--k", str(k), "--max-iters", str(max_iters), "--out", str(out)]
+    assert main(argv) == 0
+    params = {"graph": str(graph), "k": k, "max_iters": max_iters,
+              "out": str(out), "samples": str(samples)}
+    return out.read_bytes(), {"command": "cliques", "params": params}
+
+
+class TestCliquesReportWriter:
+    @WRITERS
+    @given(report=search_reports(), name=st.sampled_from(NAMES))
+    @example(report=SearchReport(0, (), 0.0, {}), name="plain")
+    @example(report=SearchReport(5, (), 0.0, {}), name='"cliques": []')
+    def test_matches_json_oracle(self, clique_inputs, report, name):
+        graph, samples = clique_inputs
+        with patch.object(cliques_mod, "find_cliques", return_value=report):
+            got, provenance = _cliques_run(graph, samples, graph.parent / name, 5)
+        assert got == reference_cliques_report(report, provenance)
+
+    # Real searches: one vertex (density 0.0), repeats of one clique,
+    # several distinct cliques and none found.
+    @pytest.mark.parametrize("k, max_iters", [(1, 50), (2, 50), (3, 0), (5, 50),
+                                              (5, 0), (8, 50)])
+    def test_search_matches_json_oracle(self, clique_inputs, k, max_iters):
+        graph, samples = clique_inputs
+        got, provenance = _cliques_run(graph, samples, graph.parent / NAMES[3],
+                                       k, max_iters)
+        report = cliques_mod.find_cliques(load_graph(graph.read_bytes()),
+                                          load_batch(samples.read_bytes()),
+                                          k, max_iters)
+        assert got == reference_cliques_report(report, provenance)
