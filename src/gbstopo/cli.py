@@ -194,24 +194,8 @@ def cmd_cliques(args) -> bytes:
 def cmd_betti(args) -> bytes:
     g = _read_graph(args.graph)
     thresholds = _axis(args.delta_axis)
-    # The ranks read cliques through size dmax + 2: the (dmax+1)-skeleton.
+    rows = tda.betti_rows(g, args.dmax, args.k_ref, thresholds).tolist()
     top = args.dmax + 2
-    graphs = [g] if args.k_ref is None else tda.density_filtration(
-        g, args.k_ref, thresholds
-    )
-    rows = []
-    for r in graphs:
-        c = cl.enumerate_cliques(r, top)
-        prof = tda.betti_numbers(c, args.dmax)
-        chi = tda.euler_characteristic(c)
-        rows.append(
-            [c.m(k) for k in range(1, top + 1)]
-            + [prof.ranks[k] for k in range(2, top + 1)]
-            + list(prof.betti)
-            + [chi, tda.euler_entropy(chi)]
-        )
-    # Unfiltered, every threshold reads the one complex of g.
-    rows *= len(thresholds) // len(rows)
     header = (
         ["delta_t"]
         + [f"m{k}" for k in range(1, top + 1)]
@@ -219,7 +203,8 @@ def cmd_betti(args) -> bytes:
         + [f"beta{d}" for d in range(args.dmax + 1)]
         + ["chi", "s_chi"]
     )
-    return _table(header, [[dt, *row] for dt, row in zip(thresholds, rows)], args)
+    return _table(header, [[dt, *row, tda.euler_entropy(row[-1])]
+                           for dt, row in zip(thresholds, rows)], args)
 
 
 def cmd_surface(args) -> bytes:

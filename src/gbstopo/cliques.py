@@ -198,7 +198,8 @@ def find_cliques(
 
 
 def binomial_interval(successes: int, shots: int) -> tuple[float, float]:
-    """Wilson 95% score interval for a binomial rate."""
+    """Wilson 95% score interval for a binomial rate. Its bounds are exactly
+    0 at 0 successes and exactly 1 when every shot succeeds."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     z = 1.959963984540054  # the two-sided 95% normal quantile
@@ -206,7 +207,8 @@ def binomial_interval(successes: int, shots: int) -> tuple[float, float]:
     den = 1.0 + z * z / shots
     centre = (p + z * z / (2 * shots)) / den
     half = z * math.sqrt(p * (1 - p) / shots + z * z / (4 * shots * shots)) / den
-    return centre - half, centre + half
+    return (0.0 if successes == 0 else centre - half,
+            1.0 if successes == shots else centre + half)
 
 
 def enumerate_cliques(g: ComplexGraph, k_max: int) -> CliqueComplex:

@@ -162,6 +162,16 @@ def is_finite_number(v) -> bool:
         return False
 
 
+def _summable(w: np.ndarray) -> np.ndarray:
+    """w, or FormatError if |re| + |im| over its entries sums past the
+    largest float, where a clique density (a sum of entries) could."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.abs(w.view(float)).sum()):
+            return w
+    raise FormatError("the weight sum overflows: |re| + |im| over every edge "
+                      "exceeds the largest float")
+
+
 def load_graph(source: bytes | str) -> ComplexGraph:
     """Parse the canonical edge-list format.
 
@@ -215,7 +225,7 @@ def load_graph(source: bytes | str) -> ComplexGraph:
         seen.add((i, j))
         w[i, j] = wij
         w[j, i] = wij
-    return ComplexGraph(n, w)
+    return ComplexGraph(n, _summable(w))
 
 
 def save_graph(g: ComplexGraph, *, provenance: dict | None = None) -> bytes:
@@ -265,7 +275,7 @@ def random_dual_layer(
     vals = np.where(present, alpha + 1j * beta, 0.0)
     w[iu, ju] = vals
     w[ju, iu] = vals
-    return ComplexGraph(n, w)
+    return ComplexGraph(n, _summable(w))
 
 
 def _vertices_of(g: ComplexGraph, s: Sequence[int]) -> VertexSet:

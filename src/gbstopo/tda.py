@@ -6,7 +6,9 @@ Indexing bridge: clique sizes k = 1, 2, 3, ... (vertices, edges,
 triangles) map to topological dimensions d = k - 1. Counts m_k are stored
 by clique size; Betti numbers are reported by dimension as
 beta_d = m_{d+1} - r_{d+1} - r_{d+2} with r_1 := 0, where r_k is the
-GF(2) rank of the incidence of (k-1)-cliques in k-cliques.
+GF(2) rank of the incidence of (k-1)-cliques in k-cliques. Along a
+density filtration the complexes nest, so betti_rows reduces the largest
+once, in filtration order and with clearing (Chen and Kerber 2011).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,13 +54,17 @@ class BoundaryMatrix:
         return (len(self.row_cliques), len(self.col_cliques))
 
 
+def _check_bits(c: CliqueComplex, k: int) -> None:
+    if (bits := c.m(k - 1) * c.m(k)) > BOUNDARY_BITS:
+        raise BudgetError(f"B_{k} of shape {c.m(k - 1)} x {c.m(k)} exceeds the "
+                          f"budget of {BOUNDARY_BITS} bits", bits, BOUNDARY_BITS)
+
+
 def boundary_matrix(c: CliqueComplex, k: int) -> BoundaryMatrix:
     """Build B_k with deterministic lexicographic row/column order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if (bits := c.m(k - 1) * c.m(k)) > BOUNDARY_BITS:  # before any row is built
-        raise BudgetError(f"B_{k} of shape {c.m(k - 1)} x {c.m(k)} exceeds the "
-                          f"budget of {BOUNDARY_BITS} bits", bits, BOUNDARY_BITS)
+    _check_bits(c, k)  # before any row is built
     row_cliques = tuple(sorted(c.by_size.get(k - 1, [])))
     col_cliques = tuple(sorted(c.by_size.get(k, [])))
     row_index = {s: i for i, s in enumerate(row_cliques)}
@@ -76,20 +82,23 @@ def boundary_matrix(c: CliqueComplex, k: int) -> BoundaryMatrix:
     )
 
 
-def _rank_bits(rows: Sequence[int]) -> int:
-    """GF(2) rank by pivot-table reduction: pivots maps a highest set bit
-    (as bit_length) to the one reduced row that owns it."""
+def _rank_bits(rows: Iterable[int]) -> dict[int, int]:
+    """GF(2) pivot-table reduction, rows in order: each pivot, the highest
+    set bit (as bit_length) of one reduced row, mapped to that row's index.
+    Their number is the rank."""
     pivots: dict[int, int] = {}
-    for r in rows:
+    owners: dict[int, int] = {}
+    for j, r in enumerate(rows):
         while r and (top := r.bit_length()) in pivots:
             r ^= pivots[top]
         if r:
             pivots[top] = r
-    return len(pivots)
+            owners[top] = j
+    return owners
 
 
 def gf2_rank(b: BoundaryMatrix) -> int:
-    return _rank_bits(b.rows)
+    return len(_rank_bits(b.rows))
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,72 @@ def density_filtered_graph(
     return next(density_filtration(g, k_ref, [delta_t]))
 
 
+def _density_union(
+    g: ComplexGraph, k_ref: int, delta_axis: Sequence[float], k_max: int
+) -> tuple[CliqueComplex, np.ndarray, np.ndarray]:
+    """g's complex through size k_max at delta_axis[0] (the axis ascends),
+    the pair ids of g's k_ref-cliques and the last index each one reaches."""
+    refs, dens = _scored_cliques(g, k_ref)
+    last = np.searchsorted(delta_axis, dens, "right") - 1  # -1: in none
+    c = enumerate_cliques(_rebuilt(g, refs[last >= 0]), k_max)
+    return c, _pair_ids(g.n, refs), last
+
+
+def _clique_last(pair_last: np.ndarray, ids: np.ndarray, columns: int) -> np.ndarray:
+    """Each clique's last column: the least pair_last over its pairs (the
+    columns of ids). A vertex, with no pair, is in all the columns."""
+    return pair_last[ids].min(axis=1, initial=columns - 1)
+
+
+def _tally(last: np.ndarray, columns: int) -> np.ndarray:
+    """Per column j < columns, how many entries of last are >= j."""
+    return np.bincount(last + 1, minlength=columns + 1)[:0:-1].cumsum()[::-1]
+
+
+def betti_rows(
+    g: ComplexGraph, dmax: int, k_ref: int | None, thresholds: Sequence[float]
+) -> np.ndarray:
+    """Per threshold, m_1..m_top, r_2..r_top, beta_0..beta_dmax and chi
+    (top = dmax + 2) of g's complex through size top, density-filtered
+    there if k_ref is given. The complex at the smallest threshold holds
+    the others and is reduced once, in filtration order, from size top
+    down, skipping the columns that a pivot of the size above clears. r_k
+    at a threshold counts the pivots whose k-clique is present there."""
+    if dmax < 0:
+        raise ValueError("dmax must be >= 0")
+    top, axis = dmax + 2, np.array(sorted(set(thresholds)), dtype=float)
+    pair_last = np.full(g.n * g.n, len(axis) - 1 if k_ref is None else -1)
+    if k_ref is None:  # every clique is present at every threshold
+        c = enumerate_cliques(g, top)
+    else:
+        c, ref_ids, last = _density_union(g, k_ref, axis, top)
+        np.maximum.at(pair_last, ref_ids, last[:, None])
+    for k in range(2, top + 1):  # before any column is built
+        _check_bits(c, k)
+    ordered, lasts = {}, {}  # by descending last column, then lexicographic
+    for k in range(1, top + 1):
+        cliques = np.array(c.by_size[k], dtype=np.intp).reshape(-1, k)
+        last = _clique_last(pair_last, _pair_ids(g.n, cliques), len(axis))
+        order = np.argsort(-last, kind="stable")
+        ordered[k] = [c.by_size[k][i] for i in order.tolist()]
+        lasts[k] = last[order]
+    ranks = np.zeros((top + 1, len(axis)), dtype=np.int64)  # ranks[k] = r_k
+    cleared: set[int] = set()
+    for k in range(top, 1, -1):
+        face = {s: i for i, s in enumerate(ordered[k - 1])}.__getitem__
+        faces = (map(face, combinations(s, k - 1)) for s in ordered[k])
+        pivots = _rank_bits(0 if j in cleared else sum(map((1).__lshift__, f))
+                            for j, f in enumerate(faces))  # bit i: face i
+        cleared = {b - 1 for b in pivots}
+        ranks[k] = _tally(lasts[k][list(pivots.values())], len(axis))
+    m = np.array([_tally(lasts[k], len(axis)) for k in range(1, top + 1)])
+    betti = m[: dmax + 1] - ranks[1:top] - ranks[2:]
+    if (betti < 0).any():
+        raise InvariantError("negative Betti number")
+    chi = (-1) ** np.arange(top) @ m
+    return np.vstack([m, ranks[2:], betti, chi]).T[np.searchsorted(axis, thresholds)]
+
+
 @dataclass(frozen=True, eq=False)  # equal only to itself: m and chi are arrays
 class FiltrationSurface:
     """Grid over (omega_t, delta_t) of clique counts and Euler data:
@@ -214,20 +289,16 @@ def filtration_surface(
                           f"{g.n} vertices holds {counts} clique counts, above "
                           f"the budget of {SURFACE_COUNTS}", counts, SURFACE_COUNTS)
     top = edge_filter(g, omega_axis[-1])
-    refs, dens = _scored_cliques(top, k_ref)
-    last = np.searchsorted(delta_axis, dens, "right") - 1  # -1: in no column
-    by_size = enumerate_cliques(_rebuilt(top, refs[last >= 0]), g.n).by_size
-    ref_ids = _pair_ids(g.n, refs)
+    c, ref_ids, last = _density_union(top, k_ref, delta_axis, g.n)
     first = np.searchsorted(omega_axis, top.magnitudes().flat[ref_ids].max(1), "left")
-    sizes = [_pair_ids(g.n, np.array(s, dtype=np.int32)) for s in by_size.values() if s]
+    sizes = [_pair_ids(g.n, np.array(s, dtype=np.int32))
+             for s in c.by_size.values() if s]
     m = np.zeros((len(omega_axis), len(delta_axis), g.n), dtype=np.int64)
     pair_last = np.full(g.n * g.n, -1, dtype=np.int32)  # last columns in row i
     for i, row in enumerate(m):  # row[j, k - 1] is m_k of cell (i, j)
         np.maximum.at(pair_last, ref_ids[first == i], last[first == i, None])
         for k, ids in enumerate(sizes):
-            # Each clique's last column + 1; a vertex, with no pair, is in all.
-            ends = pair_last[ids].min(axis=1, initial=len(row) - 1) + 1
-            row[:, k] = np.bincount(ends, minlength=len(row) + 1)[:0:-1].cumsum()[::-1]
+            row[:, k] = _tally(_clique_last(pair_last, ids, len(row)), len(row))
     chi = m @ (-1) ** np.arange(g.n)
     m.flags.writeable = chi.flags.writeable = False
     return FiltrationSurface(omega_axis, delta_axis, m, chi)

@@ -14,9 +14,10 @@ per shot and turn its doubles into the draw one scalar at a time with
 the math module (Box-Muller normals, Poisson and binomial inversion by a
 scan of the CDF), the conditioning oracle tallies tuple patterns, the
 rank-correlation oracle is scipy.stats.spearmanr, the transition oracle
-compares chi of neighbouring cells in a double loop, and the file-writer
-oracles build each document as Python objects and encode it with
-json.dumps.
+compares chi of neighbouring cells in a double loop, the filtered-Betti
+oracle enumerates and reduces each threshold's complex on its own, and
+the file-writer oracles build each document as Python objects and encode
+it with json.dumps.
 """
 
 import json
@@ -31,7 +32,8 @@ from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
 from gbstopo.graph import ComplexGraph, VertexSet, edge_filter
 from gbstopo.sampler import COUNT_BUDGET, enumerate_distribution
 from gbstopo.tda import (
-    FiltrationSurface, TptReport, density_filtration, euler_characteristic,
+    FiltrationSurface, TptReport, betti_numbers, density_filtration,
+    euler_characteristic,
 )
 
 
@@ -276,6 +278,24 @@ def reference_density_filter(g, k_ref, delta_t):
             block = np.ix_(s, s)
             w[block] = g.weights[block]
     return ComplexGraph(g.n, w)
+
+
+def reference_betti_rows(g, dmax, k_ref, thresholds) -> list[list[int]]:
+    """betti_rows one threshold at a time, as the betti command once ran:
+    per density_filtration graph (g itself without k_ref), enumerate_cliques
+    through size dmax + 2, then betti_numbers and euler_characteristic of
+    that complex. Each row is m_1..m_top, r_2..r_top, beta_0..beta_dmax, chi."""
+    top = dmax + 2
+    graphs = ([g] * len(thresholds) if k_ref is None
+              else density_filtration(g, k_ref, thresholds))
+    rows = []
+    for r in graphs:
+        c = enumerate_cliques(r, top)
+        prof = betti_numbers(c, dmax)
+        rows.append([c.m(k) for k in range(1, top + 1)]
+                    + [prof.ranks[k] for k in range(2, top + 1)]
+                    + list(prof.betti) + [euler_characteristic(c)])
+    return rows
 
 
 def reference_filtration_surface(g, omega_axis, delta_axis, k_ref):

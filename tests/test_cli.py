@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,14 +12,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gbstopo
+from gbstopo import cliques, tda
 from gbstopo.cli import build_parser, main
+from gbstopo.errors import BudgetError
 from gbstopo.graph import (
-    graph_from_edges, load_graph, random_dual_layer, save_graph,
+    ComplexGraph, graph_from_edges, load_graph, random_dual_layer, save_graph,
 )
 from gbstopo.instances import planted_clique_graph, two_community_graph
 from gbstopo.percolation import percolation_clusters
 from gbstopo.tda import density_filtered_graph
-from helpers import brute_force_cliques, dense_gf2_rank
+from helpers import brute_force_cliques, dense_gf2_rank, reference_betti_rows
 
 
 @pytest.fixture
@@ -175,16 +178,14 @@ class TestBettiCmd:
     def test_unfiltered_sweep_repeats_one_row(
         self, tmp_path, graph_file, monkeypatch
     ):
-        import gbstopo.cliques as cl
-
         calls = []
-        enumerate_cliques = cl.enumerate_cliques
+        enumerate_cliques = tda.enumerate_cliques
 
         def counted(*args, **kwargs):
             calls.append(args)
             return enumerate_cliques(*args, **kwargs)
 
-        monkeypatch.setattr(cl, "enumerate_cliques", counted)
+        monkeypatch.setattr(tda, "enumerate_cliques", counted)
         out, single = tmp_path / "b.txt", tmp_path / "one.txt"
         assert main(["betti", "--graph", str(graph_file), "--dmax", "2",
                      "--delta-axis", "0,0.4,0.9", "--out", str(out)]) == 0
@@ -243,6 +244,92 @@ class TestBettiCmd:
                 for j, c in enumerate(cofaces):
                     mat[i, j] = set(f) <= set(c)
             assert r[k] == dense_gf2_rank(mat)
+
+    @pytest.mark.parametrize("axis", ["0,0.3,0.3,0.6", "0.6,0,0.3"])
+    @pytest.mark.parametrize("budget, size", [
+        ("BOUNDARY_BITS",
+         lambda c: max(c.m(k - 1) * c.m(k) for k in (2, 3, 4)) - 1),
+        ("CLIQUE_BUDGET", lambda c: sum(map(c.m, (1, 2, 3, 4))) - 1),
+        ("CLIQUE_BUDGET", lambda c: 10),  # below the 3-cliques of g itself
+    ])
+    def test_budget_refused_before_any_column(
+        self, tmp_path, capsys, monkeypatch, axis, budget, size
+    ):
+        """Over either budget, betti exits 4 and builds no column; on an
+        ascending axis it says what the per-row path said."""
+        g = two_community_graph()
+        gpath, out = tmp_path / "g.json", tmp_path / "b.tsv"
+        gpath.write_bytes(save_graph(g))
+        union = cliques.enumerate_cliques(density_filtered_graph(g, 3, 0.0), 4)
+        module = tda if budget == "BOUNDARY_BITS" else cliques
+        monkeypatch.setattr(module, budget, size(union))
+        with pytest.raises(BudgetError) as per_row:
+            reference_betti_rows(g, 2, 3, sorted(map(float, axis.split(","))))
+
+        def column_built(rows):
+            raise AssertionError("a column was built over the budget")
+
+        monkeypatch.setattr(tda, "_rank_bits", column_built)
+        assert main(["betti", "--graph", str(gpath), "--dmax", "2",
+                     "--k-ref", "3", "--delta-axis", axis,
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert not out.exists()
+        if axis == "0,0.3,0.3,0.6":
+            assert err == f"error: {per_row.value}\n"
+        else:
+            assert err.startswith("error: ") and "budget" in err
+
+
+class TestWeightSumOverflow:
+    """A graph whose |re| + |im| sum overflows is refused on load and by gen
+    (exit 3), before any clique density can read inf. Warnings are errors
+    here, as under python -W error."""
+
+    @pytest.fixture(params=["one_edge", "gen"])
+    def graph(self, request, tmp_path):
+        if request.param == "one_edge":
+            g = graph_from_edges(2, [(0, 1, 1e308)])
+        else:  # what gen --n 5 --p 1 --alpha-range 1e308 1e308 would write
+            g = ComplexGraph(5, np.where(np.eye(5), 0, 1e308 + 0j))
+        path = tmp_path / "g.json"
+        path.write_bytes(save_graph(g))
+        samples = tmp_path / "s.jsonl"
+        small = tmp_path / "small.json"
+        assert main(["gen", "--n", str(g.n), "--p", "1", "--seed", "0",
+                     "--out", str(small)]) == 0
+        assert main(["sample", "--graph", str(small), "--backend", "uniform",
+                     "--k", "2", "--shots", "5", "--seed", "0",
+                     "--out", str(samples)]) == 0
+        return str(path), str(samples)
+
+    @pytest.mark.parametrize("command", [
+        ["cliques", "--k", "2"],
+        ["betti", "--k-ref", "3"],
+        ["surface", "--omega-axis", "1e308", "--delta-axis", "0"],
+        ["percolation", "--k", "2", "--k-ref", "2"],
+    ])
+    def test_command_refuses(self, tmp_path, capsys, graph, command):
+        path, samples = graph
+        extra = ["--samples", samples] if command[0] == "cliques" else []
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--graph", path, *extra, "--out", str(out)])
+        assert code == 3
+        assert "weight sum overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_refuses(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["gen", "--n", "5", "--p", "1", "--seed", "0",
+                         "--alpha-range", "1e308", "1e308",
+                         "--beta-range", "0", "0", "--out", str(out)])
+        assert code == 3
+        assert "weight sum overflows" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSurfaceCmd:

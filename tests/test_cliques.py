@@ -365,6 +365,23 @@ class TestEnhancement:
         assert lo0 == pytest.approx(0.0, abs=1e-12)
         assert 0 < hi0 < 0.05
 
+    @given(shots=st.integers(1, 10**7), data=st.data())
+    @example(shots=3000, data=None)  # compare's 3000 of 3000
+    @example(shots=7, data=None)
+    @settings(max_examples=300, deadline=None)
+    def test_wilson_interval_holds_the_rate_inside_the_unit_interval(
+        self, shots, data
+    ):
+        # Rounding once put the bounds at 5.55e-17 and 1.0000000000000002.
+        picks = [0, shots] if data is None else [data.draw(
+            st.integers(0, shots) | st.sampled_from([0, 1, shots - 1, shots]),
+            label="successes")]
+        for successes in picks:
+            lo, hi = binomial_interval(successes, shots)
+            assert 0.0 <= lo <= successes / shots <= hi <= 1.0
+            assert (lo == 0.0) == (successes == 0)
+            assert (hi == 1.0) == (successes == shots)
+
 
 class TestEnumerateCliques:
     def test_k4_counts(self):

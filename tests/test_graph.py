@@ -176,6 +176,34 @@ class TestRandomDualLayer:
         with pytest.raises(ValueError, match=f"at most {MAX_VERTICES}"):
             random_dual_layer(MAX_VERTICES + 1, 0.5)
 
+    def test_refuses_overflowing_weight_sum(self):
+        with pytest.raises(FormatError, match="weight sum overflows"):
+            random_dual_layer(5, 1.0, ((1e308, 1e308), (0, 0)))
+
+
+class TestWeightSum:
+    """|re| + |im| over both directions of every edge must be a finite
+    float: every clique density sums a subset of those entries."""
+
+    @pytest.mark.parametrize("re, im", [(1e308, 0), (0, -1e308), (6e307, 6e307)])
+    def test_load_refuses_overflow(self, re, im):
+        with pytest.raises(FormatError, match="weight sum overflows"):
+            load_graph(doc(2, [{"i": 0, "j": 1, "re": re, "im": im}]))
+
+    def test_load_refuses_overflow_spread_over_edges(self):
+        edges = [{"i": 0, "j": j, "re": 5e307, "im": 0} for j in (1, 2)]
+        with pytest.raises(FormatError, match="weight sum overflows"):
+            load_graph(doc(3, edges))
+
+    def test_sum_just_below_the_top_loads(self):
+        g = load_graph(doc(2, [{"i": 0, "j": 1, "re": 4e307, "im": -4e307}]))
+        assert clique_density(g, [0, 1]) == pytest.approx(abs(4e307 - 4e307j))
+
+    def test_constructor_does_not_check(self):
+        # The check runs where a graph enters, not on every construction.
+        w = np.array([[0, 1e308], [1e308, 0]], dtype=complex)
+        assert ComplexGraph(2, w).num_edges() == 1
+
 
 class TestCliqueDensity:
     def test_unit_triangle(self):

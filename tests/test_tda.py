@@ -45,6 +45,7 @@ from helpers import (
     reference_clique_persistence,
     reference_damage,
     reference_density_filter,
+    reference_betti_rows,
     reference_filtration_surface,
     reference_rank_bits,
     reference_tpt_points,
@@ -386,6 +387,49 @@ class TestDensityFiltration:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+class TestBettiRows:
+    """betti_rows reduces the complex at the smallest threshold once; each
+    row must equal the per-row path it replaced, reference_betti_rows."""
+
+    @given(data=st.data(), n=st.integers(1, 12), p=st.sampled_from(EDGE_PROBS),
+           seed=st.integers(0, 10_000), k_ref=st.sampled_from([None, 2, 3]),
+           dmax=st.integers(0, 3))
+    @example(data=None, n=12, p=1.0, seed=0, k_ref=None, dmax=3)
+    @example(data=None, n=12, p=0.9, seed=1, k_ref=3, dmax=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_reference(self, data, n, p, seed, k_ref, dmax):
+        g = random_dual_layer(n, p, seed=seed)
+        # Thresholds equal to a k_ref-clique density probe the >= boundary,
+        # 2.0 is above every density, and the axis is drawn unsorted, with
+        # repeats.
+        k = k_ref or 2
+        dens = [clique_density(g, s) for s in brute_force_cliques(g, k)[k]]
+        values = st.sampled_from([0.0, 2.0, *dens]) | st.floats(-0.2, 1.6)
+        thresholds = (
+            [2.0, *dens[::-1], 0.0, *dens[:2], 2.0] if data is None else
+            data.draw(st.lists(values, min_size=1, max_size=6), label="axis")
+        )
+        got = tda.betti_rows(g, dmax, k_ref, thresholds)
+        assert got.tolist() == reference_betti_rows(g, dmax, k_ref, thresholds)
+
+    def test_community_rows(self):
+        """The surface_community workload's filtered op, 10 thresholds."""
+        g = two_community_graph(seed=5)
+        thresholds = np.linspace(0.0, 0.9, 10).tolist()
+        got = tda.betti_rows(g, 3, 3, thresholds)
+        assert got.shape == (10, 5 + 4 + 4 + 1)
+        assert got.tolist() == reference_betti_rows(g, 3, 3, thresholds)
+
+    def test_above_every_density_leaves_the_vertices(self):
+        g = complete(5)
+        (row,) = tda.betti_rows(g, 1, 3, [9.0]).tolist()
+        assert row == [5, 0, 0, 0, 0, 5, 0, 5]  # m_1..m_3, r_2, r_3, beta, chi
+
+    def test_negative_dmax_rejected(self):
+        with pytest.raises(ValueError, match="dmax must be >= 0"):
+            tda.betti_rows(complete(3), -1, None, [0.0])
 
 
 class TestEdgeMask:
