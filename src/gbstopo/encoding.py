@@ -3,8 +3,9 @@
 The adjacency matrix A is rescaled to A' = c*A + d*I so that its largest
 singular value sits strictly below 1, then factorized as
 A' = U diag(lambda) U^T with U unitary and lambda the singular values of
-A' (Autonne/Takagi form). The per-mode squeezing parameters follow as
-r_i = atanh(lambda_i).
+A' (Autonne/Takagi form), read off one real symmetric eigendecomposition
+of twice the size; numpy alone does it, so encoding loads no scipy. The
+per-mode squeezing parameters follow as r_i = atanh(lambda_i).
 """
 
 from __future__ import annotations
@@ -86,15 +87,14 @@ def rescale(
 def takagi(a_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factorize a complex symmetric matrix as A' = U diag(lam) U^T.
 
-    Returns (U, lam) with U unitary and lam the singular values of A' in
-    descending order. Built on the SVD: with A' = U0 S V†, the matrix
-    Z = U0† conj(V) is block diagonal over groups of equal singular
-    values and symmetric unitary on each nonzero block, so U = U0 sqrt(Z)
-    computed blockwise does the job. Zero singular values get an identity
-    block (their columns never touch the reconstruction).
+    Returns (U, lam), U unitary and lam the singular values of A',
+    descending. For A' = B + iC, the n largest eigenpairs of the real
+    symmetric [[B, C], [C, -B]] give lam and U = X + iY; columns at lam <=
+    1e-8 lam_max + 1e-14 are completed from the null space of the rest.
+    Each column's entry of largest modulus gets a positive real part (or
+    imaginary part where that is 0), so U does not depend on the signs of
+    the eigenvectors eigh returns.
     """
-    import scipy.linalg  # deferred: only commands that encode pay for it
-
     a_prime = np.asarray(a_prime, dtype=complex)
     if a_prime.ndim != 2 or a_prime.shape[0] != a_prime.shape[1]:
         raise ValueError("input must be a square matrix")
@@ -102,26 +102,16 @@ def takagi(a_prime: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if asym > SYM_TOL:
         raise ValueError(f"matrix is not symmetric (max deviation {asym:.2e})")
     n = a_prime.shape[0]
-    u0, sigma, vh = np.linalg.svd(a_prime)
-    z = u0.conj().T @ vh.T
-    scale = sigma[0] if n else 0.0
-    group_tol = 1e-8 * scale + 1e-14
-    blocks = []
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and sigma[start] - sigma[stop] <= group_tol:
-            stop += 1
-        idx = slice(start, stop)
-        if sigma[start] <= group_tol:
-            blocks.append(np.eye(stop - start, dtype=complex))
-        else:
-            zg = z[idx, idx]
-            zg = 0.5 * (zg + zg.T)
-            blocks.append(scipy.linalg.sqrtm(zg).astype(complex))
-        start = stop
-    u = u0 @ scipy.linalg.block_diag(*blocks)
-    return u, sigma
+    b, c = a_prime.real, a_prime.imag
+    w, v = np.linalg.eigh(np.block([[b, c], [c, -b]]))  # ascending
+    sigma = np.maximum(w[n:][::-1], 0.0)
+    u = (v[:n, n:] + 1j * v[n:, n:])[:, ::-1]
+    kept = int(np.count_nonzero(sigma > 1e-8 * sigma.max(initial=0.0) + 1e-14))
+    null = np.linalg.qr(u[:, :kept], mode="complete")[0][:, kept:]
+    u = np.hstack([u[:, :kept], null])
+    lead = u[np.argmax(np.abs(u), axis=0), np.arange(n)]
+    sign = np.where(np.where(lead.real != 0, lead.real, lead.imag) < 0, -1, 1)
+    return u * sign + 0.0, sigma  # + 0.0 turns each -0.0 into 0.0
 
 
 def reconstruct(u: np.ndarray, lambdas: np.ndarray) -> np.ndarray:

@@ -53,6 +53,9 @@ _TAG_GBS, _TAG_UNIFORM, _TAG_SQUASHED, _TAG_LOSS = range(4)
 # What _invert may walk; more is refused with BudgetError before a walk.
 MEAN_BUDGET = 500.0  # largest squashed Poisson mean; exp(-500) is normal
 COUNT_BUDGET = 1000  # largest count a draw reaches or batch loss thins
+# _doubles holds about 224 bytes a shot while seeding and 8 a double after;
+# a batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is not seeded.
+DRAW_BUDGET = 2**30
 
 
 @dataclass(frozen=True, eq=False)  # eq=False: == on an ndarray field is ambiguous
@@ -400,6 +403,11 @@ def _doubles(seed: int, tag: int, shots: int, m: int) -> np.ndarray:
     a (shots, m) array: per double one PCG64 step, its XSL-RR output, the
     top 53 bits times 2^-53. Shots 0 and shots - 1 are checked against
     _shot_rng: a numpy that draws otherwise raises InvariantError."""
+    # Beyond _MAX_STREAMS shots, _shot_states refuses the batch first.
+    if shots <= _MAX_STREAMS and (need := shots * (224 + 8 * m)) > DRAW_BUDGET:
+        raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
+                          f"bytes, over the draw budget {DRAW_BUDGET}",
+                          required=need, budget=DRAW_BUDGET)
     state, inc = _shot_states(seed, tag, shots)
     out = np.empty((shots, m))
     for j in range(m):

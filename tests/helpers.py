@@ -12,7 +12,8 @@ oracle runs every shot's search anew on np.ix_ submatrices, the sampler
 and batch-loss oracles build one generator default_rng([seed, tag, i])
 per shot and turn its doubles into the draw one scalar at a time with
 the math module (Box-Muller normals, Poisson and binomial inversion by a
-scan of the CDF), the conditioning oracle tallies tuple patterns, the
+scan of the CDF), the Takagi oracle takes an SVD and a blockwise
+scipy.linalg.sqrtm, the conditioning oracle tallies tuple patterns, the
 rank-correlation oracle is scipy.stats.spearmanr, the transition oracle
 compares chi of neighbouring cells in a double loop, the filtered-Betti
 oracle enumerates and reduces each threshold's complex on its own, and
@@ -26,6 +27,7 @@ import warnings
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import ConstantInputWarning, spearmanr
 
 from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
@@ -502,6 +504,44 @@ def scipy_spearman(a, b) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstantInputWarning)
         return float(spearmanr(list(a), list(b)).statistic)
+
+
+def reference_takagi(a_prime):
+    """A' = U diag(sigma) U^T from the SVD A' = U0 S V^H: Z = U0^H conj(V)
+    is block diagonal over groups of equal singular values and symmetric
+    unitary on each nonzero block, so U = U0 sqrt(Z) computed blockwise.
+    Zero singular values get an identity block (their columns never touch
+    the reconstruction). Returns (U, sigma), sigma descending."""
+    a_prime = np.asarray(a_prime, dtype=complex)
+    u0, sigma, vh = np.linalg.svd(a_prime)
+    z = u0.conj().T @ vh.T
+    blocks = []
+    for group in takagi_groups(sigma):
+        if sigma[group.start] <= takagi_tol(sigma):
+            blocks.append(np.eye(group.stop - group.start, dtype=complex))
+        else:
+            zg = z[group, group]
+            blocks.append(scipy.linalg.sqrtm(0.5 * (zg + zg.T)).astype(complex))
+    return u0 @ scipy.linalg.block_diag(*blocks), sigma
+
+
+def takagi_tol(sigma):
+    """Singular values at or below this count as zero, and ones closer
+    than this as equal."""
+    return 1e-8 * (sigma[0] if len(sigma) else 0.0) + 1e-14
+
+
+def takagi_groups(sigma) -> list[slice]:
+    """Runs of descending singular values, each within the Takagi
+    tolerance of its first member."""
+    groups, start, tol = [], 0, takagi_tol(sigma)
+    while start < len(sigma):
+        stop = start + 1
+        while stop < len(sigma) and sigma[start] - sigma[stop] <= tol:
+            stop += 1
+        groups.append(slice(start, stop))
+        start = stop
+    return groups
 
 
 def reference_stream(seed, tag, shot, m=1):

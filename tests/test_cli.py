@@ -1476,6 +1476,23 @@ class TestStartupImports:
         ]
         assert _fresh_process(runs, work) == ([0] * len(runs), set())
 
+    def test_encoding_commands_load_no_scipy(self, inputs):
+        # encoding.takagi factors with numpy alone.
+        work, graph, _, _ = inputs
+        out = ["--out", str(work / "out")]
+        small = ["--cutoff-total", "2", "--cutoff-per-mode", "2"]
+        runs = [
+            ["encode", "--graph", graph, *out],
+            ["dist", "--graph", graph, *small, *out],
+            ["compare", "--graph", graph, "--k", "3", "--shots", "20",
+             "--seed", "0", *small, *out],
+            ["sample", "--graph", graph, "--backend", "gbs", "--shots", "20",
+             "--seed", "0", *small, *out],
+            ["sample", "--graph", graph, "--backend", "squashed", "--shots",
+             "20", "--seed", "0", *out],
+        ]
+        assert _fresh_process(runs, work) == ([0] * len(runs), set())
+
     def test_no_command_loads_scipy_stats(self, inputs):
         work, graph, chain, _ = inputs
         out = ["--out", str(work / "out")]

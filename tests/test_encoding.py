@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gbstopo import instances
 from gbstopo.encoding import (
+    RECON_TOL,
     encode,
     load_encoding,
     reconstruct,
@@ -17,7 +19,7 @@ from gbstopo.encoding import (
 )
 from gbstopo.errors import FormatError
 from gbstopo.graph import ComplexGraph, graph_from_edges, random_dual_layer
-from helpers import relabel
+from helpers import reference_takagi, relabel, takagi_groups, takagi_tol
 
 
 def random_symmetric(n, seed):
@@ -130,6 +132,120 @@ class TestTakagi:
         u, lam = takagi(a)
         assert np.max(np.abs(reconstruct(u, lam) - a)) < 1e-10
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10
+
+
+def random_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def with_takagi_values(sigma, seed):
+    """W diag(sigma) W^T for a random unitary W: Takagi values sigma."""
+    w = random_unitary(len(sigma), seed)
+    a = w @ np.diag(sigma) @ w.T
+    return (a + a.T) / 2
+
+
+def assert_matches_reference(a):
+    """takagi agrees with the SVD-and-sqrtm oracle wherever the factor is
+    unique: sigma, and per group of equal sigma, U_g U_g^H; U_g U_g^T too
+    on groups with sigma > 0 (the real-orthogonal freedom within a group
+    leaves both alike, while the columns at sigma = 0 may be any unitary
+    completion)."""
+    u, lam = takagi(a)
+    u_ref, lam_ref = reference_takagi(a)
+    n = len(a)
+    assert np.max(np.abs(lam - lam_ref), initial=0.0) < 1e-12
+    assert (lam >= 0).all()  # load_encoding refuses a negative lambda
+    assert np.max(np.abs(reconstruct(u, lam) - a), initial=0.0) < RECON_TOL
+    assert np.max(np.abs(u.conj().T @ u - np.eye(n)), initial=0.0) < RECON_TOL
+    for g in takagi_groups(lam_ref):
+        ug, rg = u[:, g], u_ref[:, g]
+        assert np.max(np.abs(ug @ ug.conj().T - rg @ rg.conj().T)) < 1e-10
+        if lam_ref[g.start] > takagi_tol(lam_ref):
+            assert np.max(np.abs(ug @ ug.T - rg @ rg.T)) < 1e-10
+
+
+def isolated_vertex_graph():
+    """The planted instance with three isolated vertices appended."""
+    g = instances.planted_clique_graph()
+    w = np.zeros((g.n + 3, g.n + 3), dtype=complex)
+    w[:g.n, :g.n] = g.weights
+    return ComplexGraph(g.n + 3, w)
+
+
+class TestTakagiOracle:
+    @given(st.integers(0, 2**32), st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_random_symmetric(self, seed, n):
+        assert_matches_reference(random_symmetric(n, seed))
+
+    # Distinct levels lie at least 0.1 apart, so every group of equal
+    # sigma is well separated from the next.
+    @given(st.integers(0, 2**32), st.lists(
+        st.sampled_from([0.0, 0.1, 0.25, 0.4, 0.6, 0.9]), min_size=1,
+        max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_and_zero_values(self, seed, sigma):
+        sigma = np.sort(sigma)[::-1]
+        if sigma[0] == 0.0:
+            sigma[0] = 0.5
+        assert_matches_reference(with_takagi_values(sigma, seed))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[0.3 - 0.4j]]),
+        np.array([[-0.7]]),
+        np.zeros((1, 1)),
+        np.zeros((5, 5)),
+        np.diag([-0.5, 0.3, 0.0]),
+        np.diag([0.2j, -0.6, 0.4]),
+    ], ids=["n1", "n1-negative", "n1-zero", "zero", "negative-diagonal",
+            "complex-diagonal"])
+    def test_explicit(self, a):
+        assert_matches_reference(a.astype(complex))
+
+    def test_six_fold_value(self):
+        a = with_takagi_values([0.6] * 6 + [0.3, 0.2], seed=3)
+        _, lam = takagi(a)
+        assert np.allclose(lam[:6], 0.6, atol=1e-14)
+        assert_matches_reference(a)
+
+    @pytest.mark.parametrize("g", [
+        isolated_vertex_graph(), instances.planted_clique_graph(),
+        instances.two_community_graph(), instances.graded_triangle_chain(),
+    ], ids=["isolated", "planted", "two-community", "triangle-chain"])
+    def test_instances(self, g):
+        assert_matches_reference(rescale(g, 0.95)[1])
+
+    # The graphs of `gen --n 100 --p 0.02`: 18 to 26 of their 100 Takagi
+    # values are zero.
+    @pytest.mark.parametrize("seed", [0, 5, 13])
+    def test_sparse_random_graphs(self, seed):
+        a = rescale(random_dual_layer(100, 0.02, seed=seed), 0.7)[1]
+        assert np.sum(takagi(a)[1] <= 1e-8) >= 18
+        assert_matches_reference(a)
+
+    @pytest.mark.parametrize("g", [
+        isolated_vertex_graph(), instances.planted_clique_graph(),
+        random_dual_layer(100, 0.02, seed=5),
+    ], ids=["isolated", "planted", "sparse-100"])
+    def test_signs_do_not_follow_eigh(self, monkeypatch, g):
+        # Eigenvectors are unique only up to sign; a LAPACK build may
+        # return any of them, and the written encoding must not move.
+        want = save_encoding(encode(g, 0.9))
+        eigh = np.linalg.eigh
+
+        def flipped(m):
+            w, v = eigh(m)
+            v = v.copy()
+            v[:, ::2] *= -1
+            v[:, 1::3] *= -1
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", flipped)
+        assert save_encoding(encode(g, 0.9)) == want
 
 
 class TestReconstruct:

@@ -5,7 +5,11 @@ the array transforms must follow their exact laws: uniform k-subsets,
 binomial thinning as the distribution path applies it, and the squashed
 per-mode means."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import gbstopo
 from gbstopo import sampler
 from gbstopo.cli import main
 from gbstopo.encoding import encode
@@ -161,6 +166,83 @@ def test_batch_beyond_one_word_indices_exits_4(tmp_path, capsys):
     assert code == 4
     assert not out.exists()
     assert "per-shot streams" in capsys.readouterr().err
+
+
+def no_seeding(*args):
+    raise AssertionError("a batch over the draw budget was seeded")
+
+
+# A batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is refused before
+# _shot_states builds any array; every consumer of _doubles is covered.
+def test_batch_over_draw_budget_refused_before_seeding(monkeypatch, planted):
+    _, e = planted
+    budget = 10 * (224 + 8) - 1
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
+    monkeypatch.setattr(sampler, "_shot_states", no_seeding)
+    lossy = SampleBatch(np.ones((10, 12), dtype=np.int64), 0, "gbs")
+    for draw, m in ((lambda: sample_gbs(e, 10, 2, 2, 0), 1),
+                    (lambda: sample_uniform(12, 5, 10, 0), 12),
+                    (lambda: sample_squashed(e, 10, 0), 2 * 6 + 12),
+                    (lambda: apply_loss(lossy, 0.5, 0), 12)):
+        with pytest.raises(BudgetError, match=(
+            f"^10 shots of {m} doubles need about {10 * (224 + 8 * m)} "
+            f"bytes, over the draw budget {budget}$"
+        )) as info:
+            draw()
+        assert (info.value.required, info.value.budget) == (
+            10 * (224 + 8 * m), budget)
+
+
+def test_batch_at_draw_budget_drawn(monkeypatch, planted):
+    _, e = planted
+    want = sample_gbs(e, 10, 2, 2, 0).patterns
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * (224 + 8))
+    assert np.array_equal(sample_gbs(e, 10, 2, 2, 0).patterns, want)
+
+
+def test_stream_refusal_comes_before_draw_budget(monkeypatch):
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", 0)
+    with pytest.raises(BudgetError, match="per-shot streams"):
+        sampler._doubles(0, 0, 2**32 + 1, 1)
+
+
+def _capped(argv, cwd):
+    """Run the CLI in a new interpreter whose address space is capped at
+    1.5 GB, as `ulimit -v 1500000` caps a shell."""
+    import resource
+
+    cap = 1_500_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "gbstopo.cli", *argv], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=300, preexec_fn=limit,
+    )
+
+
+# Found by hand: 4e8 uniform shots died in numpy's _ArrayMemoryError with
+# exit 1 while seeding.
+@pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS")
+@pytest.mark.parametrize("argv", [
+    ["sample", "--backend", "uniform", "--k", "2"],
+    ["compare", "--k", "2", "--cutoff-total", "2", "--cutoff-per-mode", "2"],
+    ["entropy", "--backend", "squashed", "--k-ref", "2", "--delta-axis",
+     "0", "--photon-total", "2", "--cutoff-total", "2",
+     "--cutoff-per-mode", "2"],
+])
+def test_huge_shots_exit_4_under_memory_cap(tmp_path, argv):
+    assert main(["gen", "--n", "6", "--p", "0.6", "--seed", "1",
+                 "--out", str(tmp_path / "g6.json")]) == 0
+    proc = _capped([*argv, "--graph", "g6.json", "--shots", "400000000",
+                    "--seed", "0", "--out", "out"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "over the draw budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def chi_square_ok(observed, expected, shots):
