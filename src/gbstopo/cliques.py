@@ -1,17 +1,31 @@
 """Weighted clique search seeded by sampler output, plus exact clique
 enumeration for oracles and downstream topology.
 
-The search pipeline per distinct photon subset is: pattern -> vertex subset
--> greedy shrinking to a clique -> local search toward the target size, run
-once per distinct greedy clique; shots repeating a subset reuse its result,
-and cli.cmd_cliques writes each success from one record template. Both
-stages carry the working set as an int bitmask (bit v for vertex v), so
-clique tests and common neighbours are ANDs of the graph's neighbor_masks.
-They score candidate sets by the weighted density |sum w_ij| / (k(k-1)),
-which keeps complex phase cancellation central. Densities are memoised per
-graph on the bitmask (ComplexGraph._mask_density), so a set scored again,
-for another subset or in another find_cliques call on the same graph, is a
-dict lookup.
+The search takes a batch's distinct click subsets, found with one packbits
+and one np.unique over the shots, shrinks each greedily to a clique and
+grows each distinct greedy clique once toward the target size; shots
+repeating a subset reuse its result, and cli.cmd_cliques writes each
+success from one record template. Candidate sets are scored by the
+weighted density |sum w_ij| / (k(k-1)), which keeps complex phase
+cancellation central.
+
+The shrink peels every subset at once. Each subset's vertices index a
+padded K x K weight block; the subsets go largest first, in chunks of
+about SHRINK_BLOCK_ENTRIES entries, K the chunk's largest subset. Per row
+the peel keeps the row sums r and their total t, so dropping member v
+leaves the sum t - 2 r_v; it removes the best member, updates r, t, the
+in-set degrees and the clique test by one column, and stops each row once
+it is a clique. The array sums only screen: every member within
+_NEAR_TIE * sum(|re| + |im|) of a row's best score is rescored exactly by
+ComplexGraph._mask_density, ascending, as _densest_toggle does, so each
+step removes the vertex a one-set-at-a-time peel would. The peel uses
+sums and no matrix product: a BLAS call would start worker threads.
+
+Growth (local_search) carries the working set as an int bitmask (bit v for
+vertex v), so clique tests and common neighbours are ANDs of the graph's
+neighbor_masks. Densities are memoised per graph on the bitmask, so a set
+scored again, for another subset or in another find_cliques call on the
+same graph, is a dict lookup.
 
 Enumeration grows cliques on the same neighbor_masks: a clique extends only
 by its common neighbours above its largest vertex, so each clique is built
@@ -25,11 +39,26 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import BudgetError
 from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
 from .sampler import Pattern, SampleBatch
 
 CLIQUE_BUDGET = 5_000_000
+
+# Complex entries per chunk of the shrink's padded blocks: chunks near 2^14
+# entries keep its arrays small, so a search's peak memory does not grow.
+SHRINK_BLOCK_ENTRIES = 2**14
+
+# The shrink's screen, relative to sum(|re| + |im|) over a row's block. A
+# peel step scores member v by |t - 2 r_v|. r_v is a pairwise sum of at
+# most K entries less at most K removed columns, and t a sum of the r, so
+# the score is off by at most about 3 K u sum(|re| + |im|), u = 2^-53:
+# below 2e-12 of that sum for K up to MAX_VERTICES. The exact density sums
+# the rest's entries pairwise, off by far less. So every exact winner and
+# exact tie lies within 1e-10 of the row's best score and is rescored.
+_NEAR_TIE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,6 +131,79 @@ def _peel(g: ComplexGraph, cur: int, done) -> int:
     return cur
 
 
+def _peel_rows(g: ComplexGraph, clicked: np.ndarray, k: int) -> list[int]:
+    """The greedy clique mask of each row of `clicked`, a boolean array of
+    non-empty vertex sets within range(g.n), each row of at most k."""
+    size = clicked.sum(axis=1)
+    # Row i's members ascending in its first size[i] columns; the padding
+    # columns name vertex 0 and are never members.
+    row_of, vert = np.nonzero(clicked)
+    col = np.arange(len(vert)) - np.repeat(np.cumsum(size) - size, size)
+    verts = np.zeros((len(clicked), k), dtype=np.intp)
+    verts[row_of, col] = vert
+    alive = np.arange(k) < size[:, None]
+    block = np.where(alive[:, :, None] & alive[:, None, :],
+                     g.weights[verts[:, :, None], verts[:, None, :]], 0)
+    r = block.sum(axis=2)
+    deg = (block != 0).sum(axis=2)
+    twice_edges = deg.sum(axis=1)
+    tol = _NEAR_TIE * np.abs(block.view(float)).sum(axis=(1, 2))
+    kept = alive.copy()
+    # The rows still peeling and their state. r_u sums row u over the
+    # members, also for a removed u; t sums the members' r.
+    ids = np.flatnonzero(twice_edges != size * (size - 1))
+    state = [a[ids] for a in (r, alive, deg, twice_edges, size, tol)]
+    while ids.size:
+        r, alive, deg, twice_edges, size, tol = state
+        t = np.where(alive, r, 0).sum(axis=1)
+        score = np.where(alive, np.abs(t[:, None] - 2 * r), -np.inf)
+        near = alive & (score >= (score.max(axis=1) - tol)[:, None])
+        pick = near.argmax(axis=1)
+        for i in np.flatnonzero(near.sum(axis=1) > 1).tolist():
+            # Without an edge every rest has density exactly 0, and the
+            # lowest member, the first near one, goes.
+            if twice_edges[i]:
+                row = verts[ids[i]]
+                cur = sum(1 << v for v in row[alive[i]].tolist())
+                cands = sum(1 << v for v in row[near[i]].tolist())
+                v = _densest_toggle(g, cur, cands).bit_length() - 1
+                pick[i] = int(np.flatnonzero(row == v)[0])
+        at = np.arange(len(ids))
+        alive[at, pick] = False
+        cols = block[ids, :, pick]
+        r -= cols
+        twice_edges -= 2 * deg[at, pick]
+        deg -= cols != 0
+        size -= 1
+        if (done := twice_edges == size * (size - 1)).any():
+            kept[ids[done]] = alive[done]
+            ids = ids[~done]
+            state = [a[~done] for a in state]
+    members = np.zeros(clicked.shape, dtype=bool)
+    members[row_of, vert] = kept[row_of, col]
+    bits = np.packbits(members, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
+def _shrink(g: ComplexGraph, clicked: np.ndarray) -> list[int]:
+    """Peel each row of `clicked`, a (rows, width <= g.n) boolean array of
+    non-empty vertex sets, until it is a clique; the clique masks in row
+    order. Each step removes the member whose removal leaves the densest
+    rest, the lowest index on ties. Rows go largest first, in chunks of
+    about SHRINK_BLOCK_ENTRIES entries padded to the chunk's largest row."""
+    size = clicked.sum(axis=1)
+    order = np.argsort(-size, kind="stable")
+    masks = [0] * len(clicked)
+    lo = 0
+    while lo < len(order):
+        k = int(size[order[lo]])
+        rows = order[lo:lo + max(1, SHRINK_BLOCK_ENTRIES // (k * k))]
+        for i, mask in zip(rows.tolist(), _peel_rows(g, clicked[rows], k)):
+            masks[i] = mask
+        lo += len(rows)
+    return masks
+
+
 def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     """Peel vertices until the set is a clique.
 
@@ -111,7 +213,9 @@ def greedy_shrink(g: ComplexGraph, s: Sequence[int]) -> Clique:
     cur = _vertex_mask(g, s)
     if not cur:
         raise ValueError("cannot shrink an empty set")
-    return _clique(g, _peel(g, cur, g._is_clique_mask))
+    row = np.zeros((1, g.n), dtype=bool)
+    row[0, _mask_vertices(cur)] = True
+    return _clique(g, _shrink(g, row)[0])
 
 
 def _check_search_params(target_k: int, max_iters: int) -> None:
@@ -169,6 +273,26 @@ def local_search(
     return _checked_clique(g, cur) if cur.bit_count() == target_k else None
 
 
+def _distinct_subsets(g: ComplexGraph, b: SampleBatch):
+    """The batch's distinct non-empty click subsets as boolean rows within
+    range(g.n), in order of first appearance, and for each non-vacuum shot
+    the index of its subset. ValueError, as _vertex_mask raises it, for the
+    first subset that clicks a vertex outside the graph."""
+    clicked = b.patterns > 0
+    hit = np.flatnonzero(clicked.any(axis=1))
+    if not hit.size:
+        return clicked[:0, :g.n], hit
+    packed = np.packbits(clicked[hit], axis=1, bitorder="little")
+    # One void item a row: np.unique sorts them as bytes.
+    packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    subsets = clicked[hit[first[order]]]
+    if (outside := np.flatnonzero(subsets[:, g.n:].any(axis=1))).size:
+        _vertex_mask(g, np.flatnonzero(subsets[outside[0]]).tolist())
+    return subsets[:, :g.n], np.argsort(order)[inverse.reshape(-1)]
+
+
 def find_cliques(
     g: ComplexGraph, b: SampleBatch, target_k: int, max_iters: int = 50
 ) -> SearchReport:
@@ -179,12 +303,12 @@ def find_cliques(
     distinct greedy clique is grown once.
     """
     _check_search_params(target_k, max_iters)
-    subsets = [pattern_to_subset(p) for p in b.patterns.tolist()]
-    shrunk = {s: greedy_shrink(g, s) for s in dict.fromkeys(subsets) if s}
-    # local_search reads only the vertices of the clique it grows.
-    greedy = {c.vertices: c for c in shrunk.values()}
-    grown = {vs: local_search(g, c, target_k, max_iters) for vs, c in greedy.items()}
-    found = [grown[shrunk[s].vertices] for s in subsets if s]
+    subsets, shot_subset = _distinct_subsets(g, b)
+    shrunk = _shrink(g, subsets)
+    grown = {mask: local_search(g, _clique(g, mask), target_k, max_iters)
+             for mask in dict.fromkeys(shrunk)}
+    by_subset = [grown[mask] for mask in shrunk]
+    found = [by_subset[i] for i in shot_subset.tolist()]
     found = [c for c in found if c is not None]
     shots = len(b.patterns)
     rate = len(found) / shots if shots else 0.0

@@ -54,7 +54,12 @@ _TAG_GBS, _TAG_UNIFORM, _TAG_SQUASHED, _TAG_LOSS = range(4)
 MEAN_BUDGET = 500.0  # largest squashed Poisson mean; exp(-500) is normal
 COUNT_BUDGET = 1000  # largest count a draw reaches or batch loss thins
 # _doubles holds about 224 bytes a shot while seeding and 8 a double after;
-# a batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is not seeded.
+# a batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is not seeded. Nor
+# is one whose consumer would then hold more than DRAW_BUDGET: per shot and
+# mode, about 24 bytes for uniform subsets (doubles, argsort and 0/1 rows),
+# 56 for batch loss (doubles and _invert's arrays) and 104 for squashed
+# draws, and 8 for a gbs batch's patterns, plus 16 a shot for uniform and
+# gbs (peaks under tracemalloc, rounded up).
 DRAW_BUDGET = 2**30
 
 
@@ -398,16 +403,25 @@ def _shot_states(seed: int, tag: int, shots: int) -> tuple[tuple, tuple]:
     return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
 
 
-def _doubles(seed: int, tag: int, shots: int, m: int) -> np.ndarray:
+def _doubles(
+    seed: int, tag: int, shots: int, m: int, held: int = 0
+) -> np.ndarray:
     """default_rng([seed, tag, i]).random(m) for every i in range(shots), as
     a (shots, m) array: per double one PCG64 step, its XSL-RR output, the
     top 53 bits times 2^-53. Shots 0 and shots - 1 are checked against
-    _shot_rng: a numpy that draws otherwise raises InvariantError."""
+    _shot_rng: a numpy that draws otherwise raises InvariantError. `held`
+    is what the caller holds a shot once drawn, these doubles included;
+    both it and the seeding are charged to DRAW_BUDGET before seeding."""
     # Beyond _MAX_STREAMS shots, _shot_states refuses the batch first.
-    if shots <= _MAX_STREAMS and (need := shots * (224 + 8 * m)) > DRAW_BUDGET:
-        raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
-                          f"bytes, over the draw budget {DRAW_BUDGET}",
-                          required=need, budget=DRAW_BUDGET)
+    if shots <= _MAX_STREAMS:
+        if (need := shots * (224 + 8 * m)) > DRAW_BUDGET:
+            raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
+                              f"bytes, over the draw budget {DRAW_BUDGET}",
+                              required=need, budget=DRAW_BUDGET)
+        if (need := shots * held) > DRAW_BUDGET:
+            raise BudgetError(f"{shots} shots hold about {need} bytes once "
+                              f"drawn, over the draw budget {DRAW_BUDGET}",
+                              required=need, budget=DRAW_BUDGET)
     state, inc = _shot_states(seed, tag, shots)
     out = np.empty((shots, m))
     for j in range(m):
@@ -455,7 +469,7 @@ def sample_gbs(
         raise InvariantError("enumerated distribution has zero mass")
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
-    u = _doubles(seed, _TAG_GBS, shots, 1)[:, 0]
+    u = _doubles(seed, _TAG_GBS, shots, 1, 16 + 8 * e.n)[:, 0]
     return SampleBatch(
         patterns=dist.lattice.counts[np.searchsorted(cum, u, side="right")],
         seed=seed,
@@ -472,7 +486,7 @@ def sample_uniform(n_modes: int, k: int, shots: int, seed: int) -> SampleBatch:
         raise ValueError(f"k={k} exceeds mode count {n_modes}")
     if k < 0:
         raise ValueError("k must be nonnegative")
-    u = _doubles(seed, _TAG_UNIFORM, shots, n_modes)
+    u = _doubles(seed, _TAG_UNIFORM, shots, n_modes, 16 + 24 * n_modes)
     rows = np.zeros((shots, n_modes), dtype=np.int64)
     np.put_along_axis(rows, np.argsort(u, axis=1, kind="stable")[:, :k], 1, 1)
     return SampleBatch(rows, seed, "uniform")
@@ -488,7 +502,7 @@ def sample_squashed(e: GBSEncoding, shots: int, seed: int) -> SampleBatch:
     Box-Muller radii, the next h angles; one more per mode inverts Poisson.
     """
     h = (e.n + 1) // 2
-    u = _doubles(seed, _TAG_SQUASHED, shots, 2 * h + e.n)
+    u = _doubles(seed, _TAG_SQUASHED, shots, 2 * h + e.n, 104 * e.n)
     radius, angle = np.sqrt(-2.0 * np.log1p(-u[:, :h])), 2.0 * np.pi * u[:, h:2 * h]
     normal = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :e.n]
     std = np.sqrt((np.exp(2.0 * e.squeezings) - 1.0) / 4.0)
@@ -567,7 +581,8 @@ def apply_loss(x, eta: float, seed: int = 0):
         raise ValueError("eta must lie in [0, 1]")
     if isinstance(x, SampleBatch):
         lost = _loss_table(int(x.patterns.max(initial=0)), eta)
-        u = _doubles(seed, _TAG_LOSS, *x.patterns.shape)
+        shots, width = x.patterns.shape
+        u = _doubles(seed, _TAG_LOSS, shots, width, 56 * width)
         gone = _invert(u, x.patterns, lambda k, idx, _: lost[x.patterns.flat[idx], k])
         return replace(x, patterns=x.patterns - gone, loss_eta=x.loss_eta * eta)
     if isinstance(x, PatternDistribution):

@@ -314,9 +314,21 @@ class TestSearchOncePerSubset:
         monkeypatch.setattr(cliques_mod, name, wrapped)
         return calls
 
+    def peeled(self, monkeypatch):
+        """The vertex sets of the rows the array peel receives."""
+        rows = []
+        fn = cliques_mod._shrink
+
+        def wrapped(g, clicked):
+            rows.extend(tuple(np.flatnonzero(r).tolist()) for r in clicked)
+            return fn(g, clicked)
+
+        monkeypatch.setattr(cliques_mod, "_shrink", wrapped)
+        return rows
+
     def test_repeated_pattern_searched_once(self, monkeypatch):
         g = random_dual_layer(8, 0.8, seed=2)
-        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        shrinks = self.peeled(monkeypatch)
         searches = self.counting(monkeypatch, "local_search")
         pat = (1, 0, 2, 1, 1, 0, 1, 1)
         vac = (0,) * 8
@@ -333,7 +345,7 @@ class TestSearchOncePerSubset:
 
     def test_distinct_subsets_in_first_appearance_order(self, monkeypatch):
         g = complete(6)
-        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        shrinks = self.peeled(monkeypatch)
         pats = ((0, 1, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1), (0, 2, 1, 0, 3, 0))
         find_cliques(g, SampleBatch(patterns=pats, seed=0, backend="x"), 3)
         assert shrinks == [(1, 2, 4), (0, 1, 5)]
@@ -350,11 +362,154 @@ class TestSearchOncePerSubset:
                 (1, 1, 1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 0, 0, 0))
         b = SampleBatch(patterns=pats, seed=0, backend="x")
         want = reference_find_cliques(g, b, target_k)
-        shrinks = self.counting(monkeypatch, "greedy_shrink")
+        shrinks = self.peeled(monkeypatch)
         searches = self.counting(monkeypatch, "local_search")
         assert find_cliques(g, b, target_k) == want
         assert len(shrinks) == 5
         assert [c.vertices for c in searches] == [(0, 1, 2, 3, 4)]
+
+
+# Weight laws on which many peel steps tie: unit, +-1 and +-i weights, and
+# two magnitudes under +-1 and +-i phases. Those magnitudes are not dyadic,
+# so sums of them in different orders round apart and exact ties between
+# rests become near ties.
+TIE_KINDS = ("unit", "pm1", "pmi", "two")
+
+
+def tie_heavy_graph(n, kind, p, seed):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    phases = rng.choice([1, -1, 1j, -1j], len(iu))
+    vals = {"unit": np.ones(len(iu)),
+            "pm1": rng.choice([1.0, -1.0], len(iu)),
+            "pmi": phases,
+            "two": rng.choice([0.1, 0.7], len(iu)) * phases}[kind]
+    keep = rng.random(len(iu)) < p
+    return graph_from_edges(n, [
+        (i, j, complex(w)) for i, j, w in zip(iu[keep].tolist(),
+                                              ju[keep].tolist(),
+                                              vals[keep].tolist())])
+
+
+def batch_from_pool(rng, width, pool_size, shots, click_prob=0.6):
+    """Shots drawn from a few distinct count rows, so subsets repeat (also
+    under different counts) and some shots are vacuum."""
+    pool = rng.integers(0, 3, (pool_size, width)) * (
+        rng.random((pool_size, width)) < click_prob)
+    pool = np.vstack([pool, np.zeros((1, width), dtype=np.int64)])
+    return SampleBatch(pool[rng.integers(0, len(pool), shots)], 0, "x")
+
+
+def assert_equal_to_reference(g, b, target_k, max_iters):
+    got = find_cliques(g, b, target_k, max_iters)
+    want = reference_find_cliques(g, b, target_k, max_iters)
+    assert got == want
+    assert list(got.density_histogram.items()) == list(
+        want.density_histogram.items())
+
+
+class TestArrayPeelAgainstReference:
+    """find_cliques, which peels every distinct subset of a batch at once,
+    against the shot-by-shot search, where exact and near ties decide."""
+
+    @given(kind=st.sampled_from(TIE_KINDS), n=st.integers(1, 14),
+           p=st.sampled_from(EDGE_PROBS), seed=st.integers(0, 10_000),
+           target_k=st.integers(1, 6), max_iters=st.sampled_from([0, 5]))
+    # Peels whose exact choice differs from the array score's first best.
+    @example(kind="two", n=6, p=0.6, seed=34, target_k=1, max_iters=0)
+    @example(kind="two", n=12, p=0.3, seed=34, target_k=1, max_iters=0)
+    @settings(max_examples=120, deadline=None)
+    def test_tie_heavy_graphs(self, kind, n, p, seed, target_k, max_iters):
+        g = tie_heavy_graph(n, kind, p, seed)
+        b = batch_from_pool(np.random.default_rng(seed), n, 5, 16)
+        assert_equal_to_reference(g, b, target_k, max_iters)
+
+    @given(seed=st.integers(0, 10_000), target_k=st.integers(1, 6),
+           max_iters=st.sampled_from([0, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_repeated_subsets(self, seed, target_k, max_iters):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 13))
+        g = random_dual_layer(n, float(rng.uniform(0.3, 1.0)), seed=seed)
+        b = batch_from_pool(rng, n, 2, 30)
+        assert_equal_to_reference(g, b, target_k, max_iters)
+
+    @pytest.mark.parametrize("shots, width", [(0, 6), (0, 0), (7, 6), (3, 2)])
+    @pytest.mark.parametrize("target_k", range(1, 7))
+    @pytest.mark.parametrize("max_iters", [0, 5])
+    def test_vacuum_and_empty_batches(self, shots, width, target_k, max_iters):
+        b = SampleBatch(np.zeros((shots, width), dtype=np.int64), 0, "x")
+        assert_equal_to_reference(complete(6), b, target_k, max_iters)
+
+    @given(kind=st.sampled_from(TIE_KINDS + ("random",)),
+           seed=st.integers(0, 10_000), target_k=st.integers(1, 6),
+           max_iters=st.sampled_from([0, 5]))
+    # Peels whose exact choice differs from the array score's first best.
+    @example(kind="two", seed=2, target_k=1, max_iters=0)
+    @example(kind="two", seed=11, target_k=1, max_iters=0)
+    @settings(max_examples=12, deadline=None)
+    def test_subset_of_at_least_40(self, kind, seed, target_k, max_iters):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(40, 47))
+        p = float(rng.uniform(0.5, 0.95))
+        g = (random_dual_layer(n, p, seed=seed) if kind == "random"
+             else tie_heavy_graph(n, kind, p, seed))
+        big = np.ones((1, n), dtype=np.int64)
+        big[0, rng.choice(n, n - 40, replace=False)] = 0
+        b = SampleBatch(np.vstack([big, batch_from_pool(rng, n, 3, 4).patterns,
+                                   big]), 0, "x")
+        assert_equal_to_reference(g, b, target_k, max_iters)
+
+    @given(kind=st.sampled_from(TIE_KINDS + ("random",)),
+           seed=st.integers(0, 10_000), rows=st.integers(1, 3),
+           target_k=st.integers(1, 6), max_iters=st.sampled_from([0, 5]))
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_boundaries(self, kind, seed, rows, target_k, max_iters):
+        # The budget admits `rows` padded blocks a chunk; 1 gives one row.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 11))
+        g = (random_dual_layer(n, 0.7, seed=seed) if kind == "random"
+             else tie_heavy_graph(n, kind, 0.7, seed))
+        b = batch_from_pool(rng, n, 7, 20, click_prob=0.8)
+        k = int((b.patterns > 0).sum(axis=1).max())
+        with patch.object(cliques_mod, "SHRINK_BLOCK_ENTRIES",
+                          1 if rows == 1 else rows * k * k + k):
+            assert_equal_to_reference(g, b, target_k, max_iters)
+
+
+class TestBatchWidth:
+    """A batch may be wider or narrower than the graph; clicks outside it
+    raise the error _vertex_mask raises for the first such subset."""
+
+    @pytest.mark.parametrize("pats, bad", [
+        (((1, 1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0)),
+         6),
+        (((0,) * 7, (1, 0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 1, 1)), 4),
+        (((0, 0, 0, 0, 0, 2, 0), (0, 0, 0, 0, 0, 1, 0)), 5),
+    ])
+    def test_click_outside_graph_raises(self, pats, bad):
+        b = SampleBatch(pats, 0, "x")
+        with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=4$"):
+            find_cliques(complete(4), b, 2)
+
+    @given(seed=st.integers(0, 10_000), extra=st.integers(-4, 4),
+           target_k=st.integers(1, 6), max_iters=st.sampled_from([0, 5]))
+    @settings(max_examples=60, deadline=None)
+    def test_any_width(self, seed, extra, target_k, max_iters):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 11))
+        g = random_dual_layer(n, float(rng.uniform(0.3, 1.0)), seed=seed)
+        b = batch_from_pool(rng, n + extra, 4, 10,
+                            click_prob=float(rng.uniform(0.1, 0.7)))
+        outside = [np.flatnonzero(p).max() for p in b.patterns
+                   if p.any() and np.flatnonzero(p).max() >= n]
+        if outside:
+            with pytest.raises(
+                ValueError, match=f"^vertex {outside[0]} out of range for n={n}$"
+            ):
+                find_cliques(g, b, target_k, max_iters)
+        else:
+            assert_equal_to_reference(g, b, target_k, max_iters)
 
 
 class TestEnhancement:

@@ -22,7 +22,7 @@ from gbstopo import sampler
 from gbstopo.cli import main
 from gbstopo.encoding import encode
 from gbstopo.errors import BudgetError, InvariantError
-from gbstopo.graph import save_graph
+from gbstopo.graph import random_dual_layer, save_graph
 from gbstopo.instances import planted_clique_graph
 from gbstopo.sampler import (
     COUNT_BUDGET,
@@ -243,6 +243,73 @@ def test_huge_shots_exit_4_under_memory_cap(tmp_path, argv):
     assert "over the draw budget" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+# At 100 modes these batches pass the seeding charge, but what uniform rows,
+# gbs patterns, squashed draws or batch loss hold once drawn (peaks measured
+# with tracemalloc) is more than DRAW_BUDGET and than the 1.5 GB cap admits.
+@pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS")
+@pytest.mark.parametrize("argv, shots", [
+    (["sample", "--backend", "uniform", "--k", "2"], 1_000_000),
+    (["sample", "--backend", "gbs", "--cutoff-total", "2",
+      "--cutoff-per-mode", "2"], 2_000_000),
+    (["sample", "--backend", "squashed"], 200_000),
+    (["sample", "--backend", "gbs", "--cutoff-total", "2",
+      "--cutoff-per-mode", "2", "--eta", "0.5"], 300_000),
+])
+def test_batch_held_past_draw_budget_exits_4_under_memory_cap(
+    tmp_path, argv, shots
+):
+    assert main(["gen", "--n", "100", "--p", "0.02", "--seed", "1",
+                 "--out", str(tmp_path / "g100.json")]) == 0
+    proc = _capped([*argv, "--graph", "g100.json", "--shots", str(shots),
+                    "--seed", "0", "--out", "out"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert "once drawn, over the draw budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """An encoding of 30 modes: a gbs batch holds more than it seeds."""
+    return encode(random_dual_layer(30, 0.2, seed=3), 0.9)
+
+
+# (draw, doubles a shot seeds, bytes a shot holds once drawn), each holding
+# more than it seeds; n shots of them.
+HELD = [
+    (lambda e, w, n: sample_gbs(w, n, 1, 1, 0), 1, 16 + 8 * 30),
+    (lambda e, w, n: sample_uniform(40, 5, n, 0), 40, 16 + 24 * 40),
+    (lambda e, w, n: sample_squashed(e, n, 0), 2 * 6 + 12, 104 * 12),
+    (lambda e, w, n: apply_loss(
+        SampleBatch(np.ones((n, 12), dtype=np.int64), 0, "gbs"), 0.5, 0),
+     12, 56 * 12),
+]
+
+
+@pytest.mark.parametrize("draw, m, held", HELD)
+def test_held_bytes_over_draw_budget_refused_before_seeding(
+    monkeypatch, planted, wide, draw, m, held
+):
+    assert held > 224 + 8 * m
+    budget = 10 * held - 1
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
+    monkeypatch.setattr(sampler, "_shot_states", no_seeding)
+    with pytest.raises(BudgetError, match=(
+        f"^10 shots hold about {10 * held} bytes once drawn, over the draw "
+        f"budget {budget}$"
+    )) as info:
+        draw(planted[1], wide, 10)
+    assert (info.value.required, info.value.budget) == (10 * held, budget)
+
+
+@pytest.mark.parametrize("draw, m, held", HELD)
+def test_held_bytes_at_draw_budget_drawn(monkeypatch, planted, wide, draw, m,
+                                         held):
+    want = draw(planted[1], wide, 10).patterns
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * held)
+    assert np.array_equal(draw(planted[1], wide, 10).patterns, want)
 
 
 def chi_square_ok(observed, expected, shots):
