@@ -34,7 +34,6 @@ from .cliques import (
     find_cliques,
     greedy_shrink,
     local_search,
-    pattern_to_subset,
 )
 from .tda import (
     BettiProfile,

@@ -1,13 +1,12 @@
 """Weighted clique search seeded by sampler output, plus exact clique
 enumeration for oracles and downstream topology.
 
-The search takes a batch's distinct click subsets, found with one packbits
-and one np.unique over the shots, shrinks each greedily to a clique and
-grows each distinct greedy clique once toward the target size; shots
-repeating a subset reuse its result, and cli.cmd_cliques writes each
-success from one record template. Candidate sets are scored by the
-weighted density |sum w_ij| / (k(k-1)), which keeps complex phase
-cancellation central.
+The search groups a batch's shots by click subset with sampler._click_groups,
+as conditioning does, shrinks each distinct subset greedily to a clique and
+grows each distinct greedy clique once toward the target size; shots repeating
+a subset reuse its result, and cli.cmd_cliques writes each success from one
+record template. Candidate sets are scored by the weighted density
+|sum w_ij| / (k(k-1)), which keeps complex phase cancellation central.
 
 The shrink peels every subset at once. Each subset's vertices index a
 padded K x K weight block; the subsets go largest first, in chunks of
@@ -42,8 +41,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BudgetError
-from .graph import ComplexGraph, VertexSet, _mask_vertices, _vertex_mask
-from .sampler import Pattern, SampleBatch
+from .graph import ComplexGraph, VertexSet, _mask_vertices, _row_masks, _vertex_mask
+from .sampler import SampleBatch, _click_groups
 
 CLIQUE_BUDGET = 5_000_000
 
@@ -102,11 +101,6 @@ def _checked_clique(g: ComplexGraph, mask: int) -> Clique:
     if not g._is_clique_mask(mask):
         raise ValueError(f"{tuple(_mask_vertices(mask))} is not a clique")
     return _clique(g, mask)
-
-
-def pattern_to_subset(p: Pattern) -> VertexSet:
-    """Vertices whose mode registered at least one photon."""
-    return tuple(i for i, c in enumerate(p) if c >= 1)
 
 
 def _densest_toggle(g: ComplexGraph, cur: int, cands: int) -> int:
@@ -181,8 +175,7 @@ def _peel_rows(g: ComplexGraph, clicked: np.ndarray, k: int) -> list[int]:
             state = [a[~done] for a in state]
     members = np.zeros(clicked.shape, dtype=bool)
     members[row_of, vert] = kept[row_of, col]
-    bits = np.packbits(members, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+    return _row_masks(members)
 
 
 def _shrink(g: ComplexGraph, clicked: np.ndarray) -> list[int]:
@@ -279,18 +272,12 @@ def _distinct_subsets(g: ComplexGraph, b: SampleBatch):
     the index of its subset. ValueError, as _vertex_mask raises it, for the
     first subset that clicks a vertex outside the graph."""
     clicked = b.patterns > 0
-    hit = np.flatnonzero(clicked.any(axis=1))
-    if not hit.size:
-        return clicked[:0, :g.n], hit
-    packed = np.packbits(clicked[hit], axis=1, bitorder="little")
-    # One void item a row: np.unique sorts them as bytes.
-    packed = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, inverse = np.unique(packed, return_index=True, return_inverse=True)
+    subsets, first, inverse = _click_groups(clicked[clicked.any(axis=1)])
     order = np.argsort(first)
-    subsets = clicked[hit[first[order]]]
+    subsets = subsets[order]
     if (outside := np.flatnonzero(subsets[:, g.n:].any(axis=1))).size:
         _vertex_mask(g, np.flatnonzero(subsets[outside[0]]).tolist())
-    return subsets[:, :g.n], np.argsort(order)[inverse.reshape(-1)]
+    return subsets[:, :g.n], np.argsort(order)[inverse]
 
 
 def find_cliques(
@@ -307,8 +294,7 @@ def find_cliques(
     shrunk = _shrink(g, subsets)
     grown = {mask: local_search(g, _clique(g, mask), target_k, max_iters)
              for mask in dict.fromkeys(shrunk)}
-    by_subset = [grown[mask] for mask in shrunk]
-    found = [by_subset[i] for i in shot_subset.tolist()]
+    found = [grown[shrunk[i]] for i in shot_subset.tolist()]
     found = [c for c in found if c is not None]
     shots = len(b.patterns)
     rate = len(found) / shots if shots else 0.0

@@ -34,6 +34,12 @@ def _mask_vertices(mask: int) -> list[int]:
     return out
 
 
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The bitmask of each row of a 2-D boolean array, bit v for column v."""
+    bits = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexGraph:
     """Immutable n-vertex network with a complex symmetric adjacency matrix.
@@ -67,9 +73,7 @@ class ComplexGraph:
             raise ValueError("diagonal must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        bits = np.packbits(w != 0, axis=1, bitorder="little")
-        masks = tuple(int.from_bytes(row.tobytes(), "little") for row in bits)
-        object.__setattr__(self, "neighbor_masks", masks)
+        object.__setattr__(self, "neighbor_masks", tuple(_row_masks(w != 0)))
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.weights)

@@ -591,15 +591,28 @@ def apply_loss(x, eta: float, seed: int = 0):
     raise TypeError(f"cannot apply loss to {type(x).__name__}")
 
 
+def _click_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group pattern rows by click subset, the modes counting at least 1:
+    the distinct subsets as boolean rows in ascending lexicographic order,
+    the first row of each, and the subset of each row."""
+    # Mode 0 in the high bit, so packed rows compare as bytes in that order.
+    packed = np.packbits(rows > 0, axis=1)
+    if not packed.shape[1]:  # no modes: every row is the vacuum
+        packed = np.zeros((len(rows), 1), dtype=np.uint8)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first] > 0, first, inverse.reshape(-1)
+
+
 def conditional_from_distribution(
     d: PatternDistribution | SampleBatch, total: int, collision_policy: str
 ) -> dict[Pattern, float]:
-    """Law of the patterns carrying `total` photons, renormalised.
+    """Law of the click patterns at photon total `total`, renormalised.
 
-    A distribution weighs each lattice pattern by its probability; a batch
-    weighs each shot by 1, so each value is count / selected shots.
-    collision_free_only keeps only 0/1 patterns; threshold_collapse keeps
-    every pattern at the total and collapses counts to clicks afterwards.
+    A distribution weighs each lattice pattern by its probability, a batch
+    each shot by 1. collision_free_only keeps only 0/1 patterns,
+    threshold_collapse every pattern at the total. _click_groups groups the
+    kept rows, ascending, and each group's weight is summed in row order.
     """
     if collision_policy not in COLLISION_POLICIES:
         raise ValueError(f"unknown collision policy {collision_policy!r}")
@@ -612,17 +625,14 @@ def conditional_from_distribution(
     keep = (rows.sum(axis=1) == total) & (weights != 0)
     if collision_policy == "collision_free_only":
         keep &= rows.max(axis=1, initial=0) <= 1
-    else:
-        rows = np.minimum(rows, 1)  # counts become detector clicks
-    acc: dict[Pattern, float] = {}
-    for p, w in zip(map(tuple, rows[keep].tolist()), weights[keep].tolist()):
-        acc[p] = acc.get(p, 0.0) + w
-    norm = sum(acc.values())
+    clicked, first, inverse = _click_groups(rows[keep])
+    mass = np.bincount(inverse, weights=weights[keep], minlength=len(first))
+    norm = sum(mass[np.argsort(first)].tolist())  # as a dict filled row by row
     if norm <= 0.0:
         raise EmptyConditionError(
             f"no weight at photon total {total} under {collision_policy}"
         )
-    return {p: acc[p] / norm for p in sorted(acc)}
+    return dict(zip(map(tuple, clicked.astype(int).tolist()), (mass / norm).tolist()))
 
 
 # The batch spelling of the same conditioning.

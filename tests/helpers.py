@@ -636,6 +636,15 @@ def reference_batch_loss(rows, eta, seed) -> list:
     return out
 
 
+def reference_click_groups(rows):
+    """Click subsets pattern by pattern: the distinct 0/1 tuples sorted, the
+    first row of each, and for each row the index of its tuple."""
+    clicks = [tuple(1 if c > 0 else 0 for c in p) for p in rows]
+    distinct = sorted(set(clicks))
+    first = [clicks.index(s) for s in distinct]
+    return distinct, first, [distinct.index(s) for s in clicks]
+
+
 def reference_conditional(weighted, total, collision_policy):
     """Conditioning over (tuple pattern, weight) pairs, pattern by pattern:
     a batch passes Counter(patterns).items(), a law its (pattern,

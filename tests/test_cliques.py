@@ -12,7 +12,6 @@ from gbstopo.cliques import (
     find_cliques,
     greedy_shrink,
     local_search,
-    pattern_to_subset,
 )
 import gbstopo.cliques as cliques_mod
 from gbstopo.errors import BudgetError
@@ -42,17 +41,6 @@ EDGE_PROBS = (0.0, 0.3, 0.6, 0.9, 1.0)
 
 def complete(n):
     return graph_from_edges(n, [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)])
-
-
-class TestPatternToSubset:
-    def test_collision_counts_once(self):
-        assert pattern_to_subset((1, 0, 2, 0)) == (0, 2)
-
-    def test_vacuum(self):
-        assert pattern_to_subset((0, 0, 0)) == ()
-
-    def test_all_ones(self):
-        assert pattern_to_subset((1, 1, 1)) == (0, 1, 2)
 
 
 class TestGreedyShrink:

@@ -9,6 +9,7 @@ from gbstopo.errors import FormatError
 from gbstopo.graph import (
     MAX_VERTICES,
     ComplexGraph,
+    _row_masks,
     clique_density,
     edge_filter,
     graph_from_edges,
@@ -325,3 +326,15 @@ class TestInvariants:
         g = random_dual_layer(4, 0.5, seed=1)
         with pytest.raises(ValueError):
             g.weights[0, 1] = 5.0
+
+
+class TestRowMasks:
+    def test_bit_v_for_column_v_across_bytes(self):
+        rows = np.zeros((3, 17), dtype=bool)
+        rows[0, [0, 2]] = True
+        rows[2, [7, 8, 16]] = True
+        assert _row_masks(rows) == [0b101, 0, 1 << 7 | 1 << 8 | 1 << 16]
+
+    def test_no_rows_and_no_columns(self):
+        assert _row_masks(np.zeros((0, 5), dtype=bool)) == []
+        assert _row_masks(np.zeros((2, 0), dtype=bool)) == [0, 0]

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gbstopo.encoding import encode
@@ -20,6 +20,7 @@ from gbstopo.sampler import (
     BACKENDS,
     COLLISION_POLICIES,
     SampleBatch,
+    _click_groups,
     _lattice,
     apply_loss,
     conditional_from_distribution,
@@ -41,6 +42,7 @@ from helpers import (
     lossy_entries,
     matching_sum_hafnian,
     reference_batch_loss,
+    reference_click_groups,
     reference_conditional,
 )
 
@@ -373,6 +375,11 @@ class TestOneConditioning:
         hist = conditional_pattern_histogram(b, 2, "threshold_collapse")
         assert hist == {(1, 0, 0): 4 / 7, (1, 1, 0): 3 / 7}
 
+    def test_a_batch_of_no_modes_conditions_on_the_empty_pattern(self):
+        b = SampleBatch(patterns=[[], []], seed=0, backend="x")
+        for policy in COLLISION_POLICIES:
+            assert conditional_from_distribution(b, 0, policy) == {(): 1.0}
+
     def test_batch_and_distribution_share_one_function(self):
         assert conditional_pattern_histogram is conditional_from_distribution
 
@@ -425,8 +432,9 @@ class TestBatchArray:
 
 
 def small_rows(max_shots=40):
-    """Up to max_shots patterns over 1 to 6 modes, counts up to 4."""
-    return st.integers(1, 6).flatmap(lambda n: st.lists(
+    """Up to max_shots patterns over 1 to 20 modes, counts up to 4: click
+    patterns of more than one packed byte."""
+    return st.integers(1, 20).flatmap(lambda n: st.lists(
         st.lists(st.integers(0, 4), min_size=n, max_size=n), max_size=max_shots
     ))
 
@@ -442,6 +450,47 @@ def assert_same_conditioning(got_fn, want):
     assert [(p, v.hex()) for p, v in got.items()] == [
         (p, v.hex()) for p, v in want.items()
     ]
+
+
+def click_groups(rows, n):
+    """_click_groups of list rows over n modes: the subsets as 0/1 tuples,
+    the first rows and the rows' subsets as lists."""
+    subsets, first, inverse = _click_groups(
+        np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    )
+    assert subsets.dtype == bool and subsets.shape == (len(first), n)
+    subsets = [tuple(s) for s in subsets.astype(int).tolist()]
+    return subsets, first.tolist(), inverse.tolist()
+
+
+def click_rows(max_shots=30):
+    """(n, rows): up to max_shots patterns over 0 to 17 modes, weighted to
+    7-9 and 15-17 around packbits' byte boundaries. Counts reach only 2, so
+    rows repeat their click subsets."""
+    modes = st.one_of(st.integers(0, 17), st.sampled_from([7, 8, 9, 15, 16, 17]))
+    return modes.flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n), max_size=max_shots
+    )))
+
+
+class TestClickGroups:
+    def test_a_count_of_2_clicks_once(self):
+        assert click_groups([[1, 0, 2, 0]], 4) == ([(1, 0, 1, 0)], [0], [0])
+
+    def test_the_vacuum_clicks_no_mode(self):
+        assert click_groups([[0, 0, 0]], 3) == ([(0, 0, 0)], [0], [0])
+
+    def test_all_ones_click_every_mode(self):
+        assert click_groups([[1, 1, 1]], 3) == ([(1, 1, 1)], [0], [0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=click_rows())
+    @example(drawn=(9, []))  # no rows
+    @example(drawn=(16, [[0] * 16] * 3))  # only the vacuum
+    @example(drawn=(0, [[], []]))  # no modes: the vacuum too
+    def test_matches_row_by_row_reference(self, drawn):
+        n, rows = drawn
+        assert click_groups(rows, n) == reference_click_groups(rows)
 
 
 class TestBatchPathsMatchReferences:
