@@ -592,26 +592,24 @@ def main(argv=None) -> int:
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     parser, commands = build_parser() if known.config else _shared_parser()
-    if known.config:
-        try:
-            cfg = json.loads(Path(known.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {known.config}: {exc}",
-                  file=sys.stderr)
-            return EXIT_FORMAT
-        if not isinstance(cfg, dict):
-            print("error: config must be a flat JSON object", file=sys.stderr)
-            return EXIT_FORMAT
-        for sp in commands:
-            for action in sp._actions:
-                # --help is no parameter: it would only leak into provenance.
-                if action.dest in cfg and action.dest != "help":
-                    value = _config_value(action, cfg[action.dest])
-                    sp.set_defaults(**{action.dest: value})
-                    action.required = False
-
-    args = parser.parse_args(argv)
     try:
+        if known.config:
+            try:
+                cfg = json.loads(Path(known.config).read_text())
+            except (OSError, ValueError, RecursionError) as exc:
+                raise FormatError(
+                    f"cannot read config {known.config}: {exc}"
+                ) from exc
+            if not isinstance(cfg, dict):
+                raise FormatError("config must be a flat JSON object")
+            for sp in commands:
+                for action in sp._actions:
+                    # --help is no parameter: it would only leak into provenance.
+                    if action.dest in cfg and action.dest != "help":
+                        value = _config_value(action, cfg[action.dest])
+                        sp.set_defaults(**{action.dest: value})
+                        action.required = False
+        args = parser.parse_args(argv)
         _check_flags(args)
         if args.dry_run:
             for key, val in _provenance(args)["params"].items():

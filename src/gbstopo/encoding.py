@@ -169,7 +169,7 @@ def load_encoding(source: bytes | str) -> GBSEncoding:
     source = source_text(source)
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"encoding document is not valid JSON: {exc}") from exc
     n = doc.get("n") if isinstance(doc, dict) else None
     if type(n) is not int or n < 1:

@@ -186,7 +186,7 @@ def load_graph(source: bytes | str) -> ComplexGraph:
     source = source_text(source)
     try:
         doc = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"graph document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise FormatError("graph document must have fields 'n' and 'edges'")

@@ -4,9 +4,9 @@ percolation order parameter.
 
 Two k-cliques are adjacent when they differ by exactly one node, i.e.
 share a (k-1)-facet. Percolation clusters are the connected components of
-that adjacency, found as the components of the bipartite graph joining
-each clique to its facets; the order parameter Phi = N*/N is the node
-fraction of the largest cluster.
+that adjacency, found by a union-find over the cliques that joins each
+clique to the first clique holding each of its facets; the order
+parameter Phi = N*/N is the node fraction of the largest cluster.
 """
 
 from __future__ import annotations
@@ -35,39 +35,31 @@ class PercolationReport:
 
 def percolation_clusters(g: ComplexGraph, k: int) -> PercolationReport:
     """Clusters of k-cliques that chain through shared (k-1)-facets, as
-    connected components of the clique-facet incidence; clusters report
-    node unions."""
-    # Deferred: only commands that percolate load scipy.sparse.
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
+    union-find trees over the cliques; clusters report node unions."""
     if k < 2:
         raise ValueError("k must be >= 2")
     cliques = enumerate_cliques(g, k).by_size.get(k, [])
-    if not cliques:
-        return PercolationReport(clusters=(), phi=0.0, largest_nodes=0)
-    # Nodes 0..m-1 are the cliques and m, m+1, ... their distinct facets;
-    # each clique has k facets and an edge to each.
-    m = len(cliques)
-    facets: dict[VertexSet, int] = {}
-    cols = [
-        facets.setdefault(f, m + len(facets))
-        for c in cliques for f in combinations(c, k - 1)
-    ]
-    size = m + len(facets)
-    incidence = coo_matrix(
-        (np.ones(len(cols)), (np.repeat(np.arange(m), k), cols)),
-        shape=(size, size),
-    )
-    _, labels = connected_components(incidence, directed=False)
+    parent = list(range(len(cliques)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]  # path halving
+        return i
+
+    # Each facet's first clique owns it; a later clique holding the facet
+    # hangs the owner's tree under itself, and stays a root while read.
+    owner: dict[VertexSet, int] = {}
+    for j, c in enumerate(cliques):
+        for f in combinations(c, k - 1):
+            parent[root(owner.setdefault(f, j))] = j
     groups: dict[int, set[int]] = {}
-    for label, c in zip(labels[:m].tolist(), cliques):
-        groups.setdefault(label, set()).update(c)
+    for j, c in enumerate(cliques):
+        groups.setdefault(root(j), set()).update(c)
     clusters = sorted(
         (tuple(sorted(nodes)) for nodes in groups.values()),
         key=lambda t: (-len(t), t),
     )
-    largest = len(clusters[0])
+    largest = max(map(len, clusters), default=0)
     return PercolationReport(
         clusters=tuple(clusters),
         phi=largest / g.n,

@@ -705,7 +705,7 @@ def load_batch(source: bytes | str) -> SampleBatch:
                               f"count {len(patterns)}")
     except FormatError:
         raise
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"bad sample file: {exc}") from exc
     try:
         return SampleBatch(
@@ -751,7 +751,7 @@ def load_distribution(source: bytes | str) -> PatternDistribution:
         probs = [rec["probability"] for rec in doc["entries"]]
         total, per_mode = doc["cutoff_total"], doc["cutoff_per_mode"]
         mass = doc["mass"]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise FormatError(f"bad distribution file: {exc}") from exc
     if not (is_finite_number(mass) and all(map(is_finite_number, probs))):
         raise FormatError("probabilities and mass must be finite numbers")

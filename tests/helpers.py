@@ -4,7 +4,9 @@ These deliberately avoid the production code paths: the hafnian oracle
 enumerates perfect matchings directly, the clique oracles scan all vertex
 subsets or close Bron-Kerbosch maximal cliques downward, the persistence
 oracle scans every outside vertex for absorbers, the damage oracle zeroes
-clique edges pair by pair, the homology oracles do dense GF(2) elimination
+clique edges pair by pair, the percolation oracle takes the connected
+components of a scipy.sparse clique-facet incidence matrix, the homology
+oracles do dense GF(2) elimination
 on numpy arrays or rebuild a packed-row work list after every pivot,
 components come from a hand-rolled union-find, the loss oracle expands
 every pattern into its thinned patterns one by one, the clique-search
@@ -28,10 +30,15 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as sparse_components
 from scipy.stats import ConstantInputWarning, spearmanr
 
+from gbstopo.cli import main as cli_main
 from gbstopo.cliques import Clique, SearchReport, enumerate_cliques
-from gbstopo.graph import ComplexGraph, VertexSet, edge_filter
+from gbstopo.graph import ComplexGraph, VertexSet, edge_filter, save_graph
+from gbstopo.instances import graded_triangle_chain
+from gbstopo.percolation import PercolationReport
 from gbstopo.sampler import COUNT_BUDGET, enumerate_distribution
 from gbstopo.tda import (
     FiltrationSurface, TptReport, betti_numbers, density_filtration,
@@ -357,6 +364,40 @@ def reference_damage(g, node, k):
             for i, j in combinations(s, 2):
                 w[i, j] = w[j, i] = 0
     return ComplexGraph(g.n, w)
+
+
+def reference_percolation_clusters(g, k) -> PercolationReport:
+    """k-clique percolation as the connected components of the bipartite
+    graph joining each k-clique to its (k-1)-facets: cliques are nodes
+    0..m-1 of one sparse incidence matrix and their distinct facets follow."""
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    cliques = enumerate_cliques(g, k).by_size.get(k, [])
+    if not cliques:
+        return PercolationReport(clusters=(), phi=0.0, largest_nodes=0)
+    m = len(cliques)
+    facets: dict[VertexSet, int] = {}
+    cols = [
+        facets.setdefault(f, m + len(facets))
+        for c in cliques for f in combinations(c, k - 1)
+    ]
+    size = m + len(facets)
+    incidence = coo_matrix(
+        (np.ones(len(cols)), (np.repeat(np.arange(m), k), cols)),
+        shape=(size, size),
+    )
+    _, labels = sparse_components(incidence, directed=False)
+    groups: dict[int, set[int]] = {}
+    for label, c in zip(labels[:m].tolist(), cliques):
+        groups.setdefault(label, set()).update(c)
+    clusters = sorted(
+        (tuple(sorted(nodes)) for nodes in groups.values()),
+        key=lambda t: (-len(t), t),
+    )
+    largest = len(clusters[0])
+    return PercolationReport(
+        clusters=tuple(clusters), phi=largest / g.n, largest_nodes=largest
+    )
 
 
 def relabel(g, perm) -> ComplexGraph:
@@ -734,3 +775,49 @@ def reference_cliques_report(report, provenance) -> bytes:
                     for c in found],
     }
     return (json.dumps(doc, indent=1) + "\n").encode()
+
+
+def criterion_9_commands(tmp_path) -> list[list[str]]:
+    """Acceptance criterion 9's commands, one per CLI command, with their
+    input graphs written to tmp_path; each writes its own --out file."""
+    gpath = tmp_path / "g.json"
+    assert cli_main([
+        "gen", "--n", "10", "--p", "0.4", "--seed", "7", "--out", str(gpath)
+    ]) == 0
+
+    chain = tmp_path / "chain.json"
+    chain.write_bytes(save_graph(graded_triangle_chain()))
+
+    encp = tmp_path / "e.json"
+    samp = tmp_path / "s.jsonl"
+    return [
+        ["gen", "--n", "10", "--p", "0.4", "--seed", "7",
+         "--out", str(gpath)],
+        ["encode", "--graph", str(gpath), "--out", str(encp)],
+        ["sample", "--graph", str(gpath), "--backend", "gbs", "--shots",
+         "60", "--seed", "1", "--out", str(samp)],
+        ["sample", "--graph", str(gpath), "--backend", "uniform", "--k",
+         "4", "--shots", "60", "--seed", "1",
+         "--out", str(tmp_path / "u.jsonl")],
+        ["sample", "--graph", str(gpath), "--backend", "squashed",
+         "--shots", "60", "--seed", "1", "--eta", "0.8",
+         "--out", str(tmp_path / "sq.jsonl")],
+        ["dist", "--graph", str(gpath), "--cutoff-total", "4",
+         "--cutoff-per-mode", "4", "--out", str(tmp_path / "d.json")],
+        ["cliques", "--graph", str(gpath), "--samples", str(samp),
+         "--k", "3", "--out", str(tmp_path / "r.json")],
+        ["betti", "--graph", str(gpath), "--dmax", "2", "--k-ref", "3",
+         "--delta-axis", "0,0.2,0.4", "--out", str(tmp_path / "b.txt")],
+        ["surface", "--graph", str(chain), "--omega-axis", "lin:0.2:1.0:6",
+         "--delta-axis", "0,0.4,0.8", "--k-ref", "2",
+         "--out", str(tmp_path / "surf.txt")],
+        ["persistence", "--graph", str(gpath), "--k", "3",
+         "--out", str(tmp_path / "pers.txt")],
+        ["percolation", "--graph", str(gpath), "--k", "3",
+         "--out", str(tmp_path / "perc.json")],
+        ["entropy", "--graph", str(chain), "--k-ref", "3", "--delta-axis",
+         "lin:0.4:0.92:6", "--photon-total", "4", "--cutoff-total", "4",
+         "--cutoff-per-mode", "4", "--out", str(tmp_path / "ent.txt")],
+        ["compare", "--graph", str(chain), "--k", "3", "--shots", "150",
+         "--seed", "11", "--out", str(tmp_path / "cmp.json")],
+    ]

@@ -11,7 +11,7 @@ import numpy as np
 import gbstopo as gt
 from gbstopo.cli import main as cli_main
 from gbstopo.cliques import binomial_interval, find_cliques
-from gbstopo.graph import graph_from_edges, random_dual_layer, save_graph
+from gbstopo.graph import graph_from_edges, random_dual_layer
 from gbstopo.instances import (
     graded_triangle_chain,
     planted_clique_graph,
@@ -20,7 +20,12 @@ from gbstopo.instances import (
 )
 from gbstopo.percolation import SweepConfig, percolation_entropy_sweep
 from gbstopo.tda import boundary_matrix
-from helpers import matching_sum_hafnian, max_nonempty_size, to_dense
+from helpers import (
+    criterion_9_commands,
+    matching_sum_hafnian,
+    max_nonempty_size,
+    to_dense,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -339,47 +344,7 @@ def test_criterion_8_entropy_percolation_agreement():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    gpath = tmp_path / "g.json"
-    assert cli_main([
-        "gen", "--n", "10", "--p", "0.4", "--seed", "7", "--out", str(gpath)
-    ]) == 0
-
-    chain = tmp_path / "chain.json"
-    chain.write_bytes(save_graph(graded_triangle_chain()))
-
-    encp = tmp_path / "e.json"
-    samp = tmp_path / "s.jsonl"
-    commands = [
-        ["gen", "--n", "10", "--p", "0.4", "--seed", "7",
-         "--out", str(gpath)],
-        ["encode", "--graph", str(gpath), "--out", str(encp)],
-        ["sample", "--graph", str(gpath), "--backend", "gbs", "--shots",
-         "60", "--seed", "1", "--out", str(samp)],
-        ["sample", "--graph", str(gpath), "--backend", "uniform", "--k",
-         "4", "--shots", "60", "--seed", "1",
-         "--out", str(tmp_path / "u.jsonl")],
-        ["sample", "--graph", str(gpath), "--backend", "squashed",
-         "--shots", "60", "--seed", "1", "--eta", "0.8",
-         "--out", str(tmp_path / "sq.jsonl")],
-        ["dist", "--graph", str(gpath), "--cutoff-total", "4",
-         "--cutoff-per-mode", "4", "--out", str(tmp_path / "d.json")],
-        ["cliques", "--graph", str(gpath), "--samples", str(samp),
-         "--k", "3", "--out", str(tmp_path / "r.json")],
-        ["betti", "--graph", str(gpath), "--dmax", "2", "--k-ref", "3",
-         "--delta-axis", "0,0.2,0.4", "--out", str(tmp_path / "b.txt")],
-        ["surface", "--graph", str(chain), "--omega-axis", "lin:0.2:1.0:6",
-         "--delta-axis", "0,0.4,0.8", "--k-ref", "2",
-         "--out", str(tmp_path / "surf.txt")],
-        ["persistence", "--graph", str(gpath), "--k", "3",
-         "--out", str(tmp_path / "pers.txt")],
-        ["percolation", "--graph", str(gpath), "--k", "3",
-         "--out", str(tmp_path / "perc.json")],
-        ["entropy", "--graph", str(chain), "--k-ref", "3", "--delta-axis",
-         "lin:0.4:0.92:6", "--photon-total", "4", "--cutoff-total", "4",
-         "--cutoff-per-mode", "4", "--out", str(tmp_path / "ent.txt")],
-        ["compare", "--graph", str(chain), "--k", "3", "--shots", "150",
-         "--seed", "11", "--out", str(tmp_path / "cmp.json")],
-    ]
+    commands = criterion_9_commands(tmp_path)
     stable = 0
     for argv in commands:
         out = argv[argv.index("--out") + 1]

@@ -21,7 +21,12 @@ from gbstopo.graph import (
 from gbstopo.instances import planted_clique_graph, two_community_graph
 from gbstopo.percolation import percolation_clusters
 from gbstopo.tda import density_filtered_graph
-from helpers import brute_force_cliques, dense_gf2_rank, reference_betti_rows
+from helpers import (
+    brute_force_cliques,
+    criterion_9_commands,
+    dense_gf2_rank,
+    reference_betti_rows,
+)
 
 
 @pytest.fixture
@@ -656,10 +661,30 @@ class TestDryRunAndConfig:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["n"] == 4
 
-    def test_bad_config_exit_3(self, tmp_path):
+    def test_bad_config_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1,2,3]")
         assert main(["gen", "--config", str(cfg), "--out", "x"]) == 3
+        assert capsys.readouterr().err == (
+            "error: config must be a flat JSON object\n"
+        )
+
+    # Whatever stops the config being read or parsed is named after its path.
+    @pytest.mark.parametrize("content", [None, b"{", b"\xff{}"],
+                             ids=["missing", "not-json", "not-utf-8"])
+    def test_unreadable_config_exit_3(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        try:
+            if content is not None:
+                cfg.write_bytes(content)
+            json.loads(cfg.read_text())
+        except (OSError, ValueError, RecursionError) as exc:
+            want = f"error: cannot read config {cfg}: {exc}\n"
+        out = tmp_path / "g.json"
+        assert main(["gen", "--config", str(cfg), "--n", "4", "--p", "0.5",
+                     "--seed", "0", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == want
 
     @pytest.mark.parametrize("value", [True, False])
     def test_config_help_key_is_ignored(self, tmp_path, capsys, value):
@@ -835,6 +860,30 @@ class TestInputContract:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"{modes} modes" in err and f"{vertices} vertices" in err
+
+    # json.loads raises RecursionError on nesting this deep.
+    @pytest.mark.parametrize("flag, named", [
+        ("--config", "cannot read config"),
+        ("--graph", "graph document is not valid JSON"),
+        ("--encoding", "encoding document is not valid JSON"),
+        ("--samples", "bad sample file"),
+    ])
+    def test_deeply_nested_json_exit_3(self, tmp_path, capsys, flag, named):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "--config": ["gen", "--n", "4", "--p", "0.5", "--seed", "0"],
+            "--graph": ["percolation", "--k", "3"],
+            "--encoding": ["sample", "--backend", "gbs", "--shots", "3",
+                           "--seed", "0"],
+            "--samples": ["cliques", "--graph", self.graph(tmp_path, 6),
+                          "--k", "3"],
+        }[flag]
+        out = tmp_path / "out"
+        assert main([*argv, flag, str(deep), "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
     def test_non_finite_weight_exit_3(self, tmp_path, capsys, weight):
@@ -1420,90 +1469,47 @@ class TestInputContract:
             assert f"delta_axis = {spec}\n" in captured.out
 
 
-def _fresh_process(runs, cwd):
-    """Run each argv through main() in a new interpreter; return the exit
-    codes and the scipy modules loaded by the end."""
-    code = (
-        "import sys\n"
-        "from gbstopo.cli import main\n"
-        f"print(*[main(argv) for argv in {runs!r}])\n"
-        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
-        text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    codes, modules = proc.stdout.split("\n")[:2]
-    return [int(c) for c in codes.split()], set(modules.split())
+# A finder ahead of every other one, refusing each scipy module.
+_NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"scipy is blocked: {name}")
+
+sys.meta_path.insert(0, NoScipy())
+from gbstopo.cli import main
+print(*[main(argv) for argv in RUNS])
+"""
 
 
-class TestStartupImports:
-    """scipy is imported inside the functions that use it, so a command
-    loads only the scipy modules its own work needs."""
+class TestRunsWithoutScipy:
+    """No command needs scipy: each runs in a fresh interpreter that cannot
+    import any scipy module and writes the bytes of an unblocked run."""
 
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        work = tmp_path_factory.mktemp("startup")
-        graph, chain = work / "g.json", work / "chain.json"
-        from gbstopo.instances import graded_triangle_chain
-
-        chain.write_bytes(save_graph(graded_triangle_chain()))
-        assert main(["gen", "--n", "8", "--p", "0.6", "--seed", "3",
-                     "--out", str(graph)]) == 0
-        samples = work / "s.jsonl"
-        assert main(["sample", "--graph", str(graph), "--backend", "uniform",
-                     "--k", "4", "--shots", "20", "--seed", "1",
-                     "--out", str(samples)]) == 0
-        return work, str(graph), str(chain), str(samples)
-
-    def test_import_loads_no_scipy(self, tmp_path):
-        assert _fresh_process([], tmp_path) == ([], set())
-
-    def test_topology_commands_load_no_scipy(self, inputs):
-        work, graph, chain, samples = inputs
-        out = ["--out", str(work / "out")]
-        runs = [
-            ["gen", "--n", "8", "--p", "0.6", "--seed", "3", *out],
-            ["cliques", "--graph", graph, "--samples", samples, "--k", "3",
-             *out],
-            ["betti", "--graph", graph, "--k-ref", "3", "--delta-axis",
-             "0,0.5", *out],
-            ["surface", "--graph", chain, "--omega-axis", "0.5",
-             "--delta-axis", "0,0.5", *out],
-            ["persistence", "--graph", graph, "--k", "3", *out],
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        chain = str(tmp_path / "chain.json")
+        sampled = ["--k-ref", "3", "--delta-axis", "lin:0.4:0.92:4",
+                   "--photon-total", "2", "--cutoff-total", "4",
+                   "--cutoff-per-mode", "4", "--shots", "200", "--seed", "3"]
+        runs = criterion_9_commands(tmp_path) + [
+            ["entropy", "--graph", chain, *sampled, "--backend", backend,
+             "--out", str(tmp_path / f"ent_{backend}.txt")]
+            for backend in ("gbs", "squashed")
         ]
-        assert _fresh_process(runs, work) == ([0] * len(runs), set())
-
-    def test_encoding_commands_load_no_scipy(self, inputs):
-        # encoding.takagi factors with numpy alone.
-        work, graph, _, _ = inputs
-        out = ["--out", str(work / "out")]
-        small = ["--cutoff-total", "2", "--cutoff-per-mode", "2"]
-        runs = [
-            ["encode", "--graph", graph, *out],
-            ["dist", "--graph", graph, *small, *out],
-            ["compare", "--graph", graph, "--k", "3", "--shots", "20",
-             "--seed", "0", *small, *out],
-            ["sample", "--graph", graph, "--backend", "gbs", "--shots", "20",
-             "--seed", "0", *small, *out],
-            ["sample", "--graph", graph, "--backend", "squashed", "--shots",
-             "20", "--seed", "0", *out],
-        ]
-        assert _fresh_process(runs, work) == ([0] * len(runs), set())
-
-    def test_no_command_loads_scipy_stats(self, inputs):
-        work, graph, chain, _ = inputs
-        out = ["--out", str(work / "out")]
-        runs = [
-            ["encode", "--graph", graph, *out],
-            ["percolation", "--graph", graph, "--k", "3", *out],
-            ["entropy", "--graph", chain, "--k-ref", "3", "--delta-axis",
-             "0.4,0.6,0.8", "--photon-total", "2", "--cutoff-total", "2",
-             "--cutoff-per-mode", "2", *out],
-        ]
-        codes, modules = _fresh_process(runs, work)
-        assert codes == [0] * len(runs)
-        assert {"scipy.linalg", "scipy.sparse"} <= modules
-        assert not any(m.startswith("scipy.stats") for m in modules)
+        outs = [Path(argv[argv.index("--out") + 1]) for argv in runs]
+        assert len(set(outs)) == len(runs)
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(gbstopo.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NO_SCIPY.replace("RUNS", repr(runs))],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"] * len(runs), proc.stderr
+        blocked = [out.read_bytes() for out in outs]
+        for argv in runs:
+            assert main(argv) == 0
+        assert [out.read_bytes() for out in outs] == blocked

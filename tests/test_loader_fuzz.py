@@ -124,6 +124,18 @@ def test_any_document_loads_or_is_rejected(loader, doc):
     loads_or_rejects(loader, dumps(doc))
 
 
+# json.loads raises RecursionError on nesting this deep.
+@pytest.mark.parametrize("loader, named", [
+    (load_graph, "graph document is not valid JSON"),
+    (load_encoding, "encoding document is not valid JSON"),
+    (load_batch, "bad sample file"),
+    (load_distribution, "bad distribution file"),
+])
+def test_deeply_nested_document_is_rejected(loader, named):
+    with pytest.raises(FormatError, match=f"^{named}: "):
+        loader("[" * 100_000)
+
+
 @FUZZ
 @given(doc=graphs)
 def test_graph_documents(doc):

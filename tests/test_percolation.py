@@ -11,7 +11,7 @@ from gbstopo import percolation
 from gbstopo.cliques import enumerate_cliques
 from gbstopo.encoding import encode
 from gbstopo.graph import edge_filter, graph_from_edges, random_dual_layer
-from gbstopo.instances import graded_triangle_chain
+from gbstopo.instances import graded_triangle_chain, two_community_graph
 from gbstopo.percolation import (
     SweepConfig,
     curve_correlation,
@@ -27,7 +27,12 @@ from gbstopo.sampler import (
     sample_gbs,
 )
 from gbstopo.tda import density_filtration
-from helpers import brute_force_cliques, has_edge, scipy_spearman
+from helpers import (
+    brute_force_cliques,
+    has_edge,
+    reference_percolation_clusters,
+    scipy_spearman,
+)
 
 
 class TestPercolationClusters:
@@ -88,6 +93,27 @@ class TestPercolationClusters:
         largest = len(want[0]) if want else 0
         assert rep.largest_nodes == largest
         assert rep.phi == largest / n
+
+    @given(
+        g=st.builds(random_dual_layer, st.integers(1, 14),
+                    st.sampled_from((0.0, 0.3, 0.5, 0.7, 0.9, 1.0)),
+                    seed=st.integers(0, 10_000)),
+        k=st.integers(2, 5),
+    )
+    @example(g=graph_from_edges(4, [(0, 1, 1.0), (1, 2, 1.0)]), k=3)
+    @example(g=random_dual_layer(3, 1.0), k=5)
+    # A path at k = 2 hangs each edge's tree under the next: one deep chain.
+    @example(g=graph_from_edges(60, [(i, i + 1, 1.0) for i in range(59)]), k=2)
+    @example(g=two_community_graph(), k=3)
+    @example(g=two_community_graph(), k=4)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_incidence_oracle(self, g, k):
+        rep = percolation_clusters(g, k)
+        want = reference_percolation_clusters(g, k)
+        assert (rep.clusters, rep.phi, rep.largest_nodes) == (
+            want.clusters, want.phi, want.largest_nodes
+        )
+        assert type(rep.phi) is float and type(rep.largest_nodes) is int
 
     def test_phi_monotone_under_edge_removal(self):
         g = random_dual_layer(30, 0.3, seed=11)
