@@ -21,8 +21,12 @@ it is n passes of per-mode binomial thinning along the same p -> p - e_j
 chains. `hafnian` and `pattern_probability` evaluate single patterns
 directly and serve as the oracle for the lattice.
 
-All samplers draw per-shot randomness from (seed, backend tag, shot index),
-so batches are bit-reproducible regardless of execution order.
+Every sampled double comes from one numpy generator per (stream tag,
+seed), default_rng([tag, seed]), with one tag per backend and one for
+loss. Shot i of a batch that takes m doubles a shot reads draws i*m to
+(i+1)*m - 1. PCG64 is an LCG underneath, so PCG64.advance reaches any
+shot in O(log(i m)) steps (Brown 1994): each shot can be recomputed alone,
+and batches are bit-reproducible regardless of execution order.
 """
 
 from __future__ import annotations
@@ -47,19 +51,21 @@ PATTERN_BUDGET = 5_000_000
 BACKENDS = ("gbs", "uniform", "squashed")
 COLLISION_POLICIES = ("threshold_collapse", "collision_free_only")
 
-# Stream tags keep the per-shot RNG streams of different consumers disjoint.
+# Stream tags keep the generators of different consumers disjoint. The tag
+# enters default_rng's entropy first as one word, and a seed's words end in
+# a nonzero word (0 is the one word 0), so SeedSequence's zero padding makes
+# no two (tag, seed) pairs share entropy.
 _TAG_GBS, _TAG_UNIFORM, _TAG_SQUASHED, _TAG_LOSS = range(4)
 
 # What _invert may walk; more is refused with BudgetError before a walk.
 MEAN_BUDGET = 500.0  # largest squashed Poisson mean; exp(-500) is normal
 COUNT_BUDGET = 1000  # largest count a draw reaches or batch loss thins
-# _doubles holds about 224 bytes a shot while seeding and 8 a double after;
-# a batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is not seeded. Nor
-# is one whose consumer would then hold more than DRAW_BUDGET: per shot and
-# mode, about 24 bytes for uniform subsets (doubles, argsort and 0/1 rows),
-# 56 for batch loss (doubles and _invert's arrays) and 104 for squashed
-# draws, and 8 for a gbs batch's patterns, plus 16 a shot for uniform and
-# gbs (peaks under tracemalloc, rounded up).
+# _doubles holds 8 bytes a double: a batch of shots * 8 m bytes above
+# DRAW_BUDGET is not drawn. Nor is one whose consumer would then hold more
+# than DRAW_BUDGET: per shot and mode, about 24 bytes for uniform subsets
+# (doubles, argsort and 0/1 rows), 56 for batch loss (doubles and _invert's
+# arrays) and 104 for squashed draws, and 8 for a gbs batch's patterns,
+# plus 16 a shot for uniform and gbs (peaks under tracemalloc, rounded up).
 DRAW_BUDGET = 2**30
 
 
@@ -312,129 +318,35 @@ def enumerate_distribution(
     return PatternDistribution(lattice=lat, probs=probs, mass=mass)
 
 
-def _shot_rng(seed: int, tag: int, shot: int) -> np.random.Generator:
-    """The stream of shot `shot`; the reference _doubles is checked on."""
-    return np.random.default_rng([seed, tag, shot])
-
-
-# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding, replayed
-# on arrays so the streams of a whole batch are seeded at once.
-_M32 = 0xFFFF_FFFF
-_HASH_A = (0x43B0D7E5, 0x931E8875)  # mix_entropy's hashmix: (init, mult)
-_HASH_B = (0x8B51F9DD, 0x58F38DED)  # generate_state's hash: (init, mult)
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = (np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645))
-_MAX_STREAMS = 2**32  # shot indices from 2^32 on enter the seed as two words
-
-
-def _hasher(init: int, mult: int):
-    """SeedSequence's hash: XOR the running constant in, step the constant,
-    multiply by it and fold the high half down. The constant depends only
-    on how many words were hashed before, so it stays a Python int."""
-    const = init
-
-    def hashmix(v: np.ndarray) -> np.ndarray:
-        nonlocal const
-        v = v ^ np.uint32(const)
-        const = const * mult & _M32
-        v = v * np.uint32(const)
-        return v ^ (v >> np.uint32(16))
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return r ^ (r >> np.uint32(16))
-
-
-def _mul128(a: tuple, b: tuple) -> tuple:
-    """(hi, lo) uint64 pairs multiplied mod 2^128."""
-    (ah, al), (bh, bl) = a, b
-    m32, s32 = np.uint64(_M32), np.uint64(32)
-    a0, a1, b0, b1 = al & m32, al >> s32, bl & m32, bl >> s32
-    p01, p10 = a0 * b1, a1 * b0
-    mid = (a0 * b0 >> s32) + (p01 & m32) + (p10 & m32)
-    high = a1 * b1 + (p01 >> s32) + (p10 >> s32) + (mid >> s32)
-    return high + ah * bl + al * bh, al * bl
-
-
-def _add128(a: tuple, b: tuple) -> tuple:
-    lo = a[1] + b[1]
-    return a[0] + b[0] + (lo < a[1]).astype(np.uint64), lo
-
-
-def _pcg_step(state: tuple, inc: tuple) -> tuple:
-    return _add128(_mul128(state, _PCG_MULT), inc)
-
-
-def _shot_states(seed: int, tag: int, shots: int) -> tuple[tuple, tuple]:
-    """The PCG64 (state, inc) of default_rng([seed, tag, i]) for every i in
-    range(shots), each a (hi, lo) pair of uint64 arrays."""
-    if shots > _MAX_STREAMS:
-        raise BudgetError(
-            f"{shots} shots exceed the {_MAX_STREAMS} per-shot streams a "
-            f"batch may seed", required=shots, budget=_MAX_STREAMS,
-        )
-    # The seed enters as uint32 words, least significant first; 0 is one word.
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(shots, w, dtype=np.uint32) for w in words + [tag]]
-    entropy.append(np.arange(shots, dtype=np.uint32))
-    hashmix = _hasher(*_HASH_A)
-    zero = np.zeros(shots, dtype=np.uint32)
-    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): 8 words from the pool, paired little-endian
-    # into (state hi, state lo, seq hi, seq lo).
-    hash_b = _hasher(*_HASH_B)
-    out = [hash_b(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    s_hi, s_lo, q_hi, q_lo = (
-        out[k] | out[k + 1] << np.uint64(32) for k in range(0, 8, 2)
-    )
-    # PCG64 srandom: inc = 2 seq + 1; step from 0; add the seed; step.
-    one = np.uint64(1)
-    inc = (q_hi << one | q_lo >> np.uint64(63), q_lo << one | one)
-    return _pcg_step(_add128(inc, (s_hi, s_lo)), inc), inc
+def _shot_rng(seed: int, tag: int, shot: int, m: int) -> np.random.Generator:
+    """The stream of shot `shot` of an m-wide batch, reached alone by
+    advancing PCG64 past the shot*m doubles of the shots before it; the
+    reference _doubles is checked on."""
+    return np.random.Generator(np.random.PCG64([tag, seed]).advance(shot * m))
 
 
 def _doubles(
     seed: int, tag: int, shots: int, m: int, held: int = 0
 ) -> np.ndarray:
-    """default_rng([seed, tag, i]).random(m) for every i in range(shots), as
-    a (shots, m) array: per double one PCG64 step, its XSL-RR output, the
-    top 53 bits times 2^-53. Shots 0 and shots - 1 are checked against
-    _shot_rng: a numpy that draws otherwise raises InvariantError. `held`
+    """Draws i*m ... (i+1)*m - 1 of default_rng([tag, seed]) as row i of a
+    (shots, m) array. Shots 0 and shots - 1 are checked against _shot_rng:
+    a numpy that fills or advances otherwise raises InvariantError. `held`
     is what the caller holds a shot once drawn, these doubles included;
-    both it and the seeding are charged to DRAW_BUDGET before seeding."""
-    # Beyond _MAX_STREAMS shots, _shot_states refuses the batch first.
-    if shots <= _MAX_STREAMS:
-        if (need := shots * (224 + 8 * m)) > DRAW_BUDGET:
-            raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
-                              f"bytes, over the draw budget {DRAW_BUDGET}",
-                              required=need, budget=DRAW_BUDGET)
-        if (need := shots * held) > DRAW_BUDGET:
-            raise BudgetError(f"{shots} shots hold about {need} bytes once "
-                              f"drawn, over the draw budget {DRAW_BUDGET}",
-                              required=need, budget=DRAW_BUDGET)
-    state, inc = _shot_states(seed, tag, shots)
-    out = np.empty((shots, m))
-    for j in range(m):
-        hi, lo = state = _pcg_step(state, inc)
-        rot = hi >> np.uint64(58)
-        x = hi ^ lo
-        x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-        out[:, j] = (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    both it and the doubles are charged to DRAW_BUDGET before drawing."""
+    if (need := shots * 8 * m) > DRAW_BUDGET:
+        raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
+                          f"bytes, over the draw budget {DRAW_BUDGET}",
+                          required=need, budget=DRAW_BUDGET)
+    if (need := shots * held) > DRAW_BUDGET:
+        raise BudgetError(f"{shots} shots hold about {need} bytes once "
+                          f"drawn, over the draw budget {DRAW_BUDGET}",
+                          required=need, budget=DRAW_BUDGET)
+    out = np.random.default_rng([tag, seed]).random((shots, m))
     for i in sorted({0, shots - 1}) if shots else []:
-        want = _shot_rng(seed, tag, i).random(m)
+        want = _shot_rng(seed, tag, i, m).random(m)
         if not np.array_equal(out[i], want):
-            raise InvariantError(f"seeded stream ({seed}, {tag}, {i}) draws "
-                                 f"{out[i]}, but default_rng gives {want}")
+            raise InvariantError(f"stream ({tag}, {seed}) draws {out[i]} at shot "
+                                 f"{i}, but an advanced PCG64 gives {want}")
     return out
 
 

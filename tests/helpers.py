@@ -11,10 +11,11 @@ on numpy arrays or rebuild a packed-row work list after every pivot,
 components come from a hand-rolled union-find, the loss oracle expands
 every pattern into its thinned patterns one by one, the clique-search
 oracle runs every shot's search anew on np.ix_ submatrices, the sampler
-and batch-loss oracles build one generator default_rng([seed, tag, i])
-per shot and turn its doubles into the draw one scalar at a time with
-the math module (Box-Muller normals, Poisson and binomial inversion by a
-scan of the CDF), the Takagi oracle takes an SVD and a blockwise
+and batch-loss oracles build one PCG64([tag, seed]) per shot, advanced
+past the doubles of the shots before it, and turn its doubles into the
+draw one scalar at a time with the math module (Box-Muller normals,
+Poisson and binomial inversion by a scan of the CDF), the Takagi oracle
+takes an SVD and a blockwise
 scipy.linalg.sqrtm, the conditioning oracle tallies tuple patterns, the
 rank-correlation oracle is scipy.stats.spearmanr, the transition oracle
 compares chi of neighbouring cells in a double loop, the filtered-Betti
@@ -585,12 +586,13 @@ def takagi_groups(sigma) -> list[slice]:
     return groups
 
 
-def reference_stream(seed, tag, shot, m=1):
-    """The PCG64 (state, inc) of shot `shot` and its first m doubles, from
-    a generator built for that shot alone."""
-    rng = np.random.default_rng([seed, tag, shot])
-    st = rng.bit_generator.state["state"]
-    return st["state"], st["inc"], rng.random(m)
+def reference_doubles(seed, tag, shot, m):
+    """The m doubles of shot `shot` of an m-wide batch: draws shot * m
+    onward of PCG64([tag, seed]), from a bit generator advanced there
+    alone."""
+    bits = np.random.PCG64([tag, seed])
+    bits.advance(shot * m)
+    return np.random.Generator(bits).random(m).tolist()
 
 
 def _reference_invert(u, probs, last):
@@ -613,41 +615,41 @@ def _reference_poisson_probs(mean):
 
 
 def reference_gbs(e, shots, cutoff_total, cutoff_per_mode, seed) -> list:
-    """gbs shots inverted from one uniform each, drawn from its own
-    generator default_rng([seed, 0, i]), with a scan of the cumulative law."""
+    """gbs shots inverted from one uniform each, shot i's from
+    reference_doubles(seed, 0, i, 1), with a scan of the cumulative law."""
     dist = enumerate_distribution(e, cutoff_total, cutoff_per_mode)
     cum = np.cumsum(dist.probs / dist.mass)
     cum[-1] = 1.0
     rows = dist.lattice.counts.tolist()
     out = []
     for i in range(shots):
-        u = np.random.default_rng([seed, 0, i]).random()
+        [u] = reference_doubles(seed, 0, i, 1)
         out.append(rows[next(j for j, c in enumerate(cum) if c > u)])
     return out
 
 
 def reference_uniform(n_modes, k, shots, seed) -> list:
-    """Uniform k-subsets, shot i from default_rng([seed, 1, i]): the modes
-    of its k smallest doubles, a stable sort breaking ties by mode."""
+    """Uniform k-subsets, shot i from reference_doubles(seed, 1, i, n): the
+    modes of its k smallest doubles, a stable sort breaking ties by mode."""
     out = []
     for i in range(shots):
-        u = np.random.default_rng([seed, 1, i]).random(n_modes).tolist()
+        u = reference_doubles(seed, 1, i, n_modes)
         picked = sorted(range(n_modes), key=u.__getitem__)[:k]
         out.append([int(v in picked) for v in range(n_modes)])
     return out
 
 
 def reference_squashed(e, shots, seed) -> list:
-    """Squashed-state shots, shot i from default_rng([seed, 2, i]): with
-    h = ceil(n/2), doubles 0..h-1 are Box-Muller radii and h..2h-1 angles;
-    mode j < h takes the cosine normal of pair j, mode j >= h the sine
-    normal of pair j - h. The interferometer sums U_ab a_b mode by mode,
-    and double 2h + a inverts the Poisson law of mode a."""
+    """Squashed-state shots, shot i from reference_doubles(seed, 2, i,
+    2h + n): with h = ceil(n/2), doubles 0..h-1 are Box-Muller radii and
+    h..2h-1 angles; mode j < h takes the cosine normal of pair j, mode
+    j >= h the sine normal of pair j - h. The interferometer sums U_ab a_b
+    mode by mode, and double 2h + a inverts the Poisson law of mode a."""
     n, h = e.n, (e.n + 1) // 2
     std = [math.sqrt((math.exp(2.0 * r) - 1.0) / 4.0) for r in e.squeezings]
     out = []
     for i in range(shots):
-        u = np.random.default_rng([seed, 2, i]).random(2 * h + n).tolist()
+        u = reference_doubles(seed, 2, i, 2 * h + n)
         normal = []
         for j in range(n):
             pair = j % h
@@ -666,11 +668,11 @@ def reference_squashed(e, shots, seed) -> list:
 
 def reference_batch_loss(rows, eta, seed) -> list:
     """Batch loss drawn count by count: shot i takes its doubles from
-    default_rng([seed, 3, i]), one per mode, and a count c loses the k
-    that double selects by a scan of the binomial(c, 1 - eta) CDF."""
+    reference_doubles(seed, 3, i, n), one per mode, and a count c loses
+    the k that double selects by a scan of the binomial(c, 1 - eta) CDF."""
     out = []
     for i, p in enumerate(rows):
-        u = np.random.default_rng([seed, 3, i]).random(len(p)).tolist()
+        u = reference_doubles(seed, 3, i, len(p))
         out.append([c - _reference_invert(v, [
             math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
             for k in range(c + 1)], c) for c, v in zip(p, u)])

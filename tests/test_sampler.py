@@ -419,7 +419,7 @@ class TestBatchArray:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_first_shots_do_not_depend_on_the_shot_count(self, backend):
-        # Shot i draws only from its own stream (seed, tag, i).
+        # Shot i draws only its own doubles, i*m onward of (tag, seed).
         e = random_encoding(4, 2)
         whole = sample(backend, e, 30, 8, k=2, cutoff_total=4, cutoff_per_mode=2)
         lossy = apply_loss(whole, 0.6, 9)

@@ -1,9 +1,10 @@
-"""Per-shot streams: the states and doubles drawn for a whole batch at once
-must be those of default_rng([seed, tag, i]); every backend must draw the
-batch the one-generator-per-shot scalar references in helpers.py draw; and
-the array transforms must follow their exact laws: uniform k-subsets,
-binomial thinning as the distribution path applies it, and the squashed
-per-mode means."""
+"""Per-shot streams: row i of an m-wide batch must be draws i*m to
+(i+1)*m - 1 of default_rng([tag, seed]), and each shot must be reachable
+alone by PCG64.advance; every backend must draw the batch the scalar
+references in helpers.py draw, each shot from its own advanced bit
+generator; and the array transforms must follow their exact laws: uniform
+k-subsets, binomial thinning as the distribution path applies it, and the
+squashed per-mode means."""
 
 import os
 import subprocess
@@ -22,7 +23,7 @@ from gbstopo import sampler
 from gbstopo.cli import main
 from gbstopo.encoding import encode
 from gbstopo.errors import BudgetError, InvariantError
-from gbstopo.graph import random_dual_layer, save_graph
+from gbstopo.graph import save_graph
 from gbstopo.instances import planted_clique_graph
 from gbstopo.sampler import (
     COUNT_BUDGET,
@@ -35,37 +36,74 @@ from gbstopo.sampler import (
 )
 from helpers import (
     reference_batch_loss,
+    reference_doubles,
     reference_gbs,
     reference_squashed,
-    reference_stream,
     reference_uniform,
 )
 
 SEEDS = [0, 1, 2**32, 2**40 + 3, 2**64 + 5]
 
 
-def joined(pair, i):
-    hi, lo = pair
-    return int(hi[i]) << 64 | int(lo[i])
-
-
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**130), tag=st.integers(0, 3),
-       shots=st.integers(0, 64), m=st.integers(1, 40))
+@given(seed=st.integers(0, 2**128), tag=st.integers(0, 3),
+       shots=st.integers(0, 64), m=st.integers(0, 30))
 @example(seed=2**32 - 1, tag=0, shots=64, m=1)
 @example(seed=2**32, tag=1, shots=64, m=12)
-@example(seed=2**64, tag=2, shots=64, m=36)
-@example(seed=2**96 + 1, tag=3, shots=64, m=40)
-def test_states_and_first_doubles_match_default_rng(seed, tag, shots, m):
-    state, inc = sampler._shot_states(seed, tag, shots)
+@example(seed=2**64, tag=2, shots=64, m=25)
+@example(seed=2**96 + 1, tag=3, shots=64, m=30)
+@example(seed=5, tag=1, shots=9, m=0)
+def test_rows_are_consecutive_draws_of_one_generator(seed, tag, shots, m):
     doubles = sampler._doubles(seed, tag, shots, m)
-    assert len(state[0]) == len(inc[0]) == shots
     assert doubles.shape == (shots, m)
+    rng = np.random.default_rng([tag, seed])
     for i in range(shots):
-        want_state, want_inc, want_doubles = reference_stream(seed, tag, i, m)
-        assert joined(state, i) == want_state
-        assert joined(inc, i) == want_inc
-        assert [v.hex() for v in doubles[i]] == [v.hex() for v in want_doubles]
+        want = rng.random(m).tolist()
+        assert doubles[i].tolist() == want
+        assert sampler._shot_rng(seed, tag, i, m).random(m).tolist() == want
+        assert reference_doubles(seed, tag, i, m) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**128), tag=st.integers(0, 3),
+       shots=st.integers(0, 64), k=st.integers(0, 64), m=st.integers(0, 30))
+def test_batch_prefix_is_the_shorter_batch(seed, tag, shots, k, m):
+    k = min(k, shots)
+    assert np.array_equal(sampler._doubles(seed, tag, shots, m)[:k],
+                          sampler._doubles(seed, tag, k, m))
+
+
+# A shot far out, shot * m past 2^64: advancing in two steps a and b must
+# reach the state and doubles _shot_rng reaches in one step of a + b.
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**128), tag=st.integers(0, 3),
+       m=st.integers(1, 30), over=st.integers(0, 2**66),
+       cut=st.integers(0, 2**32))
+@example(seed=0, tag=0, m=1, over=2**64 - 4, cut=2**31)
+@example(seed=2**64 + 5, tag=3, m=30, over=2**66, cut=2**32)
+def test_far_shot_is_two_advances(seed, tag, m, over, cut):
+    shot = (2**64 + over) // m + 1
+    a = shot * m * cut >> 32
+    bits = np.random.PCG64([tag, seed])
+    bits.advance(a)
+    bits.advance(shot * m - a)
+    rng = sampler._shot_rng(seed, tag, shot, m)
+    assert rng.bit_generator.state == bits.state
+    assert rng.random(m).tolist() == np.random.Generator(bits).random(m).tolist()
+
+
+def test_tags_and_seeds_draw_distinct_streams():
+    # SeedSequence pads its entropy with zero words, so the entropy
+    # [seed, tag, shot] gave gbs shot 0 at seed 2^32 + 1 the stream of
+    # uniform shot 0 at seed 1. With the tag first no two pairs collide.
+    assert (np.random.default_rng([2**32 + 1, 0, 0]).random()
+            == np.random.default_rng([1, 1, 0]).random())
+    first = {
+        (seed, tag): sampler._doubles(seed, tag, 1, 1)[0, 0]
+        for seed in [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 5]
+        for tag in range(4)
+    }
+    assert len(set(first.values())) == len(first) == 24
 
 
 @pytest.fixture(scope="module")
@@ -104,12 +142,14 @@ class TestBackendsMatchPerShotGenerators:
         assert lossy.patterns.tolist() == reference_batch_loss(rows, 0.8, seed)
 
 
-def off_by_one_seed(seed, tag, shot):
-    return np.random.default_rng([seed + 1, tag, shot])
+def off_by_one_seed(seed, tag, shot, m):
+    bits = np.random.PCG64([tag, seed + 1])
+    return np.random.Generator(bits.advance(shot * m))
 
 
-def off_at_last_shot(seed, tag, shot):
-    return np.random.default_rng([seed, tag, shot + (shot > 0)])
+def off_at_last_shot(seed, tag, shot, m):
+    bits = np.random.PCG64([tag, seed])
+    return np.random.Generator(bits.advance(shot * m + (shot > 0)))
 
 
 @pytest.mark.parametrize("reference", [off_by_one_seed, off_at_last_shot])
@@ -121,7 +161,7 @@ def test_diverging_reference_raises(monkeypatch, planted, reference):
                  lambda: sample_uniform(6, 2, 5, 7),
                  lambda: sample_squashed(e, 5, 7),
                  lambda: apply_loss(batch, 0.5, 7)):
-        with pytest.raises(InvariantError, match="default_rng gives"):
+        with pytest.raises(InvariantError, match="advanced PCG64 gives"):
             draw()
 
 
@@ -139,71 +179,63 @@ def test_diverging_reference_exits_5(monkeypatch, tmp_path, planted, capsys):
     assert "internal invariant violated" in capsys.readouterr().err
 
 
+def no_drawing(*args):
+    raise AssertionError("a batch was drawn")
+
+
 def test_no_shots_seed_nothing(monkeypatch):
-    monkeypatch.setattr(sampler, "_shot_rng", off_by_one_seed)
-    state, inc = sampler._shot_states(5, 1, 0)
-    assert state[0].shape == inc[1].shape == (0,)
+    monkeypatch.setattr(sampler, "_shot_rng", no_drawing)
+    assert sampler._doubles(5, 1, 0, 4).shape == (0, 4)
     assert sample_uniform(4, 2, 0, 5).patterns.shape == (0, 4)
 
 
-# Shot indices from 2^32 on would enter the seed as two words; such a batch
-# is refused before anything is allocated.
+# A batch of 2^32 + 1 or 10^30 shots of one double or more is over the draw
+# budget, and is refused before its generator is seeded.
 @pytest.mark.parametrize("shots", [2**32 + 1, 10**30])
-def test_batch_beyond_one_word_indices_refused(planted, shots):
+def test_huge_batch_refused_before_seeding(monkeypatch, planted, shots):
     _, e = planted
-    for draw in (lambda: sampler._shot_states(0, 0, shots),
+    monkeypatch.setattr(np.random, "default_rng", no_drawing)
+    for draw in (lambda: sampler._doubles(0, 0, shots, 1),
                  lambda: sample_gbs(e, shots, 2, 2, 0),
                  lambda: sample_uniform(12, 5, shots, 0),
                  lambda: sample_squashed(e, shots, 0)):
-        with pytest.raises(BudgetError, match="per-shot streams"):
+        with pytest.raises(BudgetError, match="over the draw budget"):
             draw()
 
 
-def test_batch_beyond_one_word_indices_exits_4(tmp_path, capsys):
+def test_huge_batch_exits_4(tmp_path, capsys):
     out = tmp_path / "s.jsonl"
     code = main(["sample", "--n-modes", "4", "--backend", "uniform", "--k",
                  "2", "--shots", str(10**30), "--seed", "0", "--out", str(out)])
     assert code == 4
     assert not out.exists()
-    assert "per-shot streams" in capsys.readouterr().err
+    assert "over the draw budget" in capsys.readouterr().err
 
 
-def no_seeding(*args):
-    raise AssertionError("a batch over the draw budget was seeded")
-
-
-# A batch of shots * (224 + 8 m) bytes above DRAW_BUDGET is refused before
-# _shot_states builds any array; every consumer of _doubles is covered.
+# A batch of shots * 8 m bytes above DRAW_BUDGET is refused before its
+# generator is seeded; every consumer of _doubles is covered.
 def test_batch_over_draw_budget_refused_before_seeding(monkeypatch, planted):
     _, e = planted
-    budget = 10 * (224 + 8) - 1
+    budget = 10 * 8 - 1
     monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
-    monkeypatch.setattr(sampler, "_shot_states", no_seeding)
+    monkeypatch.setattr(np.random, "default_rng", no_drawing)
     lossy = SampleBatch(np.ones((10, 12), dtype=np.int64), 0, "gbs")
     for draw, m in ((lambda: sample_gbs(e, 10, 2, 2, 0), 1),
                     (lambda: sample_uniform(12, 5, 10, 0), 12),
                     (lambda: sample_squashed(e, 10, 0), 2 * 6 + 12),
                     (lambda: apply_loss(lossy, 0.5, 0), 12)):
         with pytest.raises(BudgetError, match=(
-            f"^10 shots of {m} doubles need about {10 * (224 + 8 * m)} "
+            f"^10 shots of {m} doubles need about {10 * 8 * m} "
             f"bytes, over the draw budget {budget}$"
         )) as info:
             draw()
-        assert (info.value.required, info.value.budget) == (
-            10 * (224 + 8 * m), budget)
+        assert (info.value.required, info.value.budget) == (10 * 8 * m, budget)
 
 
-def test_batch_at_draw_budget_drawn(monkeypatch, planted):
-    _, e = planted
-    want = sample_gbs(e, 10, 2, 2, 0).patterns
-    monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * (224 + 8))
-    assert np.array_equal(sample_gbs(e, 10, 2, 2, 0).patterns, want)
-
-
-def test_stream_refusal_comes_before_draw_budget(monkeypatch):
-    monkeypatch.setattr(sampler, "DRAW_BUDGET", 0)
-    with pytest.raises(BudgetError, match="per-shot streams"):
-        sampler._doubles(0, 0, 2**32 + 1, 1)
+def test_batch_at_draw_budget_drawn(monkeypatch):
+    want = sampler._doubles(0, 0, 10, 3)
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * 8 * 3)
+    assert np.array_equal(sampler._doubles(0, 0, 10, 3), want)
 
 
 def _capped(argv, cwd):
@@ -245,7 +277,7 @@ def test_huge_shots_exit_4_under_memory_cap(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-# At 100 modes these batches pass the seeding charge, but what uniform rows,
+# At 100 modes these batches pass the draw charge, but what uniform rows,
 # gbs patterns, squashed draws or batch loss hold once drawn (peaks measured
 # with tracemalloc) is more than DRAW_BUDGET and than the 1.5 GB cap admits.
 @pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS")
@@ -270,19 +302,13 @@ def test_batch_held_past_draw_budget_exits_4_under_memory_cap(
     assert not (tmp_path / "out").exists()
 
 
-@pytest.fixture(scope="module")
-def wide():
-    """An encoding of 30 modes: a gbs batch holds more than it seeds."""
-    return encode(random_dual_layer(30, 0.2, seed=3), 0.9)
-
-
-# (draw, doubles a shot seeds, bytes a shot holds once drawn), each holding
-# more than it seeds; n shots of them.
+# (draw, doubles a shot draws, bytes a shot holds once drawn), each holding
+# more than its doubles; n shots of them.
 HELD = [
-    (lambda e, w, n: sample_gbs(w, n, 1, 1, 0), 1, 16 + 8 * 30),
-    (lambda e, w, n: sample_uniform(40, 5, n, 0), 40, 16 + 24 * 40),
-    (lambda e, w, n: sample_squashed(e, n, 0), 2 * 6 + 12, 104 * 12),
-    (lambda e, w, n: apply_loss(
+    (lambda e, n: sample_gbs(e, n, 1, 1, 0), 1, 16 + 8 * 12),
+    (lambda e, n: sample_uniform(12, 5, n, 0), 12, 16 + 24 * 12),
+    (lambda e, n: sample_squashed(e, n, 0), 2 * 6 + 12, 104 * 12),
+    (lambda e, n: apply_loss(
         SampleBatch(np.ones((n, 12), dtype=np.int64), 0, "gbs"), 0.5, 0),
      12, 56 * 12),
 ]
@@ -290,26 +316,25 @@ HELD = [
 
 @pytest.mark.parametrize("draw, m, held", HELD)
 def test_held_bytes_over_draw_budget_refused_before_seeding(
-    monkeypatch, planted, wide, draw, m, held
+    monkeypatch, planted, draw, m, held
 ):
-    assert held > 224 + 8 * m
+    assert held > 8 * m
     budget = 10 * held - 1
     monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
-    monkeypatch.setattr(sampler, "_shot_states", no_seeding)
+    monkeypatch.setattr(np.random, "default_rng", no_drawing)
     with pytest.raises(BudgetError, match=(
         f"^10 shots hold about {10 * held} bytes once drawn, over the draw "
         f"budget {budget}$"
     )) as info:
-        draw(planted[1], wide, 10)
+        draw(planted[1], 10)
     assert (info.value.required, info.value.budget) == (10 * held, budget)
 
 
 @pytest.mark.parametrize("draw, m, held", HELD)
-def test_held_bytes_at_draw_budget_drawn(monkeypatch, planted, wide, draw, m,
-                                         held):
-    want = draw(planted[1], wide, 10).patterns
+def test_held_bytes_at_draw_budget_drawn(monkeypatch, planted, draw, m, held):
+    want = draw(planted[1], 10).patterns
     monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * held)
-    assert np.array_equal(draw(planted[1], wide, 10).patterns, want)
+    assert np.array_equal(draw(planted[1], 10).patterns, want)
 
 
 def chi_square_ok(observed, expected, shots):
