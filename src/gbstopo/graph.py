@@ -23,6 +23,8 @@ VertexSet = tuple[int, ...]
 # takes 268 MB. The paper's networks and the bundled instances have n <= 100.
 MAX_VERTICES = 4096
 
+RECORD_CHUNK = 2**12  # records per join of column_records: bounds the strings held
+
 
 def _mask_vertices(mask: int) -> list[int]:
     """The vertices of a bitmask, ascending."""
@@ -157,6 +159,20 @@ def document_text(doc: dict, provenance: dict | None, bulk: str = "",
     return text
 
 
+def column_records(item: str, columns, rows: int) -> str:
+    """document_text's `records`: `rows` copies of `item` joined by ",\\n".
+    columns(lo, hi) gives one iterable of strings per "%s", for records lo..hi-1."""
+    frame = [x for part in item.split("%s") for x in (part, None)][:-1] + [",\n"]
+    chunks = []
+    for lo in range(0, rows, RECORD_CHUNK):
+        seq = frame * (min(rows, lo + RECORD_CHUNK) - lo)
+        for i, column in enumerate(columns(lo, lo + RECORD_CHUNK)):
+            seq[2 * i + 1::len(frame)] = column
+        seq.pop()
+        chunks.append("".join(seq))
+    return ",\n".join(chunks)
+
+
 def is_finite_number(v) -> bool:
     """A loader's test for a JSON number: a finite int or float, not a bool
     or a string that float() would coerce."""
@@ -238,8 +254,11 @@ def save_graph(g: ComplexGraph, *, provenance: dict | None = None) -> bytes:
     Floats are emitted with repr precision so the round trip is bit exact.
     A `provenance` mapping, if given, is written as the last key.
     """
-    item = '  {\n   "i": %d,\n   "j": %d,\n   "re": %r,\n   "im": %r\n  }'
-    records = ",\n".join([item % (i, j, w.real, w.imag) for i, j, w in g.edges()])
+    iu, ju = np.nonzero(np.triu(g.weights, 1))
+    w = g.weights[iu, ju]
+    item = '  {\n   "i": %s,\n   "j": %s,\n   "re": %s,\n   "im": %s\n  }'
+    records = column_records(item, lambda lo, hi: [
+        map(repr, a[lo:hi].tolist()) for a in (iu, ju, w.real, w.imag)], len(iu))
     doc = {"n": g.n, "edges": []}
     return document_text(doc, provenance, "edges", records).encode("utf-8")
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .encoding import GBSEncoding, reconstruct
 from .errors import BudgetError, EmptyConditionError, FormatError, InvariantError
-from .graph import document_text, is_finite_number, source_text
+from .graph import column_records, document_text, is_finite_number, source_text
 
 Pattern = tuple[int, ...]
 
@@ -639,11 +639,12 @@ def save_distribution(
     if not math.isfinite(d.mass):
         raise InvariantError(f"distribution mass {d.mass} is not finite")
     # A lattice has one mode or more, so json spells no pattern "[]".
-    counts = ",".join(["\n    %d"] * d.lattice.counts.shape[1])
-    item = '  {\n   "pattern": [%s\n   ],\n   "probability": %%r\n  }' % counts
-    records = ",\n".join([
-        item % (*p, w) for p, w in zip(d.lattice.counts.tolist(), d.probs.tolist())
-    ])
+    counts, probs = d.lattice.counts, d.probs
+    fields = ",".join(["%s"] * counts.shape[1])
+    item = '  {\n   "pattern": [%s\n   ],\n   "probability": %%s\n  }' % fields
+    table = np.array(["\n    %d" % v for v in range(counts.max() + 1)], dtype=object)
+    records = column_records(item, lambda lo, hi: [
+        *table[counts[lo:hi].T].tolist(), map(repr, probs[lo:hi].tolist())], len(probs))
     doc = {
         "cutoff_total": d.lattice.cutoff_total,
         "cutoff_per_mode": d.lattice.cutoff_per_mode,

@@ -1,7 +1,7 @@
-"""The template writers of the bulk formats and of the cliques report must
-write the same bytes as json.dumps does (tests/helpers.reference_save_* and
-reference_cliques_report), and the bulk formats refuse values that json
-would spell NaN or Infinity."""
+"""The writers of the bulk formats and of the cliques report must write the
+same bytes as json.dumps does (tests/helpers.reference_save_* and
+reference_cliques_report), wherever the chunks of the column writers fall,
+and the bulk formats refuse values that json would spell NaN or Infinity."""
 
 import math
 import re
@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gbstopo.cliques as cliques_mod
+import gbstopo.graph as graph_mod
 from gbstopo.cli import main
 from gbstopo.cliques import Clique, SearchReport
 from gbstopo.encoding import encode
@@ -24,6 +25,8 @@ from gbstopo.sampler import (
     PatternDistribution,
     SampleBatch,
     _lattice,
+    apply_loss,
+    enumerate_distribution,
     load_batch,
     sample,
     save_batch,
@@ -61,6 +64,11 @@ provenances = st.none() | st.dictionaries(
 )
 
 
+# The planted 6/6 law: 18,564 records over several chunks, counts up to 6,
+# and every odd total's probability exactly 0.0 when lossless.
+PLANTED_LAW = enumerate_distribution(encode(planted_clique_graph(), 0.95), 6, 6)
+
+
 @st.composite
 def graphs(draw):
     """Symmetric graphs with n <= 8 whose present edges carry drawn floats;
@@ -77,9 +85,10 @@ def graphs(draw):
 
 @st.composite
 def distributions(draw):
-    """Laws on lattices of 1-3 modes with drawn probabilities and mass."""
-    lat = _lattice(draw(st.integers(1, 3)), draw(st.integers(0, 4)),
-                   draw(st.integers(0, 3)))
+    """Laws on lattices of 1-3 modes with drawn probabilities and mass; the
+    1-mode 12/12 and 2-mode 11/10 lattices hold two-digit counts."""
+    shape = st.tuples(st.integers(1, 3), st.integers(0, 4), st.integers(0, 3))
+    lat = _lattice(*draw(shape | st.sampled_from([(1, 12, 12), (2, 11, 10)])))
     probs = draw(st.lists(floats, min_size=len(lat.counts),
                           max_size=len(lat.counts)))
     return PatternDistribution(lat, np.array(probs, dtype=float), draw(floats))
@@ -106,6 +115,7 @@ class TestGraphWriter:
     @given(g=graphs(), provenance=provenances)
     @example(g=random_dual_layer(6, 0.0, seed=0), provenance={"p": 0.0})
     @example(g=ComplexGraph(1, np.zeros((1, 1))), provenance=None)
+    @example(g=random_dual_layer(12, 0.5, seed=3), provenance={"command": "gen"})
     def test_matches_json_oracle(self, g, provenance):
         want = reference_save_graph(g, provenance=provenance)
         assert save_graph(g, provenance=provenance) == want
@@ -134,6 +144,8 @@ class TestGraphWriter:
 class TestDistributionWriter:
     @WRITERS
     @given(d=distributions(), provenance=provenances)
+    @example(d=PLANTED_LAW, provenance=None)
+    @example(d=apply_loss(PLANTED_LAW, 0.8), provenance={"command": "dist"})
     def test_matches_json_oracle(self, d, provenance):
         want = reference_save_distribution(d, provenance=provenance)
         assert save_distribution(d, provenance=provenance) == want
@@ -155,6 +167,18 @@ class TestDistributionWriter:
         d = PatternDistribution(lat, np.full(len(lat.counts), 0.2), bad)
         with pytest.raises(InvariantError, match="distribution mass"):
             save_distribution(d)
+
+
+# Chunks of 1-3 records put chunk edges inside small lattices and graphs.
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@WRITERS
+@given(d=distributions(), g=graphs(), provenance=provenances)
+def test_chunk_edges_keep_bytes(chunk, d, g, provenance):
+    with patch.object(graph_mod, "RECORD_CHUNK", chunk):
+        assert (save_distribution(d, provenance=provenance)
+                == reference_save_distribution(d, provenance=provenance))
+        assert (save_graph(g, provenance=provenance)
+                == reference_save_graph(g, provenance=provenance))
 
 
 class TestBatchWriter:
