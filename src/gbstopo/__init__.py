@@ -6,9 +6,7 @@ surfaces, clique percolation and entropy indicators.
 from .graph import (
     ComplexGraph,
     VertexSet,
-    clique_density,
     edge_filter,
-    is_clique,
     load_graph,
     random_dual_layer,
     save_graph,
@@ -18,7 +16,6 @@ from .sampler import (
     PatternDistribution,
     SampleBatch,
     apply_loss,
-    conditional_pattern_histogram,
     enumerate_distribution,
     hafnian,
     pattern_probability,
@@ -32,7 +29,6 @@ from .cliques import (
     SearchReport,
     enumerate_cliques,
     find_cliques,
-    greedy_shrink,
     local_search,
 )
 from .tda import (

@@ -1,18 +1,20 @@
 """Weighted clique search seeded by sampler output, plus exact clique
 enumeration for oracles and downstream topology.
 
-The search groups a batch's shots by click subset with sampler._click_groups,
-as conditioning does, shrinks each distinct subset greedily to a clique and
-grows each distinct greedy clique once toward the target size; shots repeating
-a subset reuse its result, and cli.cmd_cliques writes each success from one
-record template. Candidate sets are scored by the weighted density
-|sum w_ij| / (k(k-1)), which keeps complex phase cancellation central.
+The search refuses the first shot that clicks outside the graph, then
+groups the batch's shots by click subset with sampler._click_groups, as
+conditioning does; it shrinks each distinct subset greedily to a clique, in
+the grouping's order, and grows each distinct greedy clique once toward the
+target size. Shots repeating a subset reuse its result, and cli.cmd_cliques
+writes each success from one record template. Candidate sets are scored by
+the weighted density |sum w_ij| / (k(k-1)), which keeps complex phase
+cancellation central.
 
-The shrink peels every subset at once. Each subset's vertices index a
-padded K x K weight block; the subsets go largest first, in chunks of
-about SHRINK_BLOCK_ENTRIES entries, K the chunk's largest subset. Per row
-the peel keeps the row sums r and their total t, so dropping member v
-leaves the sum t - 2 r_v; it removes the best member, updates r, t, the
+The shrink peels every subset at once. Each subset's vertices, padded with
+non-members, index a K x K weight block; the subsets go largest first, in
+chunks of about SHRINK_BLOCK_ENTRIES entries, K the chunk's largest subset.
+Per row the peel keeps the row sums r and their total t, so dropping member
+v leaves the sum t - 2 r_v; it removes the best member, updates r, t, the
 in-set degrees and the clique test by one column, and stops each row once
 it is a clique. The array sums only screen: every member within
 _NEAR_TIE * sum(|re| + |im|) of a row's best score is rescored exactly by
@@ -130,11 +132,8 @@ def _peel_rows(g: ComplexGraph, clicked: np.ndarray, k: int) -> list[int]:
     non-empty vertex sets within range(g.n), each row of at most k."""
     size = clicked.sum(axis=1)
     # Row i's members ascending in its first size[i] columns; the padding
-    # columns name vertex 0 and are never members.
-    row_of, vert = np.nonzero(clicked)
-    col = np.arange(len(vert)) - np.repeat(np.cumsum(size) - size, size)
-    verts = np.zeros((len(clicked), k), dtype=np.intp)
-    verts[row_of, col] = vert
+    # columns name non-members.
+    verts = np.argsort(~clicked, axis=1, kind="stable")[:, :k]
     alive = np.arange(k) < size[:, None]
     block = np.where(alive[:, :, None] & alive[:, None, :],
                      g.weights[verts[:, :, None], verts[:, None, :]], 0)
@@ -174,7 +173,7 @@ def _peel_rows(g: ComplexGraph, clicked: np.ndarray, k: int) -> list[int]:
             ids = ids[~done]
             state = [a[~done] for a in state]
     members = np.zeros(clicked.shape, dtype=bool)
-    members[row_of, vert] = kept[row_of, col]
+    np.put_along_axis(members, verts, kept, axis=1)
     return _row_masks(members)
 
 
@@ -266,31 +265,21 @@ def local_search(
     return _checked_clique(g, cur) if cur.bit_count() == target_k else None
 
 
-def _distinct_subsets(g: ComplexGraph, b: SampleBatch):
-    """The batch's distinct non-empty click subsets as boolean rows within
-    range(g.n), in order of first appearance, and for each non-vacuum shot
-    the index of its subset. ValueError, as _vertex_mask raises it, for the
-    first subset that clicks a vertex outside the graph."""
-    clicked = b.patterns > 0
-    subsets, first, inverse = _click_groups(clicked[clicked.any(axis=1)])
-    order = np.argsort(first)
-    subsets = subsets[order]
-    if (outside := np.flatnonzero(subsets[:, g.n:].any(axis=1))).size:
-        _vertex_mask(g, np.flatnonzero(subsets[outside[0]]).tolist())
-    return subsets[:, :g.n], np.argsort(order)[inverse]
-
-
 def find_cliques(
     g: ComplexGraph, b: SampleBatch, target_k: int, max_iters: int = 50
 ) -> SearchReport:
     """Run the full per-shot search pipeline and tally the success rate.
 
-    Empty subsets (vacuum shots) count as failures in the denominator. Each
-    distinct subset is shrunk once, in order of first appearance, and each
-    distinct greedy clique is grown once.
+    Empty subsets (vacuum shots) count as failures in the denominator. The
+    first shot that clicks a vertex outside the graph raises ValueError, as
+    _vertex_mask does. Each distinct subset is shrunk once, in the order
+    _click_groups returns, and each distinct greedy clique is grown once.
     """
     _check_search_params(target_k, max_iters)
-    subsets, shot_subset = _distinct_subsets(g, b)
+    clicked = b.patterns > 0
+    if (outside := np.flatnonzero(clicked[:, g.n:].any(axis=1))).size:
+        _vertex_mask(g, np.flatnonzero(clicked[outside[0]]).tolist())
+    subsets, _, shot_subset = _click_groups(clicked[clicked.any(axis=1), :g.n])
     shrunk = _shrink(g, subsets)
     grown = {mask: local_search(g, _clique(g, mask), target_k, max_iters)
              for mask in dict.fromkeys(shrunk)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,20 +80,8 @@ class ComplexGraph:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.weights)
 
-    def edges(self) -> Iterator[tuple[int, int, complex]]:
-        """(i, j, w_ij) with i < j for every present edge, row by row."""
-        iu, ju = np.nonzero(np.triu(self.weights, 1))
-        return zip(iu.tolist(), ju.tolist(), self.weights[iu, ju].tolist())
-
     def num_edges(self) -> int:
         return int(np.count_nonzero(self.weights)) // 2
-
-    def common_neighbors(self, s: Sequence[int]) -> list[int]:
-        """Vertices outside s adjacent to every member of s, ascending."""
-        mask = 0
-        for u in s:
-            mask |= 1 << u
-        return _mask_vertices(self._common_mask(mask) & ~mask)
 
     # The mask methods below take a bitmask within range(n); the caller
     # checks it, as _vertex_mask does.

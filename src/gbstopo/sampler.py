@@ -60,12 +60,12 @@ _TAG_GBS, _TAG_UNIFORM, _TAG_SQUASHED, _TAG_LOSS = range(4)
 # What _invert may walk; more is refused with BudgetError before a walk.
 MEAN_BUDGET = 500.0  # largest squashed Poisson mean; exp(-500) is normal
 COUNT_BUDGET = 1000  # largest count a draw reaches or batch loss thins
-# _doubles holds 8 bytes a double: a batch of shots * 8 m bytes above
-# DRAW_BUDGET is not drawn. Nor is one whose consumer would then hold more
-# than DRAW_BUDGET: per shot and mode, about 24 bytes for uniform subsets
-# (doubles, argsort and 0/1 rows), 56 for batch loss (doubles and _invert's
-# arrays) and 104 for squashed draws, and 8 for a gbs batch's patterns,
-# plus 16 a shot for uniform and gbs (peaks under tracemalloc, rounded up).
+# _doubles draws no batch whose consumer would then hold more than
+# DRAW_BUDGET, its 8 bytes a double included: per shot and mode, about 24
+# bytes for uniform subsets (doubles, argsort and 0/1 rows), 56 for batch
+# loss (doubles and _invert's arrays) and 104 for squashed draws, and 8 for
+# a gbs batch's patterns, plus 16 a shot for uniform and gbs (peaks under
+# tracemalloc, rounded up).
 DRAW_BUDGET = 2**30
 
 
@@ -325,18 +325,12 @@ def _shot_rng(seed: int, tag: int, shot: int, m: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64([tag, seed]).advance(shot * m))
 
 
-def _doubles(
-    seed: int, tag: int, shots: int, m: int, held: int = 0
-) -> np.ndarray:
+def _doubles(seed: int, tag: int, shots: int, m: int, held: int) -> np.ndarray:
     """Draws i*m ... (i+1)*m - 1 of default_rng([tag, seed]) as row i of a
     (shots, m) array. Shots 0 and shots - 1 are checked against _shot_rng:
     a numpy that fills or advances otherwise raises InvariantError. `held`
-    is what the caller holds a shot once drawn, these doubles included;
-    both it and the doubles are charged to DRAW_BUDGET before drawing."""
-    if (need := shots * 8 * m) > DRAW_BUDGET:
-        raise BudgetError(f"{shots} shots of {m} doubles need about {need} "
-                          f"bytes, over the draw budget {DRAW_BUDGET}",
-                          required=need, budget=DRAW_BUDGET)
+    is what the caller holds a shot once drawn, its 8 m bytes of doubles
+    included; shots * held is charged to DRAW_BUDGET before seeding."""
     if (need := shots * held) > DRAW_BUDGET:
         raise BudgetError(f"{shots} shots hold about {need} bytes once "
                           f"drawn, over the draw budget {DRAW_BUDGET}",
@@ -456,10 +450,8 @@ def _loss_table(top: int, eta: float) -> np.ndarray:
                           f"{COUNT_BUDGET}", required=top, budget=COUNT_BUDGET)
     lost = np.zeros((top + 1, top + 1))
     for c in range(top + 1):
-        comb = 1  # C(c, k), exact
         for k in range(c + 1):
-            lost[c, k] = comb * eta ** (c - k) * (1 - eta) ** k
-            comb = comb * (c - k) // (k + 1)
+            lost[c, k] = math.comb(c, k) * eta ** (c - k) * (1 - eta) ** k
     return lost
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from .cliques import CliqueComplex, enumerate_cliques
 from .errors import BudgetError, InvariantError
 from .graph import (
-    ComplexGraph, VertexSet, _density, _pair_ids, _pairs_inside, edge_filter,
+    ComplexGraph, VertexSet, _density, _mask_vertices, _pair_ids, _pairs_inside,
+    edge_filter,
 )
 
 NEG_INF = float("-inf")
@@ -363,7 +364,8 @@ def clique_persistence(g: ComplexGraph, k: int) -> list[PersistencePair]:
         internal = [mags[i, j] for i, j in combinations(s, 2)]
         birth = max(internal)
         death = math.inf
-        for v in g.common_neighbors(s):
+        mask = sum(1 << u for u in s)
+        for v in _mask_vertices(g._common_mask(mask) & ~mask):
             absorbed_at = max(birth, max(mags[v, u] for u in s))
             death = min(death, float(absorbed_at))
         pairs.append(PersistencePair(clique=s, birth=float(birth), death=death))

@@ -24,6 +24,7 @@ from helpers import (
     criterion_9_commands,
     matching_sum_hafnian,
     max_nonempty_size,
+    reference_edges,
     to_dense,
 )
 
@@ -261,7 +262,7 @@ def _phi_networkx(g, k):
 
     gx = nx.Graph()
     gx.add_nodes_from(range(g.n))
-    gx.add_edges_from((i, j) for i, j, _ in g.edges())
+    gx.add_edges_from((i, j) for i, j, _ in reference_edges(g))
     comms = list(nx.algorithms.community.k_clique_communities(gx, k))
     return max((len(c) for c in comms), default=0) / g.n
 

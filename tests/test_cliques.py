@@ -331,13 +331,6 @@ class TestSearchOncePerSubset:
         assert shrinks == [(0, 2, 3, 4, 6, 7)]
         assert len(searches) == 1
 
-    def test_distinct_subsets_in_first_appearance_order(self, monkeypatch):
-        g = complete(6)
-        shrinks = self.peeled(monkeypatch)
-        pats = ((0, 1, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1), (0, 2, 1, 0, 3, 0))
-        find_cliques(g, SampleBatch(patterns=pats, seed=0, backend="x"), 3)
-        assert shrinks == [(1, 2, 4), (0, 1, 5)]
-
     @pytest.mark.parametrize("target_k", [3, 5, 6])
     def test_local_search_once_per_greedy_clique(self, monkeypatch, target_k):
         # A unit-weight 5-clique on 0..4 with vertices 5-7 hanging off it by
@@ -467,7 +460,7 @@ class TestArrayPeelAgainstReference:
 
 class TestBatchWidth:
     """A batch may be wider or narrower than the graph; clicks outside it
-    raise the error _vertex_mask raises for the first such subset."""
+    raise the error _vertex_mask raises for the first such shot."""
 
     @pytest.mark.parametrize("pats, bad", [
         (((1, 1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0)),
@@ -478,6 +471,15 @@ class TestBatchWidth:
     def test_click_outside_graph_raises(self, pats, bad):
         b = SampleBatch(pats, 0, "x")
         with pytest.raises(ValueError, match=f"^vertex {bad} out of range for n=4$"):
+            find_cliques(complete(4), b, 2)
+
+    def test_outside_click_refused_before_grouping(self, monkeypatch):
+        def no_grouping(rows):
+            raise AssertionError("the batch was grouped")
+
+        monkeypatch.setattr(cliques_mod, "_click_groups", no_grouping)
+        b = SampleBatch(((1, 1, 0, 0, 0, 0), (0, 1, 0, 0, 0, 1)), 0, "x")
+        with pytest.raises(ValueError, match="^vertex 5 out of range for n=4$"):
             find_cliques(complete(4), b, 2)
 
     @given(seed=st.integers(0, 10_000), extra=st.integers(-4, 4),

@@ -30,6 +30,7 @@ from gbstopo.tda import density_filtration
 from helpers import (
     brute_force_cliques,
     has_edge,
+    reference_edges,
     reference_percolation_clusters,
     scipy_spearman,
 )
@@ -66,7 +67,7 @@ class TestPercolationClusters:
             rep = percolation_clusters(g, 3)
             gx = nx.Graph()
             gx.add_nodes_from(range(25))
-            gx.add_edges_from((i, j) for i, j, _ in g.edges())
+            gx.add_edges_from((i, j) for i, j, _ in reference_edges(g))
             comms = list(nx.algorithms.community.k_clique_communities(gx, 3))
             want = 0.0
             if comms:
@@ -83,7 +84,7 @@ class TestPercolationClusters:
         g = random_dual_layer(n, p, seed=seed)
         gx = nx.Graph()
         gx.add_nodes_from(range(n))
-        gx.add_edges_from((i, j) for i, j, _ in g.edges())
+        gx.add_edges_from((i, j) for i, j, _ in reference_edges(g))
         comms = nx.algorithms.community.k_clique_communities(gx, k)
         want = sorted(
             (tuple(sorted(c)) for c in comms), key=lambda t: (-len(t), t)

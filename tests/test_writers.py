@@ -34,7 +34,6 @@ from gbstopo.sampler import (
 )
 from helpers import (
     reference_cliques_report,
-    reference_edges,
     reference_save_batch,
     reference_save_distribution,
     reference_save_graph,
@@ -119,14 +118,6 @@ class TestGraphWriter:
     def test_matches_json_oracle(self, g, provenance):
         want = reference_save_graph(g, provenance=provenance)
         assert save_graph(g, provenance=provenance) == want
-
-    @WRITERS
-    @given(g=graphs())
-    @example(g=random_dual_layer(12, 0.5, seed=3))
-    def test_edges_keep_order_and_values(self, g):
-        got = list(g.edges())
-        assert got == list(reference_edges(g))
-        assert all(type(w) is complex for _, _, w in got)
 
     # No graph holds a weight that json would spell NaN or Infinity: the
     # constructor refuses it, so save_graph never meets one.
