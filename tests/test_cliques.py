@@ -331,6 +331,17 @@ class TestSearchOncePerSubset:
         assert shrinks == [(0, 2, 3, 4, 6, 7)]
         assert len(searches) == 1
 
+    def test_distinct_subsets_in_grouping_order(self, monkeypatch):
+        # Subsets are shrunk in _click_groups' ascending order, not in order
+        # of first appearance; the cliques found stay in shot order.
+        g = complete(6)
+        pats = ((1, 1, 0, 0, 0, 1), (0, 1, 1, 0, 1, 0), (0, 2, 1, 0, 3, 0))
+        b = SampleBatch(patterns=pats, seed=0, backend="x")
+        want = reference_find_cliques(g, b, 3)
+        shrinks = self.peeled(monkeypatch)
+        assert find_cliques(g, b, 3) == want
+        assert shrinks == [(1, 2, 4), (0, 1, 5)]
+
     @pytest.mark.parametrize("target_k", [3, 5, 6])
     def test_local_search_once_per_greedy_clique(self, monkeypatch, target_k):
         # A unit-weight 5-clique on 0..4 with vertices 5-7 hanging off it by

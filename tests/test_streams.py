@@ -212,6 +212,21 @@ def test_huge_batch_exits_4(tmp_path, capsys):
     assert "over the draw budget" in capsys.readouterr().err
 
 
+# The one charge, shots * held, is at least a batch's 8 m bytes a shot of
+# doubles: a batch whose doubles alone pass DRAW_BUDGET is refused before
+# its generator is seeded.
+def test_batch_over_draw_budget_refused_before_seeding(monkeypatch):
+    budget = 10 * 8 * 3 - 1
+    monkeypatch.setattr(sampler, "DRAW_BUDGET", budget)
+    monkeypatch.setattr(np.random, "default_rng", no_drawing)
+    with pytest.raises(BudgetError, match=(
+        f"^10 shots hold about {10 * 8 * 3} bytes once drawn, over the draw "
+        f"budget {budget}$"
+    )) as info:
+        sampler._doubles(0, 0, 10, 3, 8 * 3)
+    assert (info.value.required, info.value.budget) == (10 * 8 * 3, budget)
+
+
 def test_batch_at_draw_budget_drawn(monkeypatch):
     want = sampler._doubles(0, 0, 10, 3, 8 * 3)
     monkeypatch.setattr(sampler, "DRAW_BUDGET", 10 * 8 * 3)
